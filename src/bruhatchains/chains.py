@@ -8,16 +8,22 @@ import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence, Union
+from typing import Iterator, Sequence, Union
 
-from .errors import MalformedChain, UnsupportedOrder
+from .errors import (
+    MalformedChain,
+    MarginMismatch,
+    PatternMismatch,
+    UnsupportedOrder,
+)
 from .matrices import (
     F3,
     J2,
     BinaryMatrix,
     Direction,
     Interchange,
-    apply_interchange,
+    _increment,
+    _matches_pattern,
     direct_sum,
     embed,
     inversion_count,
@@ -56,26 +62,58 @@ class Chain:
             return "interchange"
         return "bruhat"
 
+    def _state(self, rows: list[int]) -> BinaryMatrix:
+        return BinaryMatrix(self.start.m, self.start.n, tuple(rows))
+
     def matrices(self) -> list[BinaryMatrix]:
         """Replay the chain; raises PatternMismatch on an invalid step."""
-        out = [self.start]
-        for step in self.steps:
-            if isinstance(step, Interchange):
-                out.append(apply_interchange(out[-1], step))
-            elif isinstance(step, BruhatStep):
-                out.append(step.target)
-            else:
-                raise MalformedChain(f"unknown step type {type(step)!r}")
-        return out
+        rows = list(self.start.bits)
+        return [self.start] + [self._state(rows)
+                               for _ in _replay(rows, self.start.n, self.steps)]
 
     @property
     def end(self) -> BinaryMatrix:
-        return self.matrices()[-1]
+        rows = list(self.start.bits)
+        for _ in _replay(rows, self.start.n, self.steps):
+            pass
+        return self._state(rows)
 
     def concat(self, other: "Chain") -> "Chain":
         if self.end != other.start:
             raise MalformedChain("chains do not meet at a common matrix")
         return Chain(self.start, self.steps + other.steps)
+
+
+def _replay(rows: list[int], width: int,
+            steps: Sequence[Step]) -> Iterator[Step]:
+    """Apply the steps in order to rows, in place, yielding each step once
+    it is applied.  This is the only code that applies chain steps.
+
+    An interchange step must be ItoL and match its pattern; a jump step
+    must be a strict Bruhat ascent.  An invalid step raises PatternMismatch
+    (MarginMismatch for a jump into another class) and leaves rows at the
+    state before it; malformed step data raises MalformedChain."""
+    for k, step in enumerate(steps):
+        if isinstance(step, Interchange):
+            if step.direction is not Direction.ItoL \
+                    or not _matches_pattern(rows, step):
+                raise PatternMismatch(
+                    f"step {k}: no ItoL pattern at {step.quad()}")
+            flip = (1 << step.j) | (1 << step.j2)
+            rows[step.i] ^= flip
+            rows[step.i2] ^= flip
+        elif isinstance(step, BruhatStep):
+            target = step.target
+            if target.m != len(rows) or target.n != width:
+                raise MalformedChain(f"step {k}: dimension change")
+            cur = BinaryMatrix(len(rows), width, tuple(rows))
+            if not bruhat_less(cur, target):
+                raise PatternMismatch(
+                    f"step {k}: jump is not a strict Bruhat ascent")
+            rows[:] = target.bits
+        else:
+            raise MalformedChain(f"step {k}: unknown step type")
+        yield step
 
 
 @dataclass(frozen=True)
@@ -97,44 +135,35 @@ def verify_chain(chain: Chain,
 
     Interchange steps must address a valid ItoL pattern; jump steps must be
     a strict Bruhat ascent.  An invalid step is reported by index rather
-    than raised; only structurally malformed data raises."""
-    mats = [chain.start]
+    than raised; only structurally malformed data raises.  The inversion
+    count advances by the increment formula on interchange steps and is
+    recounted in full on every jump target and on the final state."""
+    rows = list(chain.start.bits)
+    nu = inversion_count(chain.start)
+    nu_profile = [nu]
     failing = None
-    for k, step in enumerate(chain.steps):
-        cur = mats[-1]
-        if isinstance(step, Interchange):
-            if step.direction is not Direction.ItoL:
-                failing = k
-                break
-            try:
-                mats.append(apply_interchange(cur, step))
-            except Exception:
-                failing = k
-                break
-        elif isinstance(step, BruhatStep):
-            nxt = step.target
-            if nxt.m != cur.m or nxt.n != cur.n:
-                raise MalformedChain(f"step {k}: dimension change")
-            try:
-                ok = bruhat_less(cur, nxt)
-            except Exception:
-                ok = False
-            if not ok:
-                failing = k
-                break
-            mats.append(nxt)
-        else:
-            raise MalformedChain(f"step {k}: unknown step type")
-    nu_profile = tuple(inversion_count(a) for a in mats)
+    try:
+        for step in _replay(rows, chain.start.n, chain.steps):
+            if isinstance(step, Interchange):
+                nu += _increment(rows, step)
+            else:
+                nu = inversion_count(step.target)
+            nu_profile.append(nu)
+    except (PatternMismatch, MarginMismatch):
+        failing = len(nu_profile) - 1
+    end = chain._state(rows)
+    if inversion_count(end) != nu:
+        raise RuntimeError("inversion increments disagree with a full "
+                           "recount of the final state")
     valid = failing is None
     tight = valid and all(b - a == 1 for a, b in zip(nu_profile, nu_profile[1:]))
     endpoints_ok = valid
-    if valid and expected_start is not None and mats[0] != expected_start:
+    if valid and expected_start is not None and chain.start != expected_start:
         endpoints_ok = False
-    if valid and expected_end is not None and mats[-1] != expected_end:
+    if valid and expected_end is not None and end != expected_end:
         endpoints_ok = False
     return ChainReport(len(chain.steps), valid, failing, endpoints_ok,
-                       tight, nu_profile)
+                       tight, tuple(nu_profile))
 
 
 # --- distinguished matrices ---------------------------------------------
@@ -223,7 +252,7 @@ def _step_between(prev: BinaryMatrix, nxt: BinaryMatrix) -> Interchange:
     j = (cols & -cols).bit_length() - 1
     j2 = cols.bit_length() - 1
     step = Interchange(i, i2, j, j2, Direction.ItoL)
-    if apply_interchange(prev, step) != nxt:
+    if not _matches_pattern(prev.bits, step):
         raise MalformedChain("matrices differ by an LtoI move, not ItoL")
     return step
 
@@ -286,20 +315,15 @@ def chain_y_to_q5() -> Chain:
 
 def _map_steps(steps: Sequence[Step], host: BinaryMatrix,
                rows: Sequence[int], cols: Sequence[int]) -> tuple[list[Step], BinaryMatrix]:
-    """Reindex sub-chain steps into a host window, tracking the host state
-    so jump steps become full replacement matrices."""
-    out: list[Step] = []
-    cur = host
-    for step in steps:
-        if isinstance(step, Interchange):
-            mapped = Interchange(rows[step.i], rows[step.i2],
-                                 cols[step.j], cols[step.j2], step.direction)
-            cur = apply_interchange(cur, mapped)
-            out.append(mapped)
-        else:
-            cur = embed(cur, rows, cols, step.target)
-            out.append(BruhatStep(cur))
-    return out, cur
+    """Reindex sub-chain steps into a host window, and replay them there.
+    A jump target fills the window of the host: nothing outside the window
+    moves, so this is the full state after the jump."""
+    out: list[Step] = [
+        Interchange(rows[s.i], rows[s.i2], cols[s.j], cols[s.j2], s.direction)
+        if isinstance(s, Interchange)
+        else BruhatStep(embed(host, rows, cols, s.target))
+        for s in steps]
+    return out, Chain(host, tuple(out)).end
 
 
 @lru_cache(maxsize=None)

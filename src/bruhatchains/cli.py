@@ -6,7 +6,8 @@ Margins are given as ``R/S`` with comma-separated entries, or through the
 ``--n/--k`` sugar for square classes with uniform sums.  Every subcommand
 supports ``--json`` for a machine-readable envelope.
 
-Exit codes: 0 on success, 1 on domain errors, 2 on usage errors.
+Exit codes: 0 on success, 1 on domain errors and malformed input, 2 on
+usage errors.
 """
 
 from __future__ import annotations
@@ -31,10 +32,15 @@ def _read_text(path: str) -> str:
 
 def _read_matrix(path: str) -> BinaryMatrix:
     text = _read_text(path)
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        return BinaryMatrix.from_json(text)
-    return BinaryMatrix.from_text(text)
+    try:
+        if text.lstrip().startswith("{"):
+            return BinaryMatrix.from_json(text)
+        return BinaryMatrix.from_text(text)
+    except KeyError as exc:
+        raise BruhatError(
+            f"malformed matrix in {path}: missing key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise BruhatError(f"malformed matrix in {path}: {exc}") from exc
 
 
 def _parse_margins(spec: str) -> MarginPair:
@@ -124,14 +130,14 @@ def compare(first: str, second: str, budget: int, as_json: bool) -> None:
     _emit("compare", result, as_json, started, plain)
 
 
-@main.command()
+@main.command(name="enumerate")
 @click.option("--margins", default=None)
 @click.option("--n", type=int, default=None)
 @click.option("--k", type=int, default=None)
 @click.option("--count", "count_only", is_flag=True,
               help="print only the number of members")
 @click.option("--json", "as_json", is_flag=True)
-def enumerate(margins, n, k, count_only, as_json) -> None:
+def enumerate_members(margins, n, k, count_only, as_json) -> None:
     """List every member of a class."""
     started = time.monotonic()
     pair = _resolve_margins(margins, n, k)
@@ -152,10 +158,8 @@ def enumerate(margins, n, k, count_only, as_json) -> None:
 @click.option("--cap", default=enumeration.DEFAULT_MEMBER_CAP, show_default=True)
 @click.option("--dot", "dot_path", type=click.Path(writable=True), default=None)
 @click.option("--jsonl", "jsonl_path", type=click.Path(writable=True), default=None)
-@click.option("--parallel", type=int, default=None,
-              help="accepted for compatibility; computation is serial")
 @click.option("--json", "as_json", is_flag=True)
-def poset(margins, n, k, cap, dot_path, jsonl_path, parallel, as_json) -> None:
+def poset(margins, n, k, cap, dot_path, jsonl_path, as_json) -> None:
     """Build the class poset and export it."""
     started = time.monotonic()
     pair = _resolve_margins(margins, n, k)
@@ -250,13 +254,11 @@ def _poset_for_square(n: int, cap: int) -> enumeration.ClassPoset:
 @click.option("--n", type=int, default=None)
 @click.option("--margins", default=None)
 @click.option("--k", type=int, default=None)
-@click.option("--parallel", type=int, default=None,
-              help="accepted for compatibility; computation is serial")
 @click.option("--json", "as_json", is_flag=True)
-def longest(n, margins, k, parallel, as_json) -> None:
+def longest(n, margins, k, as_json) -> None:
     """Length of the longest chain in the Bruhat order of a class."""
     started = time.monotonic()
-    if margins is None and k is None and n is not None:
+    if margins is None and n is not None and k in (None, 2):
         built = _poset_for_square(n, enumeration.DEFAULT_MEMBER_CAP)
     else:
         built = enumeration.build_poset(_resolve_margins(margins, n, k))
@@ -266,10 +268,8 @@ def longest(n, margins, k, parallel, as_json) -> None:
 
 @main.command()
 @click.option("--n", type=int, required=True)
-@click.option("--parallel", type=int, default=None,
-              help="accepted for compatibility; computation is serial")
 @click.option("--json", "as_json", is_flag=True)
-def spectrum(n, parallel, as_json) -> None:
+def spectrum(n, as_json) -> None:
     """Maximum chain lengths over all (minimal, maximal) pairs."""
     started = time.monotonic()
     built = _poset_for_square(n, enumeration.DEFAULT_MEMBER_CAP)

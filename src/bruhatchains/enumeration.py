@@ -85,21 +85,19 @@ class ClassPoset:
     succ: list[list[int]]
     mode: str
     leq: np.ndarray | None = None
-    _index: dict[bytes, int] = field(default_factory=dict, repr=False)
+    _index: dict[BinaryMatrix, int] = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
         if not self._index:
-            self._index = {canonical_key(a): i
-                           for i, a in enumerate(self.members)}
+            self._index = {a: i for i, a in enumerate(self.members)}
 
     def __len__(self) -> int:
         return len(self.members)
 
     def index_of(self, a: BinaryMatrix) -> int:
-        key = canonical_key(a)
-        if key not in self._index:
+        if a not in self._index:
             raise KeyError("matrix is not a member of this class")
-        return self._index[key]
+        return self._index[a]
 
     def strict_pairs(self) -> Iterator[tuple[int, int]]:
         """All ordered pairs (a, c) with a strictly below c."""
@@ -163,7 +161,8 @@ class ClassPoset:
 def _sorted_members(margins: MarginPair) -> tuple[list[BinaryMatrix], list[int]]:
     members = list(enumerate_class(margins))
     nu = [inversion_count(a) for a in members]
-    order = sorted(range(len(members)), key=lambda i: (nu[i], canonical_key(members[i])))
+    # a stable sort keeps the canonical-key order of enumerate_class on ties
+    order = sorted(range(len(members)), key=nu.__getitem__)
     return [members[i] for i in order], [nu[i] for i in order]
 
 
@@ -217,11 +216,11 @@ def build_interchange_dag(margins: MarginPair) -> ClassPoset:
     square classes, where cover arcs are a subset of these arcs and the
     Bruhat order is their transitive closure."""
     members, nu = _sorted_members(margins)
-    index = {canonical_key(a): i for i, a in enumerate(members)}
+    index = {a: i for i, a in enumerate(members)}
     succ: list[list[int]] = []
     for a in members:
         targets = sorted(
-            index[canonical_key(apply_interchange(a, t))]
+            index[apply_interchange(a, t)]
             for t in find_interchanges(a, Direction.ItoL))
         succ.append(targets)
     return ClassPoset(margins, members, nu, succ, "interchange", None, index)

@@ -284,18 +284,22 @@ def find_interchanges(a: BinaryMatrix,
     return found
 
 
-def _matches_pattern(a: BinaryMatrix, t: Interchange) -> bool:
-    if t.i2 >= a.m or t.j2 >= a.n:
+def _matches_pattern(rows: Sequence[int], t: Interchange) -> bool:
+    """Whether the rows hold the source pattern of t at its 2x2 position.
+    Both patterns have a one in column j2, so a column index beyond the
+    width never matches."""
+    if t.i2 >= len(rows):
         return False
-    cells = (a.get(t.i, t.j), a.get(t.i, t.j2),
-             a.get(t.i2, t.j), a.get(t.i2, t.j2))
-    want = (1, 0, 0, 1) if t.direction is Direction.ItoL else (0, 1, 1, 0)
-    return cells == want
+    left, right = 1 << t.j, 1 << t.j2
+    if t.direction is Direction.LtoI:
+        left, right = right, left
+    both = left | right
+    return rows[t.i] & both == left and rows[t.i2] & both == right
 
 
 def apply_interchange(a: BinaryMatrix, t: Interchange) -> BinaryMatrix:
     """Replace the addressed 2x2 submatrix by the opposite pattern."""
-    if not _matches_pattern(a, t):
+    if not _matches_pattern(a.bits, t):
         raise PatternMismatch(
             f"submatrix at {t.quad()} is not {t.direction.value[0]}2")
     flip = (1 << t.j) | (1 << t.j2)
@@ -305,22 +309,26 @@ def apply_interchange(a: BinaryMatrix, t: Interchange) -> BinaryMatrix:
     return BinaryMatrix(a.m, a.n, tuple(bits))
 
 
+def _increment(rows: Sequence[int], t: Interchange) -> int:
+    """The inversion gain of the ItoL interchange t on these rows.  It reads
+    no cell the interchange flips, so it holds before and after the flip."""
+    mid_cols = (1 << t.j2) - (1 << (t.j + 1))
+    between = rows[t.i + 1:t.i2]
+    inner = sum((b & mid_cols).bit_count() for b in between)
+    top = (rows[t.i] & mid_cols).bit_count()
+    bottom = (rows[t.i2] & mid_cols).bit_count()
+    left = sum((b >> t.j) & 1 for b in between)
+    right = sum((b >> t.j2) & 1 for b in between)
+    return 1 + 2 * inner + top + left + right + bottom
+
+
 def interchange_increment(a: BinaryMatrix, t: Interchange) -> int:
     """Exact inversion gain of applying a valid ItoL interchange: one plus
     a weighted count of ones in the five blocks strictly between the two
     rows and two columns of the move."""
-    if t.direction is not Direction.ItoL or not _matches_pattern(a, t):
+    if t.direction is not Direction.ItoL or not _matches_pattern(a.bits, t):
         raise PatternMismatch(f"no ItoL pattern at {t.quad()}")
-    mid_cols = 0
-    for j in range(t.j + 1, t.j2):
-        mid_cols |= 1 << j
-    inner = sum((a.bits[i] & mid_cols).bit_count()
-                for i in range(t.i + 1, t.i2))
-    top = (a.bits[t.i] & mid_cols).bit_count()
-    bottom = (a.bits[t.i2] & mid_cols).bit_count()
-    left = sum((a.bits[i] >> t.j) & 1 for i in range(t.i + 1, t.i2))
-    right = sum((a.bits[i] >> t.j2) & 1 for i in range(t.i + 1, t.i2))
-    return 1 + 2 * inner + top + left + right + bottom
+    return _increment(a.bits, t)
 
 
 def direct_sum(blocks: Sequence[BinaryMatrix]) -> BinaryMatrix:

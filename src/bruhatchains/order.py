@@ -11,7 +11,6 @@ from .matrices import (
     BinaryMatrix,
     Direction,
     apply_interchange,
-    canonical_key,
     cumulative_sums,
     find_interchanges,
     inversion_count,
@@ -96,8 +95,8 @@ def secondary_bruhat_leq(a: BinaryMatrix, c: BinaryMatrix,
     start_excess = admissible_excess(a)
     if start_excess is None or inversion_count(a) >= nu_c:
         return False
-    visited = {canonical_key(a)}
-    heap = [(start_excess, canonical_key(a), a)]
+    visited = {a}
+    heap = [(start_excess, a.bits, a)]
     expanded = 0
     while heap:
         _, _, x = heapq.heappop(heap)
@@ -109,16 +108,15 @@ def secondary_bruhat_leq(a: BinaryMatrix, c: BinaryMatrix,
             y = apply_interchange(x, move)
             if y == c:
                 return True
-            key = canonical_key(y)
-            if key in visited:
+            if y in visited:
                 continue
-            visited.add(key)
+            visited.add(y)
             if inversion_count(y) >= nu_c:
                 continue
             excess = admissible_excess(y)
             if excess is None:
                 continue
-            heapq.heappush(heap, (excess, key, y))
+            heapq.heappush(heap, (excess, y.bits, y))
     return False
 
 

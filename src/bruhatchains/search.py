@@ -5,19 +5,16 @@ chain lengths."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from graphlib import TopologicalSorter
-
-import numpy as np
+from typing import Iterable
 
 from .chains import BruhatStep, Chain
-from .enumeration import ClassPoset, sigma_array
+from .enumeration import ClassPoset
 from .errors import MarginMismatch
 from .matrices import (
     BinaryMatrix,
     Direction,
     Interchange,
     apply_interchange,
-    canonical_key,
     cumulative_sums,
     find_interchanges,
     interchange_increment,
@@ -44,57 +41,42 @@ class MonotonicityReport:
     violations: list[tuple[BinaryMatrix, BinaryMatrix]]
 
 
-def _topological_order(succ: list[list[int]]) -> list[int]:
-    ts = TopologicalSorter({i: [] for i in range(len(succ))})
-    for a, targets in enumerate(succ):
-        for c in targets:
-            ts.add(c, a)
-    return list(ts.static_order())
+def _longest_paths(poset: ClassPoset, sources: Iterable[int] | None = None
+                   ) -> tuple[list[int], list[int]]:
+    """Longest path length (edge count) to every member, from any member or
+    only from the given sources, with -1 where no path arrives, and the
+    predecessor of each member on one such path.
 
-
-def _longest_path(succ: list[list[int]], allowed: np.ndarray | None,
-                  sources: list[int] | None = None) -> tuple[int, list[int]]:
-    """Longest path (edge count) in the DAG, optionally restricted to the
-    allowed node set and to paths starting at the given sources."""
-    size = len(succ)
-    neg = -(10**9)
-    dist = [neg] * size
+    Members are sorted by inversion count, which every order arc raises, so
+    member order is a topological order.  Every arc is checked to point
+    forward; one that does not raises ValueError naming it."""
+    size = len(poset.members)
+    dist = [0 if sources is None else -1] * size
+    for v in sources or ():
+        dist[v] = 0
     pred = [-1] * size
-    order = _topological_order(succ)
-    if sources is None:
-        for v in range(size):
-            if allowed is None or allowed[v]:
-                dist[v] = 0
-    else:
-        for v in sources:
-            if allowed is None or allowed[v]:
-                dist[v] = 0
-    for v in order:
-        if dist[v] < 0:
-            continue
-        for w in succ[v]:
-            if allowed is not None and not allowed[w]:
-                continue
-            if dist[v] + 1 > dist[w]:
+    for v, targets in enumerate(poset.succ):
+        for w in targets:
+            if w <= v:
+                raise ValueError(
+                    f"arc {v} -> {w} does not point forward in member order "
+                    f"(nu {poset.nu[v]} -> {poset.nu[w]})")
+            if dist[v] >= 0 and dist[v] + 1 > dist[w]:
                 dist[w] = dist[v] + 1
                 pred[w] = v
-    best = max(range(size), key=lambda v: dist[v])
-    if dist[best] < 0:
-        return 0, []
-    path = []
-    v = best
-    while v != -1:
-        path.append(v)
-        v = pred[v]
-    path.reverse()
-    return dist[best], path
+    return dist, pred
 
 
 def longest_chain(poset: ClassPoset) -> tuple[int, Chain]:
     """Longest path over the poset's arc DAG, with the witness returned as
     a jump-step chain."""
-    length, path = _longest_path(poset.succ, None)
-    mats = [poset.members[v] for v in path]
+    dist, pred = _longest_paths(poset)
+    v = max(range(len(dist)), key=dist.__getitem__)
+    length, path = dist[v], [v]
+    while pred[v] != -1:
+        v = pred[v]
+        path.append(v)
+    mats = [poset.members[v] for v in reversed(path)]
     chain = Chain(mats[0], tuple(BruhatStep(a) for a in mats[1:]))
     return length, chain
 
@@ -103,28 +85,8 @@ def longest_chain_between(poset: ClassPoset, start_idx: int,
                           end_idx: int) -> int | None:
     """Maximum chain length from one member to another, or None when no
     path exists."""
-    allowed = _interval_mask(poset, start_idx, end_idx)
-    if not allowed[end_idx]:
-        return None
-    size = len(poset.succ)
-    neg = -(10**9)
-    dist = [neg] * size
-    dist[start_idx] = 0
-    for v in _topological_order(poset.succ):
-        if dist[v] < 0:
-            continue
-        for w in poset.succ[v]:
-            if allowed[w] and dist[v] + 1 > dist[w]:
-                dist[w] = max(dist[w], dist[v] + 1)
+    dist, _ = _longest_paths(poset, [start_idx])
     return dist[end_idx] if dist[end_idx] >= 0 else None
-
-
-def _interval_mask(poset: ClassPoset, lo: int, hi: int) -> np.ndarray:
-    """Members lying between two members in the Bruhat order."""
-    if poset.mode == "full":
-        return poset.leq[lo, :] & poset.leq[:, hi]
-    sig = sigma_array(poset.members)
-    return ((sig <= sig[lo]).all(axis=1)) & ((sig >= sig[hi]).all(axis=1))
 
 
 def tight_chain_search(a: BinaryMatrix, c: BinaryMatrix,
@@ -135,7 +97,7 @@ def tight_chain_search(a: BinaryMatrix, c: BinaryMatrix,
     Restricting moves to increment-one interchanges loses no witnesses:
     every step of a tight chain has increment exactly one.  States that
     stop dominating the target's partial-sum table are dead.  Dead states
-    are memoized by canonical key."""
+    are memoized."""
     if a.m != c.m or a.n != c.n or a.margins() != c.margins():
         raise MarginMismatch("endpoints are not in the same class")
     if inversion_count(a) > inversion_count(c):
@@ -148,7 +110,7 @@ def tight_chain_search(a: BinaryMatrix, c: BinaryMatrix,
     if not dominates(a):
         return SearchOutcome(False, None, 0, False)
 
-    dead: set[bytes] = set()
+    dead: set[BinaryMatrix] = set()
     explored = 0
     budget_hit = False
     path: list[Interchange] = []
@@ -165,8 +127,7 @@ def tight_chain_search(a: BinaryMatrix, c: BinaryMatrix,
             if interchange_increment(x, move) != 1:
                 continue
             y = apply_interchange(x, move)
-            key = canonical_key(y)
-            if key in dead or not dominates(y):
+            if y in dead or not dominates(y):
                 continue
             path.append(move)
             if dfs(y):
@@ -174,7 +135,7 @@ def tight_chain_search(a: BinaryMatrix, c: BinaryMatrix,
             path.pop()
             if budget_hit:
                 return False
-            dead.add(key)
+            dead.add(y)
         return False
 
     found = dfs(a)
@@ -212,10 +173,9 @@ def certificate(a: BinaryMatrix, c: BinaryMatrix) -> dict:
 def maximal_chain_spectrum(poset: ClassPoset) -> set[int]:
     """For every comparable (minimal, maximal) pair, the maximum chain
     length between them."""
+    maxima = poset.maximal_indices()
     spectrum = set()
     for p in poset.minimal_indices():
-        for q in poset.maximal_indices():
-            length = longest_chain_between(poset, p, q)
-            if length is not None:
-                spectrum.add(length)
+        dist, _ = _longest_paths(poset, [p])
+        spectrum.update(dist[q] for q in maxima if dist[q] >= 0)
     return spectrum

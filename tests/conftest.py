@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import settings
 
-from bruhatchains import MarginPair, build_poset
+from bruhatchains import MarginPair, build_interchange_dag, build_poset
 
 # wall-clock deadlines make the property tests flaky on loaded machines
 settings.register_profile("default", deadline=None)
@@ -21,3 +21,8 @@ def poset_42():
 @pytest.fixture(scope="session")
 def poset_52():
     return build_poset(MarginPair.uniform(5, 2))
+
+
+@pytest.fixture(scope="session")
+def dag_62():
+    return build_interchange_dag(MarginPair.uniform(6, 2))

@@ -1,12 +1,9 @@
 """Acceptance gate: one test per criterion, each printing a pass/fail
-line.  The order-6 all-two class sweep is minutes-scale and opted in with
-``pytest -m slow``."""
+line."""
 
 import random
 import time
 from itertools import product
-
-import pytest
 
 from bruhatchains import (
     BinaryMatrix,
@@ -16,7 +13,6 @@ from bruhatchains import (
     apply_interchange,
     build_chain,
     build_extremes,
-    build_interchange_dag,
     build_poset,
     bruhat_verdict,
     cumulative_sums,
@@ -203,15 +199,13 @@ def test_criterion_9_monotonicity_sweep(poset_221, poset_42, poset_52):
             "classes with margins at most 2", ok, started)
 
 
-@pytest.mark.slow
-def test_criterion_10_order_six_class():
+def test_criterion_10_order_six_class(dag_62):
     started = time.monotonic()
-    dag = build_interchange_dag(MarginPair.uniform(6, 2))
-    ok = longest_chain(dag)[0] == 48
-    ok &= maximal_chain_spectrum(dag) == {46, 47, 48}
+    ok = longest_chain(dag_62)[0] == 48
+    ok &= maximal_chain_spectrum(dag_62) == {46, 47, 48}
     # the class has exactly two block-structure minimal members
     from bruhatchains import is_minimal_An2
 
-    ok &= sum(1 for a in dag.members if is_minimal_An2(a)) == 2
+    ok &= sum(1 for a in dag_62.members if is_minimal_An2(a)) == 2
     _report("criterion 10: order-6 class longest chain and spectrum",
             ok, started)

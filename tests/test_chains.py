@@ -3,6 +3,7 @@ the closed-form extremal quantities."""
 
 import pytest
 
+from bruhatchains import chains as chains_module
 from bruhatchains import (
     F3,
     F3R,
@@ -232,6 +233,42 @@ class TestVerifyChain:
         down = Chain(q4, (BruhatStep(p4),))
         rep = verify_chain(down)
         assert not rep.valid and rep.failing_step == 0
+
+    @pytest.mark.parametrize(
+        "chain", [build_chain(n) for n in range(4, 15)] + [chain_y_to_q5()],
+        ids=[f"n{n}" for n in range(4, 15)] + ["y_to_q5"])
+    def test_nu_profile_matches_full_recount(self, chain):
+        rep = verify_chain(chain)
+        assert rep.valid
+        assert rep.nu_profile == tuple(
+            inversion_count(a) for a in chain.matrices())
+
+    def test_jump_into_another_class(self):
+        p4, _ = build_extremes(4)
+        first = base_chain_4().steps[0]
+        other = BinaryMatrix.from_rows(["1000", "0100", "0010", "0001"])
+        rep = verify_chain(Chain(p4, (first, BruhatStep(other))))
+        assert not rep.valid and rep.failing_step == 1
+        assert len(rep.nu_profile) == 2
+
+    def test_jump_dimension_change_raises(self):
+        p4, _ = build_extremes(4)
+        p5, _ = build_extremes(5)
+        with pytest.raises(MalformedChain):
+            verify_chain(Chain(p4, (BruhatStep(p5),)))
+
+    @pytest.mark.parametrize("kernel, chain", [
+        ("bruhat_less", chain_y_to_q5()),
+        ("_increment", base_chain_4()),
+    ], ids=["bruhat_less", "_increment"])
+    def test_kernel_bug_propagates(self, monkeypatch, kernel, chain):
+        # a fault in a kernel is not an invalid step
+        def broken(*args):
+            raise ZeroDivisionError("kernel bug")
+
+        monkeypatch.setattr(chains_module, kernel, broken)
+        with pytest.raises(ZeroDivisionError):
+            verify_chain(chain)
 
     def test_endpoint_mismatch(self):
         p4, q4 = build_extremes(4)

@@ -5,6 +5,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
+from bruhatchains import cli
 from bruhatchains.cli import main
 
 
@@ -106,6 +107,31 @@ def test_longest(runner):
     assert result.output.strip() == "16"
 
 
+def test_longest_k2_routes_like_n(runner, monkeypatch, poset_42):
+    # --n N --k 2 must take the square-class route, not the full poset
+    calls = []
+
+    def fake(n, cap):
+        calls.append(n)
+        return poset_42
+
+    def full_poset(*args, **kwargs):
+        raise AssertionError("the full A(6,2) poset needs about 9.7 GB")
+
+    monkeypatch.setattr(cli, "_poset_for_square", fake)
+    monkeypatch.setattr(cli.enumeration, "build_poset", full_poset)
+    for args in (["--n", "6"], ["--n", "6", "--k", "2"]):
+        result = runner.invoke(main, ["longest", *args])
+        assert result.exit_code == 0
+        assert result.output.strip() == "16"
+    assert calls == [6, 6]
+
+
+def test_parallel_option_removed(runner):
+    result = runner.invoke(main, ["longest", "--n", "4", "--parallel", "2"])
+    assert result.exit_code == 2
+
+
 def test_spectrum(runner):
     result = runner.invoke(main, ["spectrum", "--n", "4"])
     assert result.output.strip() == "16"
@@ -134,6 +160,16 @@ def test_domain_error_exit_code(runner):
     result = runner.invoke(main, ["enumerate", "--margins", "2,0/0,2",
                                   "--count"])
     assert result.exit_code == 1
+
+
+@pytest.mark.parametrize("text", ["012\n", '{"m":1}\n'])
+def test_malformed_matrix_exit_code(runner, text):
+    result = runner.invoke(main, ["inv", "-"], input=text)
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+    assert result.output.startswith("error: malformed matrix")
+    assert len(result.output.strip().splitlines()) == 1
 
 
 def test_usage_error_exit_code(runner):

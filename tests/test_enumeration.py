@@ -142,9 +142,8 @@ class TestExtremes:
         mins, maxs = extremes(poset_42)
         assert direct_sum([J2, J2]) in mins
 
-    def test_62_minimal_inversion_values(self):
-        dag = build_interchange_dag(MarginPair.uniform(6, 2))
-        mins, _ = extremes(dag)
+    def test_62_minimal_inversion_values(self, dag_62):
+        mins, _ = extremes(dag_62)
         assert sorted(inversion_count(a) for a in mins) == [3, 4]
 
 

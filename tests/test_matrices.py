@@ -183,6 +183,15 @@ class TestApplyInterchange:
         with pytest.raises(PatternMismatch):
             apply_interchange(L2, Interchange(0, 1, 0, 1, Direction.ItoL))
 
+    @pytest.mark.parametrize("a, t", [
+        (I2, Interchange(0, 1, 0, 2, Direction.ItoL)),
+        (L2, Interchange(0, 1, 0, 2, Direction.LtoI)),
+        (I2, Interchange(0, 2, 0, 1, Direction.ItoL)),
+    ])
+    def test_indices_beyond_matrix(self, a, t):
+        with pytest.raises(PatternMismatch):
+            apply_interchange(a, t)
+
     @given(matrices_st)
     @settings(max_examples=40)
     def test_preserves_margins(self, a):

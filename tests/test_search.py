@@ -5,6 +5,7 @@ import pytest
 
 from bruhatchains import (
     BinaryMatrix,
+    ClassPoset,
     MarginMismatch,
     MarginPair,
     build_extremes,
@@ -48,6 +49,36 @@ class TestLongestChain:
         assert longest_chain_between(poset_221, a1, a5) == 3
         # the gap in inversion counts is larger than the chain
         assert inversion_count(A221_A5) - inversion_count(A221_A1) == 5
+
+    def test_between_matches_brute_force(self, poset_221, poset_42):
+        for poset in (poset_221, poset_42):
+            size = len(poset)
+            for end in range(size):
+                memo = {}
+
+                def longest_to_end(v):
+                    # edge count of the longest path v -> end, or None
+                    if v == end:
+                        return 0
+                    if v not in memo:
+                        tails = [longest_to_end(w) for w in poset.succ[v]]
+                        tails = [t for t in tails if t is not None]
+                        memo[v] = 1 + max(tails) if tails else None
+                    return memo[v]
+
+                for start in range(size):
+                    assert longest_chain_between(poset, start, end) \
+                        == longest_to_end(start)
+
+    def test_backward_arc_raises(self):
+        lo, hi = A221_A1, A221_A5
+        poset = ClassPoset(lo.margins(), [lo, hi],
+                           [inversion_count(lo), inversion_count(hi)],
+                           [[], [0]], "interchange")
+        with pytest.raises(ValueError, match="arc 1 -> 0"):
+            longest_chain(poset)
+        with pytest.raises(ValueError, match="arc 1 -> 0"):
+            maximal_chain_spectrum(poset)
 
     def test_witness_respects_nu_gap(self, poset_42):
         length, witness = longest_chain(poset_42)
