@@ -6,7 +6,8 @@ Margins are given as ``R/S`` with comma-separated entries, or through the
 ``--n/--k`` sugar for square classes with uniform sums.  Every subcommand
 supports ``--json`` for a machine-readable envelope.
 
-Exit codes: 0 on success, 1 on domain errors and malformed input, 2 on
+Exit codes: 0 on success, 1 on domain errors (a class too large to
+build among them), malformed input and unreadable input files, 2 on
 usage errors.
 """
 
@@ -26,8 +27,13 @@ from .matrices import BinaryMatrix, MarginPair
 def _read_text(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise BruhatError(f"cannot read {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise BruhatError(f"cannot read {path}: not UTF-8 text") from exc
 
 
 def _read_matrix(path: str) -> BinaryMatrix:

@@ -1,0 +1,163 @@
+"""Packed class engine: a class of (0,1)-matrices with at most 64 cells as a
+sorted array of uint64 keys, and its single-interchange arcs in CSR form.
+
+Cell (i, j) of an m x n member sits at bit m*n - 1 - (i*n + j) of its key,
+so integer order of keys is ``canonical_key`` order.  An ItoL interchange
+at rows i < i2 and columns j < j2 is a four-bit mask M with source pattern
+V: it applies to X where ``X & M == V`` and yields ``X ^ M`` (the bitboard
+idiom; Knuth, TAOCP 4A, section 7.1.3).
+"""
+
+from __future__ import annotations
+
+from itertools import combinations
+
+import numpy as np
+
+from .errors import ClassTooLarge, InfeasibleMargins
+from .matrices import BinaryMatrix, MarginPair
+
+# The largest array the engine allocates: a row's frontier (a key and n
+# column caps per state) or the arc targets.  A(7,2) needs 47 MB for its
+# last frontier and 396 MB for its 98,894,250 arcs; A(8,2) would need
+# 790 MB for the frontier after six rows, and is refused there.
+MAX_ARRAY_BYTES = 1 << 29
+
+_ONE = np.uint64(1)
+
+
+def _bit(m: int, n: int, i: int, j: int) -> int:
+    """The key bit of cell (i, j)."""
+    return m * n - 1 - (i * n + j)
+
+
+def _cell(keys: np.ndarray, m: int, n: int, i: int, j: int) -> np.ndarray:
+    return (keys >> np.uint64(_bit(m, n, i, j))) & _ONE
+
+
+def _check_budget(count: int, per_item: int, what: str) -> None:
+    if count * per_item > MAX_ARRAY_BYTES:
+        raise ClassTooLarge(
+            f"{what} would take {count * per_item} bytes, over the "
+            f"{MAX_ARRAY_BYTES}-byte limit")
+
+
+def enumerate_keys(margins: MarginPair) -> np.ndarray:
+    """Every member's key, ascending.  Rows are placed one at a time over a
+    frontier of (key, column caps) states; a row choice must use only open
+    columns and every column whose cap exceeds the rows left after it."""
+    m, n = margins.m, margins.n
+    if m * n > 64:
+        raise ClassTooLarge(
+            f"a {m}x{n} class has {m * n} cells; packed keys hold 64")
+    if any(r > n for r in margins.row_sums) or any(c > m for c in margins.col_sums):
+        raise InfeasibleMargins("a margin exceeds the opposite dimension")
+    keys = np.zeros(1, np.uint64)
+    caps = np.array([margins.col_sums], np.int8)
+    col_set = np.min_scalar_type((1 << n) - 1)  # n bits, column j at bit j
+    for i, r in enumerate(margins.row_sums):
+        open_cols = np.zeros(len(keys), col_set)
+        must = np.zeros(len(keys), col_set)
+        for j in range(n):
+            bit = col_set.type(1 << j)
+            open_cols[caps[:, j] > 0] |= bit
+            must[caps[:, j] > m - i - 1] |= bit
+        choices = [(cols, col_set.type(sum(1 << j for j in cols)))
+                   for cols in combinations(range(n), r)]
+
+        def fits(c) -> np.ndarray:
+            return ((open_cols & c) == c) & ((must & c) == must)
+
+        size = sum(int(np.count_nonzero(fits(c))) for _, c in choices)
+        _check_budget(size, 8 + n, f"row {i + 1} of the class enumeration")
+        new_keys = np.empty(size, np.uint64)
+        new_caps = np.empty((size, n), np.int8)
+        at = 0
+        for cols, c in choices:
+            idx = np.flatnonzero(fits(c))
+            word = np.uint64(sum(1 << _bit(m, n, i, j) for j in cols))
+            new_keys[at:at + len(idx)] = keys[idx] | word
+            new_caps[at:at + len(idx)] = caps[idx]
+            new_caps[at:at + len(idx), list(cols)] -= 1
+            at += len(idx)
+        keys, caps = new_keys, new_caps
+    if not len(keys):
+        raise InfeasibleMargins("no matrix realizes these margins")
+    keys.sort()
+    return keys
+
+
+def inversion_counts(keys: np.ndarray, m: int, n: int) -> np.ndarray:
+    """Inversion count of every key, one cell at a time: a one gains the
+    ones in earlier rows at columns to its right."""
+    nu = np.zeros(len(keys), np.int16)
+    above = [np.zeros(len(keys), np.int16) for _ in range(n)]
+    for i in range(m):
+        right = np.zeros(len(keys), np.int16)
+        row = [None] * n
+        for j in reversed(range(n)):
+            row[j] = _cell(keys, m, n, i, j).astype(np.int16)
+            nu += row[j] * right
+            right += above[j]
+        for j in range(n):
+            above[j] += row[j]
+    return nu
+
+
+def interchange_arcs(keys: np.ndarray, order: np.ndarray, m: int, n: int
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """CSR arcs over member indices, member k holding key ``keys[order[k]]``:
+    an arc from each member to the result of each ItoL interchange that
+    applies to it.  A counting pass sizes every member's slot before the
+    targets are filled in."""
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    moves = []
+    for i, i2 in combinations(range(m), 2):
+        for j, j2 in combinations(range(n), 2):
+            src = 1 << _bit(m, n, i, j) | 1 << _bit(m, n, i2, j2)
+            dst = 1 << _bit(m, n, i, j2) | 1 << _bit(m, n, i2, j)
+            moves.append((np.uint64(src | dst), np.uint64(src)))
+    counts = np.zeros(len(keys), np.int64)
+    for mask, pattern in moves:
+        counts[np.flatnonzero((keys & mask) == pattern)] += 1
+    _check_budget(int(counts.sum()), 4, "the interchange arcs")
+    indptr = np.zeros(len(keys) + 1, np.int32)
+    np.cumsum(counts[order], out=indptr[1:])
+    del counts
+    targets = np.empty(int(indptr[-1]), np.int32)
+    cursor = indptr[rank]
+    for mask, pattern in moves:
+        p = np.flatnonzero((keys & mask) == pattern)
+        moved = keys[p] ^ mask
+        q = np.searchsorted(keys, moved)
+        q[q == len(keys)] = 0  # past the largest key: no member there
+        if (keys[q] != moved).any():
+            raise RuntimeError("an interchange left the enumerated class")
+        targets[cursor[p]] = rank[q]
+        cursor[p] += 1
+    return indptr, targets
+
+
+def unpack(keys: np.ndarray, m: int, n: int) -> list[BinaryMatrix]:
+    """The members as matrices, row bit j holding column j."""
+    rows = []
+    for i in range(m):
+        word = np.zeros(len(keys), np.uint64)
+        for j in range(n):
+            word |= _cell(keys, m, n, i, j) << np.uint64(j)
+        rows.append(word.tolist())
+    return [BinaryMatrix(m, n, bits) for bits in zip(*rows)]
+
+
+def interchange_class(margins: MarginPair) -> tuple[
+        list[BinaryMatrix], list[int], np.ndarray, np.ndarray]:
+    """Members sorted by inversion count, ties in key order, with their
+    inversion counts and the CSR arrays (indptr, targets) of their ItoL
+    interchange arcs."""
+    m, n = margins.m, margins.n
+    keys = enumerate_keys(margins)
+    nu = inversion_counts(keys, m, n)
+    order = np.argsort(nu, kind="stable")
+    indptr, targets = interchange_arcs(keys, order, m, n)
+    return unpack(keys[order], m, n), nu[order].tolist(), indptr, targets

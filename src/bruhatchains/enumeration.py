@@ -3,21 +3,21 @@ digraphs (comparability and covers)."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from itertools import combinations
-from typing import Iterator, Sequence
+from collections.abc import Sequence
+from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain, combinations
+from typing import Iterator
 
 import numpy as np
 
+from . import engine
 from .errors import ClassTooLarge, InfeasibleMargins
 from .matrices import (
     BinaryMatrix,
-    Direction,
     MarginPair,
-    apply_interchange,
     canonical_key,
     cumulative_sums,
-    find_interchanges,
     inversion_count,
 )
 
@@ -67,29 +67,66 @@ def enumerate_class(margins: MarginPair) -> Iterator[BinaryMatrix]:
     yield from out
 
 
+class _ArcRows(Sequence):
+    """Read-only per-member view of CSR arcs: ``rows[v]`` is the array of
+    v's arc targets."""
+
+    def __init__(self, indptr: np.ndarray, targets: np.ndarray) -> None:
+        self._indptr = indptr
+        self._targets = targets
+
+    def __len__(self) -> int:
+        return len(self._indptr) - 1
+
+    def __getitem__(self, v: int) -> np.ndarray:
+        return self._targets[self._indptr[v]:self._indptr[v + 1]]
+
+
 @dataclass
 class ClassPoset:
-    """All members of one class, with order arcs over them.
+    """All members of one class, sorted by inversion count, with order arcs
+    over them.
+
+    The arcs are stored once, in CSR form: the targets of member v are
+    ``targets[indptr[v]:indptr[v + 1]]`` (int32 arrays, read-only).
+    ``succ`` is the same store as a per-member sequence of arrays.
 
     In ``full`` mode ``leq`` holds the complete comparability relation
-    (including equality on the diagonal) and ``succ`` holds cover arcs.
-    In ``interchange`` mode ``leq`` is absent and ``succ`` holds single
-    ItoL interchange arcs; on all-two square classes the Bruhat order is
-    the transitive closure of these arcs, which is all the longest-path
-    and spectrum machinery needs.
+    (including equality on the diagonal) and the arcs are the covers, in
+    increasing order per member.  In ``interchange`` mode ``leq`` is
+    absent and the arcs are single ItoL interchanges; on all-two square
+    classes the Bruhat order is their transitive closure, which is all the
+    longest-path and spectrum machinery needs.
     """
 
     margins: MarginPair
     members: list[BinaryMatrix]
     nu: list[int]
-    succ: list[list[int]]
+    indptr: np.ndarray
+    targets: np.ndarray
     mode: str
     leq: np.ndarray | None = None
-    _index: dict[BinaryMatrix, int] = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
-        if not self._index:
-            self._index = {a: i for i, a in enumerate(self.members)}
+        self.indptr = np.asarray(self.indptr, dtype=np.int32)
+        self.targets = np.asarray(self.targets, dtype=np.int32)
+        size = len(self.members)
+        if (len(self.indptr) != size + 1 or self.indptr[0] != 0
+                or self.indptr[-1] != len(self.targets)
+                or (np.diff(self.indptr) < 0).any()
+                or len(self.targets) and (self.targets.min() < 0
+                                          or self.targets.max() >= size)):
+            raise ValueError("CSR arrays do not describe arcs over the members")
+        self.indptr.flags.writeable = False
+        self.targets.flags.writeable = False
+
+    @cached_property
+    def succ(self) -> _ArcRows:
+        return _ArcRows(self.indptr, self.targets)
+
+    @cached_property
+    def _index(self) -> dict[BinaryMatrix, int]:
+        return {a: i for i, a in enumerate(self.members)}
 
     def __len__(self) -> int:
         return len(self.members)
@@ -109,25 +146,18 @@ class ClassPoset:
                 yield a, c
 
     def cover_pairs(self) -> list[tuple[int, int]]:
-        return [(a, c) for a, succs in enumerate(self.succ) for c in succs]
+        sources = np.repeat(np.arange(len(self.members)), np.diff(self.indptr))
+        return list(zip(sources.tolist(), self.targets.tolist()))
 
     def minimal_indices(self) -> list[int]:
-        if self.mode == "full":
-            strict = self.leq.copy()
-            np.fill_diagonal(strict, False)
-            return [int(i) for i in np.nonzero(~strict.any(axis=0))[0]]
-        indeg = [0] * len(self.members)
-        for succs in self.succ:
-            for c in succs:
-                indeg[c] += 1
-        return [i for i, d in enumerate(indeg) if d == 0]
+        """Members with no incoming arc."""
+        has_pred = np.zeros(len(self.members), dtype=bool)
+        has_pred[self.targets] = True
+        return np.flatnonzero(~has_pred).tolist()
 
     def maximal_indices(self) -> list[int]:
-        if self.mode == "full":
-            strict = self.leq.copy()
-            np.fill_diagonal(strict, False)
-            return [int(i) for i in np.nonzero(~strict.any(axis=1))[0]]
-        return [i for i, succs in enumerate(self.succ) if not succs]
+        """Members with no outgoing arc."""
+        return np.flatnonzero(np.diff(self.indptr) == 0).tolist()
 
     def to_dot(self) -> str:
         """DOT digraph over cover arcs, nodes labeled key and inversion
@@ -206,24 +236,20 @@ def build_poset(margins: MarginPair,
         for a in preds.tolist():
             if not (through >> a) & 1:
                 succ[a].append(c)
-    for lst in succ:
-        lst.sort()
-    return ClassPoset(margins, members, nu, succ, "full", leq)
+    indptr = np.zeros(size + 1, dtype=np.int32)
+    np.cumsum([len(lst) for lst in succ], out=indptr[1:])
+    targets = np.fromiter(chain.from_iterable(succ), dtype=np.int32,
+                          count=indptr[-1])
+    return ClassPoset(margins, members, nu, indptr, targets, "full", leq)
 
 
 def build_interchange_dag(margins: MarginPair) -> ClassPoset:
-    """Single-interchange digraph over the class.  Intended for all-two
-    square classes, where cover arcs are a subset of these arcs and the
-    Bruhat order is their transitive closure."""
-    members, nu = _sorted_members(margins)
-    index = {a: i for i, a in enumerate(members)}
-    succ: list[list[int]] = []
-    for a in members:
-        targets = sorted(
-            index[apply_interchange(a, t)]
-            for t in find_interchanges(a, Direction.ItoL))
-        succ.append(targets)
-    return ClassPoset(margins, members, nu, succ, "interchange", None, index)
+    """Single-interchange digraph over the class, built by the packed
+    engine (at most 64 cells).  Intended for all-two square classes, where
+    cover arcs are a subset of these arcs and the Bruhat order is their
+    transitive closure."""
+    members, nu, indptr, targets = engine.interchange_class(margins)
+    return ClassPoset(margins, members, nu, indptr, targets, "interchange")
 
 
 def extremes(poset: ClassPoset) -> tuple[list[BinaryMatrix], list[BinaryMatrix]]:

@@ -398,15 +398,24 @@ def embed(host: BinaryMatrix, row_idx: Sequence[int], col_idx: Sequence[int],
     return BinaryMatrix(host.m, host.n, tuple(bits))
 
 
+# _REVERSED_BYTE[b] is b with its eight bits in reverse order
+_REVERSED_BYTE = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+
+
 def canonical_key(a: BinaryMatrix) -> bytes:
     """Injective byte encoding: dimensions then row-major packed bits.
     For equal dimensions, byte order agrees with row-major bit order."""
-    acc = 1  # sentinel high bit so leading zero rows survive to_bytes
-    for i in range(a.m):
-        for j in range(a.n):
-            acc = (acc << 1) | ((a.bits[i] >> j) & 1)
-    payload = acc.to_bytes((acc.bit_length() + 7) // 8, "big")
-    return a.m.to_bytes(2, "big") + a.n.to_bytes(2, "big") + payload
+    cells = a.m * a.n
+    packed = 0  # cell (i, j) at bit i*n + j
+    for i, b in enumerate(a.bits):
+        packed |= b << (i * a.n)
+    width = (cells + 7) // 8
+    # reverse the cells-bit word: cell (i, j) moves to bit cells-1-(i*n+j)
+    flipped = packed.to_bytes(width, "little").translate(_REVERSED_BYTE)
+    payload = (1 << cells) | int.from_bytes(flipped, "big") >> (8 * width - cells)
+    # the sentinel high bit keeps leading zero rows in to_bytes
+    return (a.m.to_bytes(2, "big") + a.n.to_bytes(2, "big")
+            + payload.to_bytes(cells // 8 + 1, "big"))
 
 
 def all_pair_count(a: BinaryMatrix) -> int:

@@ -7,6 +7,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
+import numpy as np
+
 from .chains import BruhatStep, Chain
 from .enumeration import ClassPoset
 from .errors import MarginMismatch
@@ -42,39 +44,52 @@ class MonotonicityReport:
 
 
 def _longest_paths(poset: ClassPoset, sources: Iterable[int] | None = None
-                   ) -> tuple[list[int], list[int]]:
+                   ) -> np.ndarray:
     """Longest path length (edge count) to every member, from any member or
-    only from the given sources, with -1 where no path arrives, and the
-    predecessor of each member on one such path.
+    only from the given sources, with -1 where no path arrives.
 
     Members are sorted by inversion count, which every order arc raises, so
-    member order is a topological order.  Every arc is checked to point
-    forward; one that does not raises ValueError naming it."""
-    size = len(poset.members)
-    dist = [0 if sources is None else -1] * size
-    for v in sources or ():
-        dist[v] = 0
-    pred = [-1] * size
-    for v, targets in enumerate(poset.succ):
-        for w in targets:
-            if w <= v:
-                raise ValueError(
-                    f"arc {v} -> {w} does not point forward in member order "
-                    f"(nu {poset.nu[v]} -> {poset.nu[w]})")
-            if dist[v] >= 0 and dist[v] + 1 > dist[w]:
-                dist[w] = dist[v] + 1
-                pred[w] = v
-    return dist, pred
+    the DP pushes along the arcs of one inversion-count layer at a time.
+    Every arc of a layer is checked to raise the count; one that does not
+    raises ValueError naming it."""
+    nu = np.asarray(poset.nu)
+    indptr, targets = poset.indptr, poset.targets
+    if (np.diff(nu) < 0).any():
+        raise ValueError("members are not sorted by inversion count")
+    if sources is None:
+        dist = np.zeros(len(nu), dtype=np.int32)
+    else:
+        # unreached members stay negative however far they are pushed
+        dist = np.full(len(nu), -len(nu) - 1, dtype=np.int32)
+        dist[list(sources)] = 0
+    bounds = np.flatnonzero(np.diff(nu)) + 1
+    for lo, hi in zip([0, *bounds.tolist()], [*bounds.tolist(), len(nu)]):
+        first, last = indptr[lo], indptr[hi]
+        ahead = targets[first:last]
+        behind = nu[ahead] <= nu[lo]
+        if behind.any():
+            arc = first + int(np.argmax(behind))
+            v = int(np.searchsorted(indptr, arc, side="right")) - 1
+            w = int(targets[arc])
+            raise ValueError(f"arc {v} -> {w} does not raise the inversion "
+                             f"count (nu {nu[v]} -> {nu[w]})")
+        pushed = np.repeat(dist[lo:hi] + 1, np.diff(indptr[lo:hi + 1]))
+        np.maximum.at(dist, ahead, pushed)
+    dist[dist < 0] = -1
+    return dist
 
 
 def longest_chain(poset: ClassPoset) -> tuple[int, Chain]:
     """Longest path over the poset's arc DAG, with the witness returned as
-    a jump-step chain."""
-    dist, pred = _longest_paths(poset)
-    v = max(range(len(dist)), key=dist.__getitem__)
-    length, path = dist[v], [v]
-    while pred[v] != -1:
-        v = pred[v]
+    a jump-step chain.  The witness ends at the first member of greatest
+    length and steps back to the smallest-index predecessor one shorter."""
+    dist = _longest_paths(poset)
+    v = int(np.argmax(dist))
+    length, path = int(dist[v]), [v]
+    while dist[v] > 0:
+        arcs = np.flatnonzero(poset.targets == v)
+        preds = np.searchsorted(poset.indptr, arcs, side="right") - 1
+        v = int(preds[dist[preds] == dist[v] - 1].min())
         path.append(v)
     mats = [poset.members[v] for v in reversed(path)]
     chain = Chain(mats[0], tuple(BruhatStep(a) for a in mats[1:]))
@@ -85,8 +100,8 @@ def longest_chain_between(poset: ClassPoset, start_idx: int,
                           end_idx: int) -> int | None:
     """Maximum chain length from one member to another, or None when no
     path exists."""
-    dist, _ = _longest_paths(poset, [start_idx])
-    return dist[end_idx] if dist[end_idx] >= 0 else None
+    dist = _longest_paths(poset, [start_idx])
+    return int(dist[end_idx]) if dist[end_idx] >= 0 else None
 
 
 def tight_chain_search(a: BinaryMatrix, c: BinaryMatrix,
@@ -176,6 +191,6 @@ def maximal_chain_spectrum(poset: ClassPoset) -> set[int]:
     maxima = poset.maximal_indices()
     spectrum = set()
     for p in poset.minimal_indices():
-        dist, _ = _longest_paths(poset, [p])
-        spectrum.update(dist[q] for q in maxima if dist[q] >= 0)
+        dist = _longest_paths(poset, [p])[maxima]
+        spectrum.update(dist[dist >= 0].tolist())
     return spectrum

@@ -2,8 +2,11 @@
 line."""
 
 import random
+import resource
 import time
 from itertools import product
+
+import pytest
 
 from bruhatchains import (
     BinaryMatrix,
@@ -13,6 +16,7 @@ from bruhatchains import (
     apply_interchange,
     build_chain,
     build_extremes,
+    build_interchange_dag,
     build_poset,
     bruhat_verdict,
     cumulative_sums,
@@ -208,4 +212,21 @@ def test_criterion_10_order_six_class(dag_62):
 
     ok &= sum(1 for a in dag_62.members if is_minimal_An2(a)) == 2
     _report("criterion 10: order-6 class longest chain and spectrum",
+            ok, started)
+
+
+@pytest.mark.slow
+def test_order_seven_class_longest_chain():
+    started = time.monotonic()
+    dag = build_interchange_dag(MarginPair.uniform(7, 2))
+    built = time.monotonic() - started
+    length = longest_chain(dag)[0]
+    spectrum = sorted(maximal_chain_spectrum(dag))
+    peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    # the spectrum is recorded, not asserted: nothing predicts it
+    print(f"A(7,2): {len(dag)} members, {len(dag.targets)} arcs, built in "
+          f"{built:.1f}s; longest {length}; spectrum {spectrum}; "
+          f"peak RSS {peak_mb:.0f} MB")
+    ok = len(dag) == 3_110_940 and length == 69 == delta(7)
+    _report("A(7,2): OEIS A001499 size and longest chain delta(7)",
             ok, started)

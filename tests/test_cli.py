@@ -1,6 +1,7 @@
 """Command-line surface: subcommands, formats, exit codes, determinism."""
 
 import json
+import time
 
 import pytest
 from click.testing import CliRunner
@@ -170,6 +171,42 @@ def test_malformed_matrix_exit_code(runner, text):
     assert "Traceback" not in result.output
     assert result.output.startswith("error: malformed matrix")
     assert len(result.output.strip().splitlines()) == 1
+
+
+def _one_error_line(result):
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+    assert len(result.output.strip().splitlines()) == 1
+    assert result.output.startswith("error: ")
+
+
+@pytest.mark.parametrize("command", [["inv"], ["chain", "verify"]])
+def test_unreadable_path_exit_code(runner, tmp_path, command):
+    missing = tmp_path / "missing.txt"
+    result = runner.invoke(main, [*command, str(missing)])
+    _one_error_line(result)
+    assert result.output.startswith(f"error: cannot read {missing}")
+    result = runner.invoke(main, [*command, str(tmp_path)])
+    _one_error_line(result)
+    assert result.output.startswith("error: cannot read")
+    binary = tmp_path / "binary.bin"
+    binary.write_bytes(b"\xff\xfe\x00")
+    result = runner.invoke(main, [*command, str(binary)])
+    _one_error_line(result)
+    assert result.output.startswith("error: cannot read")
+
+
+@pytest.mark.parametrize("args", [["longest", "--n", "9"],
+                                  ["spectrum", "--n", "8"]])
+def test_oversize_class_refused(runner, args):
+    # A(9,2) has 81 cells, past the packed 64; A(8,2) fits but its
+    # enumeration frontier would pass the engine's byte limit
+    started = time.monotonic()
+    result = runner.invoke(main, args)
+    assert time.monotonic() - started < 60
+    _one_error_line(result)
+    assert "class" in result.output or "bytes" in result.output
 
 
 def test_usage_error_exit_code(runner):

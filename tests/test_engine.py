@@ -1,0 +1,221 @@
+"""The packed class engine behind build_interchange_dag, cross-checked
+against the object path: enumerate_class, inversion_count and
+find_interchanges/apply_interchange on BinaryMatrix values."""
+
+import numpy as np
+import pytest
+
+from bruhatchains import (
+    ClassPoset,
+    ClassTooLarge,
+    Direction,
+    InfeasibleMargins,
+    MarginPair,
+    apply_interchange,
+    build_interchange_dag,
+    enumerate_class,
+    find_interchanges,
+    inversion_count,
+    is_maximal_An2,
+    is_minimal_An2,
+    longest_chain,
+    maximal_chain_spectrum,
+)
+from bruhatchains import engine
+
+CLASSES = [
+    MarginPair((2, 2, 1), (2, 2, 1)),
+    MarginPair.uniform(4, 2),
+    MarginPair.uniform(5, 2),
+    MarginPair((2, 1, 1, 2), (1, 2, 2, 1)),
+    MarginPair((2,), (1, 0, 1)),
+    MarginPair((1, 0, 1), (2,)),
+    MarginPair((0, 2, 1, 0), (1, 1, 1)),
+]
+
+
+def object_dag(margins):
+    """The object-path reference: members sorted stably by inversion count
+    from canonical-key order, and each member's interchange targets."""
+    members = list(enumerate_class(margins))
+    nu = [inversion_count(a) for a in members]
+    order = sorted(range(len(members)), key=nu.__getitem__)
+    members = [members[i] for i in order]
+    nu = [nu[i] for i in order]
+    index = {a: i for i, a in enumerate(members)}
+    succ = [{index[apply_interchange(a, t)]
+             for t in find_interchanges(a, Direction.ItoL)}
+            for a in members]
+    return members, nu, succ
+
+
+def reference_longest_paths(poset, sources=None):
+    """Member-order DP in plain Python: longest path length to each member
+    (-1 where none arrives) and its smallest-index predecessor."""
+    size = len(poset.members)
+    dist = [0 if sources is None else -1] * size
+    for v in sources or ():
+        dist[v] = 0
+    pred = [-1] * size
+    for v in range(size):
+        for w in sorted(poset.succ[v].tolist()):
+            if dist[v] >= 0 and dist[v] + 1 > dist[w]:
+                dist[w] = dist[v] + 1
+                pred[w] = v
+    return dist, pred
+
+
+@pytest.mark.parametrize("margins", CLASSES, ids=str)
+def test_engine_matches_object_path(margins):
+    members, nu, succ = object_dag(margins)
+    dag = build_interchange_dag(margins)
+    assert dag.mode == "interchange"
+    assert dag.members == members
+    assert dag.nu == nu
+    assert [set(s.tolist()) for s in dag.succ] == succ
+    assert len(dag.targets) == sum(len(s) for s in succ)
+
+
+def test_engine_uses_all_64_bits():
+    # the permutation matrices of order 8 fill every bit of the key
+    margins = MarginPair.uniform(8, 1)
+    dag = build_interchange_dag(margins)
+    members = sorted(enumerate_class(margins), key=inversion_count)
+    assert len(dag) == 40320
+    assert dag.members == members
+    assert dag.nu == [inversion_count(a) for a in members]
+
+
+def test_engine_nu_equals_inversion_count_on_a52():
+    margins = MarginPair.uniform(5, 2)
+    keys = engine.enumerate_keys(margins)
+    nu = engine.inversion_counts(keys, 5, 5)
+    members = engine.unpack(keys, 5, 5)
+    assert len(members) == 2040
+    assert nu.tolist() == [inversion_count(a) for a in members]
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_extremes_are_the_block_structure_members(n):
+    dag = build_interchange_dag(MarginPair.uniform(n, 2))
+    assert dag.minimal_indices() == [
+        i for i, a in enumerate(dag.members) if is_minimal_An2(a)]
+    assert dag.maximal_indices() == [
+        i for i, a in enumerate(dag.members) if is_maximal_An2(a)]
+
+
+@pytest.mark.parametrize("margins", CLASSES, ids=str)
+def test_dp_matches_reference(margins):
+    dag = build_interchange_dag(margins)
+    dist, pred = reference_longest_paths(dag)
+    length, witness = longest_chain(dag)
+    end = dist.index(max(dist))
+    path = [end]
+    while pred[path[-1]] != -1:
+        path.append(pred[path[-1]])
+    assert length == dist[end]
+    assert witness.matrices() == [dag.members[v] for v in reversed(path)]
+    want = set()
+    for p in dag.minimal_indices():
+        reach, _ = reference_longest_paths(dag, [p])
+        want.update(reach[q] for q in dag.maximal_indices() if reach[q] >= 0)
+    assert maximal_chain_spectrum(dag) == want
+
+
+def test_infeasible_margins():
+    with pytest.raises(InfeasibleMargins):
+        build_interchange_dag(MarginPair((2, 0), (0, 2)))
+    with pytest.raises(InfeasibleMargins):
+        build_interchange_dag(MarginPair((2, 2), (3, 1)))
+
+
+def test_more_than_64_cells_refused():
+    with pytest.raises(ClassTooLarge, match="81 cells"):
+        build_interchange_dag(MarginPair.uniform(9, 2))
+
+
+def test_frontier_over_budget_refused(monkeypatch):
+    # A(6,2) has 20,610 states after four rows and 67,950 after five, 14
+    # bytes each: every partial state completes, so a limit of exactly the
+    # fourth frontier passes rows 1-4 and refuses row 5
+    monkeypatch.setattr(engine, "MAX_ARRAY_BYTES", 20_610 * 14)
+    with pytest.raises(ClassTooLarge, match=f"row 5 .* {67_950 * 14} bytes"):
+        build_interchange_dag(MarginPair.uniform(6, 2))
+
+
+def test_arcs_over_budget_refused(monkeypatch):
+    # A(5,2) has 26,100 arcs of 4 bytes; its frontier stays under 30 kB
+    monkeypatch.setattr(engine, "MAX_ARRAY_BYTES", 100_000)
+    with pytest.raises(ClassTooLarge, match="interchange arcs"):
+        build_interchange_dag(MarginPair.uniform(5, 2))
+
+
+def test_target_outside_the_class_raises(monkeypatch):
+    full = engine.enumerate_keys
+
+    def missing_one(margins):
+        return full(margins)[1:]
+
+    monkeypatch.setattr(engine, "enumerate_keys", missing_one)
+    with pytest.raises(RuntimeError, match="left the enumerated class"):
+        build_interchange_dag(MarginPair.uniform(4, 2))
+
+
+def test_arc_store_is_read_only():
+    dag = build_interchange_dag(MarginPair.uniform(4, 2))
+    with pytest.raises(ValueError):
+        dag.succ[0][0] = 1
+    with pytest.raises(ValueError):
+        dag.targets[0] = 1
+    assert dag.succ is dag.succ
+
+
+@pytest.mark.parametrize("indptr, targets", [
+    ([0], []),              # too short for two members
+    ([0, 1, 1], []),        # ends past the targets
+    ([1, 1, 1], [1]),       # does not start at 0
+    ([0, 1, 0], []),        # decreasing
+    ([0, 1, 1], [2]),       # target past the last member
+    ([0, 1, 1], [-1]),      # negative target
+])
+def test_csr_must_describe_arcs_over_members(indptr, targets):
+    a, c = _equal_nu_pair()
+    with pytest.raises(ValueError, match="CSR"):
+        ClassPoset(a.margins(), [a, c], [1, 1], indptr, targets,
+                   "interchange")
+
+
+def _equal_nu_pair():
+    members = list(enumerate_class(MarginPair.uniform(4, 2)))
+    by_nu = {}
+    for a in members:
+        by_nu.setdefault(inversion_count(a), []).append(a)
+    return next(group[:2] for group in by_nu.values() if len(group) >= 2)
+
+
+def test_equal_nu_arc_raises():
+    a, c = _equal_nu_pair()
+    nu = inversion_count(a)
+    poset = ClassPoset(a.margins(), [a, c], [nu, nu], [0, 1, 1], [1],
+                       "interchange")
+    with pytest.raises(ValueError, match=f"arc 0 -> 1 .*nu {nu} -> {nu}"):
+        longest_chain(poset)
+    with pytest.raises(ValueError, match="arc 0 -> 1"):
+        maximal_chain_spectrum(poset)
+
+
+def test_members_out_of_nu_order_raise():
+    a, c = _equal_nu_pair()
+    poset = ClassPoset(a.margins(), [a, c], [2, 1], [0, 0, 0], [],
+                       "interchange")
+    with pytest.raises(ValueError, match="not sorted"):
+        longest_chain(poset)
+
+
+def test_full_mode_extremes_match_comparability(poset_52):
+    strict = poset_52.leq.copy()
+    np.fill_diagonal(strict, False)
+    assert poset_52.minimal_indices() \
+        == np.flatnonzero(~strict.any(axis=0)).tolist()
+    assert poset_52.maximal_indices() \
+        == np.flatnonzero(~strict.any(axis=1)).tolist()

@@ -296,7 +296,43 @@ class TestEmbed:
             embed(direct_sum([J2, J2]), [0, 1, 2], [0, 1], J2)
 
 
+def bitwise_canonical_key(a: BinaryMatrix) -> bytes:
+    """The reference encoding, one cell at a time: a sentinel one, then the
+    cells in row-major order, big-endian, after two-byte m and n."""
+    acc = 1
+    for i in range(a.m):
+        for j in range(a.n):
+            acc = (acc << 1) | ((a.bits[i] >> j) & 1)
+    payload = acc.to_bytes((acc.bit_length() + 7) // 8, "big")
+    return a.m.to_bytes(2, "big") + a.n.to_bytes(2, "big") + payload
+
+
+@st.composite
+def any_matrix(draw):
+    m = draw(st.integers(1, 12))
+    n = draw(st.integers(1, 12))
+    rows = draw(st.lists(
+        st.one_of(st.just(0), st.just((1 << n) - 1),
+                  st.integers(0, (1 << n) - 1)),
+        min_size=m, max_size=m))
+    return BinaryMatrix(m, n, tuple(rows))
+
+
 class TestCanonicalKey:
+    @given(any_matrix())
+    @settings(max_examples=300)
+    def test_matches_bitwise_reference(self, a):
+        assert canonical_key(a) == bitwise_canonical_key(a)
+
+    @pytest.mark.parametrize("rows", [
+        ["0"], ["1"], ["00000000"], ["10000001"], ["0", "0", "1"],
+        ["1", "0", "0", "0", "0", "0", "0", "0", "1"],
+        ["000", "000", "001"], ["1" * 70], ["0" * 70, "1" * 70],
+    ])
+    def test_edge_shapes_match_reference(self, rows):
+        a = BinaryMatrix.from_rows(rows)
+        assert canonical_key(a) == bitwise_canonical_key(a)
+
     def test_deterministic_and_injective(self):
         assert canonical_key(J2) == canonical_key(
             BinaryMatrix.from_rows(["11", "11"]))
