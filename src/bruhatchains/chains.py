@@ -145,7 +145,7 @@ def verify_chain(chain: Chain,
     try:
         for step in _replay(rows, chain.start.n, chain.steps):
             if isinstance(step, Interchange):
-                nu += _increment(rows, step)
+                nu += _increment(rows, *step.quad())
             else:
                 nu = inversion_count(step.target)
             nu_profile.append(nu)

@@ -119,7 +119,8 @@ def sigma(matrix: str, as_json: bool) -> None:
 @main.command()
 @click.argument("first")
 @click.argument("second")
-@click.option("--budget", default=order.DEFAULT_NODE_BUDGET, show_default=True)
+@click.option("--budget", type=click.IntRange(min=1),
+              default=order.DEFAULT_NODE_BUDGET, show_default=True)
 @click.option("--json", "as_json", is_flag=True)
 def compare(first: str, second: str, budget: int, as_json: bool) -> None:
     """Bruhat and secondary Bruhat verdicts for a pair."""
@@ -287,7 +288,8 @@ def spectrum(n, as_json) -> None:
 @main.command()
 @click.argument("from_matrix")
 @click.argument("to_matrix")
-@click.option("--budget", default=10**6, show_default=True)
+@click.option("--budget", type=click.IntRange(min=1),
+              default=order.DEFAULT_NODE_BUDGET, show_default=True)
 @click.option("--json", "as_json", is_flag=True)
 def tight(from_matrix, to_matrix, budget, as_json) -> None:
     """Search for a tight chain between two matrices."""
@@ -303,7 +305,8 @@ def tight(from_matrix, to_matrix, budget, as_json) -> None:
                     if outcome.found else None),
     }
     plain = (f"found: {str(outcome.found).lower()}\n"
-             f"explored: {outcome.explored}")
+             f"explored: {outcome.explored}\n"
+             f"budget_hit: {str(outcome.budget_hit).lower()}")
     if outcome.found:
         plain += f"\nlength: {outcome.witness.length}"
     _emit("tight", result, as_json, started, plain)

@@ -16,8 +16,8 @@ from .errors import ClassTooLarge, InfeasibleMargins
 from .matrices import (
     BinaryMatrix,
     MarginPair,
+    _sigma,
     canonical_key,
-    cumulative_sums,
     inversion_count,
 )
 
@@ -198,8 +198,7 @@ def _sorted_members(margins: MarginPair) -> tuple[list[BinaryMatrix], list[int]]
 
 def sigma_array(members: Sequence[BinaryMatrix]) -> np.ndarray:
     """Stacked flattened partial-sum tables, one row per member."""
-    return np.array([cumulative_sums(a).flat() for a in members],
-                    dtype=np.int32)
+    return np.array([_sigma(a.bits, a.n) for a in members], dtype=np.int32)
 
 
 def build_poset(margins: MarginPair,

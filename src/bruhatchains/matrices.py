@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
+from itertools import accumulate
 from typing import Iterator, Sequence
 
 from .errors import IndexOutOfRange, PatternMismatch, SizeMismatch
@@ -23,7 +24,7 @@ class Direction(Enum):
     LtoI = "LtoI"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BinaryMatrix:
     """An m x n matrix of zeros and ones, one int of packed bits per row."""
 
@@ -209,20 +210,27 @@ F3 = BinaryMatrix.from_rows(["110", "101", "011"])
 F3R = BinaryMatrix.from_rows(["011", "101", "110"])
 
 
+def _sigma(rows: Sequence[int], n: int) -> list[int]:
+    """Flat partial-sum table of the rows: entry k*n + l counts the ones in
+    rows 0..k and columns 0..l, the prefix sums of the column counts of
+    rows 0..k.  The last row holds the cumulative column sums, the last
+    column the cumulative row sums."""
+    cols = [0] * n
+    out: list[int] = []
+    for b in rows:
+        while b:
+            low = b & -b
+            cols[low.bit_length() - 1] += 1
+            b ^= low
+        out.extend(accumulate(cols))
+    return out
+
+
 def cumulative_sums(a: BinaryMatrix) -> CumulativeTable:
     """Table of leading-submatrix one-counts, computed in O(mn)."""
-    values = []
-    above = [0] * a.n
-    for i in range(a.m):
-        running = 0
-        row = []
-        b = a.bits[i]
-        for j in range(a.n):
-            above[j] += (b >> j) & 1
-            running += above[j]
-            row.append(running)
-        values.append(tuple(row))
-    return CumulativeTable(a.m, a.n, tuple(values))
+    flat = _sigma(a.bits, a.n)
+    return CumulativeTable(a.m, a.n, tuple(
+        tuple(flat[k:k + a.n]) for k in range(0, len(flat), a.n)))
 
 
 def inversion_count(a: BinaryMatrix) -> int:
@@ -248,40 +256,66 @@ def inversion_count(a: BinaryMatrix) -> int:
     return total
 
 
-def _bit_positions(mask: int) -> list[int]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
+def _moves(rows: Sequence[int], direction: Direction = Direction.ItoL
+           ) -> Iterator[tuple[int, int, int, int]]:
+    """Every (i, i2, j, j2) whose 2x2 submatrix holds the source pattern of
+    the direction, in lexicographic order: rows and columns are walked in
+    ascending order, so no sort is needed."""
+    m = len(rows)
+    for i in range(m - 1):
+        bi = rows[i]
+        for i2 in range(i + 1, m):
+            bi2 = rows[i2]
+            top = bi & ~bi2   # columns with a one in row i only
+            bot = bi2 & ~bi   # columns with a one in row i2 only
+            if direction is Direction.ItoL:
+                left, right = top, bot
+            else:
+                left, right = bot, top
+            while left:
+                low = left & -left
+                left ^= low
+                above = right & -(low << 1)   # right columns beyond j
+                while above:
+                    high = above & -above
+                    above ^= high
+                    yield i, i2, low.bit_length() - 1, high.bit_length() - 1
 
 
 def find_interchanges(a: BinaryMatrix,
                       direction: Direction = Direction.ItoL) -> list[Interchange]:
     """All positions whose 2x2 submatrix matches the source pattern of the
     requested direction, sorted lexicographically by (i, i2, j, j2)."""
-    full = (1 << a.n) - 1
-    found = []
-    for i in range(a.m - 1):
-        bi = a.bits[i]
-        for i2 in range(i + 1, a.m):
-            bi2 = a.bits[i2]
-            top = bi & ~bi2 & full   # columns with a one in row i only
-            bot = ~bi & bi2 & full   # columns with a one in row i2 only
-            if direction is Direction.ItoL:
-                left, right = top, bot
-            else:
-                left, right = bot, top
-            if not left or not right:
-                continue
-            rights = _bit_positions(right)
-            for j in _bit_positions(left):
-                for j2 in rights:
-                    if j < j2:
-                        found.append(Interchange(i, i2, j, j2, direction))
-    found.sort(key=Interchange.quad)
-    return found
+    return [Interchange(i, i2, j, j2, direction)
+            for i, i2, j, j2 in _moves(a.bits, direction)]
+
+
+def _flip(rows: tuple[int, ...], i: int, i2: int, j: int, j2: int
+          ) -> tuple[int, ...]:
+    """The rows after an interchange at (i, i2, j, j2): two XORs."""
+    flip = (1 << j) | (1 << j2)
+    out = list(rows)
+    out[i] ^= flip
+    out[i2] ^= flip
+    return tuple(out)
+
+
+def _lowered(excess: list[int], n: int, i: int, i2: int, j: int, j2: int
+             ) -> list[int] | None:
+    """The excess table sigma(x) - sigma(c) of x after an ItoL interchange
+    at (i, i2, j, j2), or None when the result no longer dominates c.
+
+    The move lowers sigma by exactly one on rows i..i2-1 and columns
+    j..j2-1 and leaves every other entry alone, so with a nonnegative
+    excess the result dominates c iff no entry of that block is 0."""
+    width = j2 - j
+    starts = range(i * n + j, i2 * n + j, n)
+    if any(0 in excess[k:k + width] for k in starts):
+        return None
+    out = excess.copy()
+    for k in starts:
+        out[k:k + width] = [v - 1 for v in excess[k:k + width]]
+    return out
 
 
 def _matches_pattern(rows: Sequence[int], t: Interchange) -> bool:
@@ -302,24 +336,19 @@ def apply_interchange(a: BinaryMatrix, t: Interchange) -> BinaryMatrix:
     if not _matches_pattern(a.bits, t):
         raise PatternMismatch(
             f"submatrix at {t.quad()} is not {t.direction.value[0]}2")
-    flip = (1 << t.j) | (1 << t.j2)
-    bits = list(a.bits)
-    bits[t.i] ^= flip
-    bits[t.i2] ^= flip
-    return BinaryMatrix(a.m, a.n, tuple(bits))
+    return BinaryMatrix(a.m, a.n, _flip(a.bits, *t.quad()))
 
 
-def _increment(rows: Sequence[int], t: Interchange) -> int:
-    """The inversion gain of the ItoL interchange t on these rows.  It reads
-    no cell the interchange flips, so it holds before and after the flip."""
-    mid_cols = (1 << t.j2) - (1 << (t.j + 1))
-    between = rows[t.i + 1:t.i2]
-    inner = sum((b & mid_cols).bit_count() for b in between)
-    top = (rows[t.i] & mid_cols).bit_count()
-    bottom = (rows[t.i2] & mid_cols).bit_count()
-    left = sum((b >> t.j) & 1 for b in between)
-    right = sum((b >> t.j2) & 1 for b in between)
-    return 1 + 2 * inner + top + left + right + bottom
+def _increment(rows: Sequence[int], i: int, i2: int, j: int, j2: int) -> int:
+    """The inversion gain of the ItoL interchange at (i, i2, j, j2) on these
+    rows.  It reads no cell the interchange flips, so it holds before and
+    after the flip."""
+    mid = (1 << j2) - (2 << j)      # columns strictly between j and j2
+    ends = (1 << j) | (1 << j2)
+    gain = 1 + (rows[i] & mid).bit_count() + (rows[i2] & mid).bit_count()
+    for b in rows[i + 1:i2]:
+        gain += 2 * (b & mid).bit_count() + (b & ends).bit_count()
+    return gain
 
 
 def interchange_increment(a: BinaryMatrix, t: Interchange) -> int:
@@ -328,7 +357,7 @@ def interchange_increment(a: BinaryMatrix, t: Interchange) -> int:
     rows and two columns of the move."""
     if t.direction is not Direction.ItoL or not _matches_pattern(a.bits, t):
         raise PatternMismatch(f"no ItoL pattern at {t.quad()}")
-    return _increment(a.bits, t)
+    return _increment(a.bits, *t.quad())
 
 
 def direct_sum(blocks: Sequence[BinaryMatrix]) -> BinaryMatrix:

@@ -5,14 +5,16 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from operator import ge, le
 
 from .errors import MarginMismatch, NotInClass, SearchBudgetExceeded
 from .matrices import (
     BinaryMatrix,
-    Direction,
-    apply_interchange,
-    cumulative_sums,
-    find_interchanges,
+    _flip,
+    _increment,
+    _lowered,
+    _moves,
+    _sigma,
     inversion_count,
     reverse_columns,
 )
@@ -39,28 +41,30 @@ class OrderVerdict:
         return self.leq and self.geq
 
 
-def _require_same_class(a: BinaryMatrix, c: BinaryMatrix) -> None:
-    if a.m != c.m or a.n != c.n or a.margins() != c.margins():
+def _require_same_class(a: BinaryMatrix, c: BinaryMatrix
+                        ) -> tuple[list[int], list[int]]:
+    """The flat partial-sum tables of a and c, once they are known to share
+    a class: equal dimensions, and equal last rows (cumulative column sums)
+    and last columns (cumulative row sums) of the two tables."""
+    if a.m != c.m or a.n != c.n:
         raise MarginMismatch("matrices are not in the same class")
+    n = a.n
+    sa, sc = _sigma(a.bits, n), _sigma(c.bits, n)
+    if sa[-n:] != sc[-n:] or sa[n - 1::n] != sc[n - 1::n]:
+        raise MarginMismatch("matrices are not in the same class")
+    return sa, sc
 
 
 def bruhat_leq(a: BinaryMatrix, c: BinaryMatrix) -> bool:
     """a precedes c iff the partial-sum table of a dominates that of c
     entrywise."""
-    _require_same_class(a, c)
-    sa = cumulative_sums(a).values
-    sc = cumulative_sums(c).values
-    return all(x >= y for ra, rc in zip(sa, sc) for x, y in zip(ra, rc))
+    sa, sc = _require_same_class(a, c)
+    return all(map(ge, sa, sc))
 
 
 def bruhat_verdict(a: BinaryMatrix, c: BinaryMatrix) -> OrderVerdict:
-    _require_same_class(a, c)
-    sa = cumulative_sums(a).flat()
-    sc = cumulative_sums(c).flat()
-    return OrderVerdict(
-        leq=all(x >= y for x, y in zip(sa, sc)),
-        geq=all(x <= y for x, y in zip(sa, sc)),
-    )
+    sa, sc = _require_same_class(a, c)
+    return OrderVerdict(leq=all(map(ge, sa, sc)), geq=all(map(le, sa, sc)))
 
 
 def bruhat_less(a: BinaryMatrix, c: BinaryMatrix) -> bool:
@@ -77,46 +81,46 @@ def secondary_bruhat_leq(a: BinaryMatrix, c: BinaryMatrix,
     count reaches that of c without being c, are pruned: interchanges only
     lower partial sums and strictly raise the inversion count, so such
     states can never reach c.
+
+    A state is its rows, its excess table sigma(x) - sigma(c) and its
+    inversion count, each updated by the move rather than recounted: the
+    rows by two XORs, the table by lowering one block (which also says
+    whether c is still dominated), and the count by the interchange
+    increment.  States expand in (total excess, rows) order, and more
+    than node_budget expansions raise SearchBudgetExceeded.
     """
-    _require_same_class(a, c)
+    sa, sc = _require_same_class(a, c)
     if a == c:
         return True
-    sc = cumulative_sums(c).flat()
-    nu_c = inversion_count(c)
-
-    def admissible_excess(x: BinaryMatrix) -> int | None:
-        excess = 0
-        for u, v in zip(cumulative_sums(x).flat(), sc):
-            if u < v:
-                return None
-            excess += u - v
-        return excess
-
-    start_excess = admissible_excess(a)
-    if start_excess is None or inversion_count(a) >= nu_c:
+    n, target, nu_c = a.n, c.bits, inversion_count(c)
+    excess = [u - v for u, v in zip(sa, sc)]
+    nu_a = inversion_count(a)
+    if min(excess) < 0 or nu_a >= nu_c:
         return False
-    visited = {a}
-    heap = [(start_excess, a.bits, a)]
+    visited = {a.bits}
+    heap = [(sum(excess), a.bits, excess, nu_a)]
     expanded = 0
     while heap:
-        _, _, x = heapq.heappop(heap)
+        total, rows, excess, nu = heapq.heappop(heap)
         expanded += 1
         if expanded > node_budget:
             raise SearchBudgetExceeded(
                 f"secondary order search exceeded {node_budget} nodes")
-        for move in find_interchanges(x, Direction.ItoL):
-            y = apply_interchange(x, move)
-            if y == c:
+        for i, i2, j, j2 in _moves(rows):
+            y = _flip(rows, i, i2, j, j2)
+            if y == target:
                 return True
             if y in visited:
                 continue
             visited.add(y)
-            if inversion_count(y) >= nu_c:
+            nu_y = nu + _increment(rows, i, i2, j, j2)
+            if nu_y >= nu_c:
                 continue
-            excess = admissible_excess(y)
-            if excess is None:
+            lowered = _lowered(excess, n, i, i2, j, j2)
+            if lowered is None:
                 continue
-            heapq.heappush(heap, (excess, y.bits, y))
+            heapq.heappush(
+                heap, (total - (i2 - i) * (j2 - j), y, lowered, nu_y))
     return False
 
 

@@ -11,17 +11,17 @@ import numpy as np
 
 from .chains import BruhatStep, Chain
 from .enumeration import ClassPoset
-from .errors import MarginMismatch
 from .matrices import (
     BinaryMatrix,
-    Direction,
     Interchange,
-    apply_interchange,
+    _flip,
+    _increment,
+    _lowered,
+    _moves,
     cumulative_sums,
-    find_interchanges,
-    interchange_increment,
     inversion_count,
 )
+from .order import DEFAULT_NODE_BUDGET, _require_same_class
 
 
 @dataclass
@@ -84,12 +84,19 @@ def longest_chain(poset: ClassPoset) -> tuple[int, Chain]:
     a jump-step chain.  The witness ends at the first member of greatest
     length and steps back to the smallest-index predecessor one shorter."""
     dist = _longest_paths(poset)
+    indptr, targets = poset.indptr, poset.targets
     v = int(np.argmax(dist))
     length, path = int(dist[v]), [v]
     while dist[v] > 0:
-        arcs = np.flatnonzero(poset.targets == v)
-        preds = np.searchsorted(poset.indptr, arcs, side="right") - 1
-        v = int(preds[dist[preds] == dist[v] - 1].min())
+        # only members one shorter can precede v; scan their arcs alone,
+        # in member order, so the first hit has the smallest index
+        level = np.flatnonzero(dist == dist[v] - 1)
+        degree = indptr[level + 1] - indptr[level]
+        first = np.cumsum(degree) - degree  # each member's start in arcs
+        arcs = np.arange(degree.sum()) + np.repeat(indptr[level] - first,
+                                                   degree)
+        hit = arcs[np.argmax(targets[arcs] == v)]
+        v = int(np.searchsorted(indptr, hit, side="right")) - 1
         path.append(v)
     mats = [poset.members[v] for v in reversed(path)]
     chain = Chain(mats[0], tuple(BruhatStep(a) for a in mats[1:]))
@@ -105,47 +112,53 @@ def longest_chain_between(poset: ClassPoset, start_idx: int,
 
 
 def tight_chain_search(a: BinaryMatrix, c: BinaryMatrix,
-                       budget: int = 10**6) -> SearchOutcome:
+                       budget: int = DEFAULT_NODE_BUDGET) -> SearchOutcome:
     """Depth-first search for an interchange chain from a to c whose
     inversion count rises by exactly one per step.
 
     Restricting moves to increment-one interchanges loses no witnesses:
     every step of a tight chain has increment exactly one.  States that
     stop dominating the target's partial-sum table are dead.  Dead states
-    are memoized."""
-    if a.m != c.m or a.n != c.n or a.margins() != c.margins():
-        raise MarginMismatch("endpoints are not in the same class")
+    are memoized.
+
+    A state is its rows and its excess table sigma(x) - sigma(c), both
+    updated by the move: the rows by two XORs, the table by lowering one
+    block, which also says whether c is still dominated.  Its inversion
+    count needs no tracking, since every step adds exactly one.  Moves
+    are tried in (i, i2, j, j2) order, and the search gives up, with
+    budget_hit set, on expanding more than budget states."""
+    sa, sc = _require_same_class(a, c)
     if inversion_count(a) > inversion_count(c):
         raise ValueError("start has more inversions than the target")
-    sc = cumulative_sums(c).flat()
-
-    def dominates(x: BinaryMatrix) -> bool:
-        return all(u >= v for u, v in zip(cumulative_sums(x).flat(), sc))
-
-    if not dominates(a):
+    excess = [u - v for u, v in zip(sa, sc)]
+    if min(excess) < 0:
         return SearchOutcome(False, None, 0, False)
 
-    dead: set[BinaryMatrix] = set()
+    n, target = a.n, c.bits
+    dead: set[tuple[int, ...]] = set()
     explored = 0
     budget_hit = False
-    path: list[Interchange] = []
+    path: list[tuple[int, int, int, int]] = []
 
-    def dfs(x: BinaryMatrix) -> bool:
+    def dfs(rows: tuple[int, ...], excess: list[int]) -> bool:
         nonlocal explored, budget_hit
-        if x == c:
+        if rows == target:
             return True
         explored += 1
         if explored > budget:
             budget_hit = True
             return False
-        for move in find_interchanges(x, Direction.ItoL):
-            if interchange_increment(x, move) != 1:
+        for move in _moves(rows):
+            if _increment(rows, *move) != 1:
                 continue
-            y = apply_interchange(x, move)
-            if y in dead or not dominates(y):
+            y = _flip(rows, *move)
+            if y in dead:
+                continue
+            lowered = _lowered(excess, n, *move)
+            if lowered is None:
                 continue
             path.append(move)
-            if dfs(y):
+            if dfs(y, lowered):
                 return True
             path.pop()
             if budget_hit:
@@ -153,8 +166,9 @@ def tight_chain_search(a: BinaryMatrix, c: BinaryMatrix,
             dead.add(y)
         return False
 
-    found = dfs(a)
-    witness = Chain(a, tuple(path)) if found else None
+    found = dfs(a.bits, excess)
+    witness = (Chain(a, tuple(Interchange(*move) for move in path))
+               if found else None)
     return SearchOutcome(found, witness, explored, budget_hit)
 
 

@@ -220,13 +220,15 @@ def test_order_seven_class_longest_chain():
     started = time.monotonic()
     dag = build_interchange_dag(MarginPair.uniform(7, 2))
     built = time.monotonic() - started
+    timed = time.monotonic()
     length = longest_chain(dag)[0]
+    longest_s = time.monotonic() - timed
     spectrum = sorted(maximal_chain_spectrum(dag))
     peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     # the spectrum is recorded, not asserted: nothing predicts it
     print(f"A(7,2): {len(dag)} members, {len(dag.targets)} arcs, built in "
-          f"{built:.1f}s; longest {length}; spectrum {spectrum}; "
-          f"peak RSS {peak_mb:.0f} MB")
+          f"{built:.1f}s; longest {length} in {longest_s:.1f}s; "
+          f"spectrum {spectrum}; peak RSS {peak_mb:.0f} MB")
     ok = len(dag) == 3_110_940 and length == 69 == delta(7)
     _report("A(7,2): OEIS A001499 size and longest chain delta(7)",
             ok, started)

@@ -220,3 +220,54 @@ def test_deterministic_output(runner):
     first = runner.invoke(main, ["chain", "build", "--n", "8"])
     second = runner.invoke(main, ["chain", "build", "--n", "8"])
     assert first.output == second.output
+
+
+Q4_TEXT = "0011\n0011\n1100\n1100\n"
+
+
+@pytest.fixture
+def p4_q4(tmp_path):
+    src, dst = tmp_path / "p4.txt", tmp_path / "q4.txt"
+    src.write_text(P4_TEXT)
+    dst.write_text(Q4_TEXT)
+    return str(src), str(dst)
+
+
+@pytest.mark.parametrize("command", ["compare", "tight"])
+@pytest.mark.parametrize("budget", ["-5", "0"])
+def test_non_positive_budget_is_a_usage_error(runner, p4_q4, command, budget):
+    result = runner.invoke(main, [command, *p4_q4, "--budget", budget])
+    assert result.exit_code == 2
+    assert "--budget" in result.output
+
+
+def test_compare_budget_exhausted_is_a_domain_error(runner, p4_q4):
+    result = runner.invoke(main, ["compare", *p4_q4, "--budget", "1"])
+    assert result.exit_code == 1
+    assert "exceeded 1 nodes" in result.output
+
+
+def test_tight_plain_reports_budget_hit(runner, p4_q4):
+    result = runner.invoke(main, ["tight", *p4_q4])
+    lines = dict(ln.split(": ") for ln in result.output.splitlines())
+    assert result.exit_code == 0
+    assert (lines["found"], lines["budget_hit"]) == ("true", "false")
+    result = runner.invoke(main, ["tight", *p4_q4, "--budget", "3"])
+    lines = dict(ln.split(": ") for ln in result.output.splitlines())
+    assert result.exit_code == 0
+    assert (lines["found"], lines["budget_hit"]) == ("false", "true")
+    assert lines["explored"] == "4"
+
+
+def test_tight_default_budget_is_the_order_default(runner, p4_q4,
+                                                   monkeypatch):
+    budgets = []
+    real = cli.search.tight_chain_search
+
+    def spy(a, c, budget):
+        budgets.append(budget)
+        return real(a, c, budget)
+
+    monkeypatch.setattr(cli.search, "tight_chain_search", spy)
+    assert runner.invoke(main, ["tight", *p4_q4]).exit_code == 0
+    assert budgets == [cli.order.DEFAULT_NODE_BUDGET]
