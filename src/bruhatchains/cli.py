@@ -6,6 +6,11 @@ Margins are given as ``R/S`` with comma-separated entries, or through the
 ``--n/--k`` sugar for square classes with uniform sums.  Every subcommand
 supports ``--json`` for a machine-readable envelope.
 
+``longest`` and ``spectrum`` build the interchange DAG for an all-two
+square class, however given, and the full poset for any other class.
+``poset`` and ``monotone`` always build the full poset, which is refused
+when its size x size matrix passes ``engine.MAX_ARRAY_BYTES``.
+
 Exit codes: 0 on success, 1 on domain errors (a class too large to
 build among them), malformed input and unreadable input files, 2 on
 usage errors.
@@ -18,6 +23,7 @@ import sys
 import time
 
 import click
+import numpy as np
 
 from . import chains, enumeration, matrices, order, search
 from .errors import BruhatError
@@ -162,15 +168,14 @@ def enumerate_members(margins, n, k, count_only, as_json) -> None:
 @click.option("--margins", default=None)
 @click.option("--n", type=int, default=None)
 @click.option("--k", type=int, default=None)
-@click.option("--cap", default=enumeration.DEFAULT_MEMBER_CAP, show_default=True)
 @click.option("--dot", "dot_path", type=click.Path(writable=True), default=None)
 @click.option("--jsonl", "jsonl_path", type=click.Path(writable=True), default=None)
 @click.option("--json", "as_json", is_flag=True)
-def poset(margins, n, k, cap, dot_path, jsonl_path, as_json) -> None:
+def poset(margins, n, k, dot_path, jsonl_path, as_json) -> None:
     """Build the class poset and export it."""
     started = time.monotonic()
     pair = _resolve_margins(margins, n, k)
-    built = enumeration.build_poset(pair, cap)
+    built = enumeration.build_poset(pair)
     if dot_path:
         with open(dot_path, "w", encoding="utf-8") as fh:
             fh.write(built.to_dot())
@@ -179,7 +184,7 @@ def poset(margins, n, k, cap, dot_path, jsonl_path, as_json) -> None:
             fh.write(built.to_jsonl())
     summary = {
         "members": len(built),
-        "strict_arcs": sum(1 for _ in built.strict_pairs()),
+        "strict_arcs": int(np.count_nonzero(built.strict())),
         "cover_arcs": len(built.cover_pairs()),
         "minimal": len(built.minimal_indices()),
         "maximal": len(built.maximal_indices()),
@@ -248,13 +253,12 @@ def chain_verify(chain_file: str, as_json: bool) -> None:
     _emit("chain verify", result, as_json, started, plain)
 
 
-def _poset_for_square(n: int, cap: int) -> enumeration.ClassPoset:
-    pair = MarginPair.uniform(n, 2)
-    if n >= 6:
-        # all-pairs comparability is prohibitive here; the interchange
-        # digraph supports the same longest-path and spectrum queries
+def _chain_poset(pair: MarginPair) -> enumeration.ClassPoset:
+    """The interchange DAG for an all-two square class, whose Bruhat order
+    is the closure of its arcs; the full poset for any other class."""
+    if pair.is_all_two_square():
         return enumeration.build_interchange_dag(pair)
-    return enumeration.build_poset(pair, cap)
+    return enumeration.build_poset(pair)
 
 
 @main.command()
@@ -265,10 +269,7 @@ def _poset_for_square(n: int, cap: int) -> enumeration.ClassPoset:
 def longest(n, margins, k, as_json) -> None:
     """Length of the longest chain in the Bruhat order of a class."""
     started = time.monotonic()
-    if margins is None and n is not None and k in (None, 2):
-        built = _poset_for_square(n, enumeration.DEFAULT_MEMBER_CAP)
-    else:
-        built = enumeration.build_poset(_resolve_margins(margins, n, k))
+    built = _chain_poset(_resolve_margins(margins, n, k))
     length, _ = search.longest_chain(built)
     _emit("longest", length, as_json, started)
 
@@ -279,7 +280,7 @@ def longest(n, margins, k, as_json) -> None:
 def spectrum(n, as_json) -> None:
     """Maximum chain lengths over all (minimal, maximal) pairs."""
     started = time.monotonic()
-    built = _poset_for_square(n, enumeration.DEFAULT_MEMBER_CAP)
+    built = _chain_poset(MarginPair.uniform(n, 2))
     lengths = sorted(search.maximal_chain_spectrum(built))
     _emit("spectrum", lengths, as_json, started,
           " ".join(map(str, lengths)))

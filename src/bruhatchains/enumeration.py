@@ -3,6 +3,7 @@ digraphs (comparability and covers)."""
 
 from __future__ import annotations
 
+import json
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
@@ -12,7 +13,7 @@ from typing import Iterator
 import numpy as np
 
 from . import engine
-from .errors import ClassTooLarge, InfeasibleMargins
+from .errors import InfeasibleMargins
 from .matrices import (
     BinaryMatrix,
     MarginPair,
@@ -20,8 +21,6 @@ from .matrices import (
     canonical_key,
     inversion_count,
 )
-
-DEFAULT_MEMBER_CAP = 100_000
 
 
 def enumerate_class(margins: MarginPair) -> Iterator[BinaryMatrix]:
@@ -91,12 +90,13 @@ class ClassPoset:
     ``targets[indptr[v]:indptr[v + 1]]`` (int32 arrays, read-only).
     ``succ`` is the same store as a per-member sequence of arrays.
 
-    In ``full`` mode ``leq`` holds the complete comparability relation
-    (including equality on the diagonal) and the arcs are the covers, in
-    increasing order per member.  In ``interchange`` mode ``leq`` is
-    absent and the arcs are single ItoL interchanges; on all-two square
-    classes the Bruhat order is their transitive closure, which is all the
-    longest-path and spectrum machinery needs.
+    With ``leq`` present this is the full poset: ``leq`` holds the
+    complete comparability relation (including equality on the diagonal)
+    and the arcs are the covers, in increasing order per member.  With
+    ``leq`` None it is an interchange DAG: the arcs are single ItoL
+    interchanges, and on all-two square classes the Bruhat order is their
+    transitive closure, which is all the longest-path and spectrum
+    machinery needs.  Comparability queries and the exports refuse a DAG.
     """
 
     margins: MarginPair
@@ -104,7 +104,6 @@ class ClassPoset:
     nu: list[int]
     indptr: np.ndarray
     targets: np.ndarray
-    mode: str
     leq: np.ndarray | None = None
 
     def __post_init__(self) -> None:
@@ -136,14 +135,19 @@ class ClassPoset:
             raise KeyError("matrix is not a member of this class")
         return self._index[a]
 
+    def strict(self) -> np.ndarray:
+        """Strict comparability: a copy of ``leq`` with the diagonal
+        cleared."""
+        if self.leq is None:
+            raise ValueError("comparability needs the full poset")
+        strict = self.leq.copy()
+        np.fill_diagonal(strict, False)
+        return strict
+
     def strict_pairs(self) -> Iterator[tuple[int, int]]:
         """All ordered pairs (a, c) with a strictly below c."""
-        if self.mode != "full":
-            raise ValueError("comparability pairs need a full-mode poset")
-        rows, cols = np.nonzero(self.leq)
-        for a, c in zip(rows.tolist(), cols.tolist()):
-            if a != c:
-                yield a, c
+        rows, cols = np.nonzero(self.strict())
+        yield from zip(rows.tolist(), cols.tolist())
 
     def cover_pairs(self) -> list[tuple[int, int]]:
         sources = np.repeat(np.arange(len(self.members)), np.diff(self.indptr))
@@ -162,8 +166,8 @@ class ClassPoset:
     def to_dot(self) -> str:
         """DOT digraph over cover arcs, nodes labeled key and inversion
         count."""
-        if self.mode != "full":
-            raise ValueError("DOT export needs a full-mode poset")
+        if self.leq is None:
+            raise ValueError("DOT export needs the full poset")
         lines = ["digraph class_poset {"]
         for i, a in enumerate(self.members):
             key = canonical_key(a).hex()
@@ -175,8 +179,8 @@ class ClassPoset:
 
     def to_jsonl(self) -> str:
         """One member per line: key, inversion count, cover successors."""
-        import json
-
+        if self.leq is None:
+            raise ValueError("JSONL export needs the full poset")
         lines = []
         for i, a in enumerate(self.members):
             lines.append(json.dumps({
@@ -188,58 +192,46 @@ class ClassPoset:
         return "\n".join(lines) + "\n"
 
 
-def _sorted_members(margins: MarginPair) -> tuple[list[BinaryMatrix], list[int]]:
-    members = list(enumerate_class(margins))
-    nu = [inversion_count(a) for a in members]
-    # a stable sort keeps the canonical-key order of enumerate_class on ties
-    order = sorted(range(len(members)), key=nu.__getitem__)
-    return [members[i] for i in order], [nu[i] for i in order]
-
-
-def sigma_array(members: Sequence[BinaryMatrix]) -> np.ndarray:
-    """Stacked flattened partial-sum tables, one row per member."""
-    return np.array([_sigma(a.bits, a.n) for a in members], dtype=np.int32)
-
-
-def build_poset(margins: MarginPair,
-                max_members: int = DEFAULT_MEMBER_CAP) -> ClassPoset:
+def build_poset(margins: MarginPair) -> ClassPoset:
     """Full poset: comparability by all-pairs domination of partial-sum
     tables, covers by pruning arcs that factor through an intermediate.
 
     Every ordered pair is tested, with no inversion-count shortcut, so the
     comparability relation stays an independent oracle for the
-    monotonicity sweeps.
+    monotonicity sweeps.  A size x size matrix over
+    ``engine.MAX_ARRAY_BYTES`` is refused with ClassTooLarge before any
+    is allocated.
     """
-    members, nu = _sorted_members(margins)
+    members = list(enumerate_class(margins))
+    nu = [inversion_count(a) for a in members]
+    # a stable sort keeps the canonical-key order of enumerate_class on ties
+    order = sorted(range(len(members)), key=nu.__getitem__)
+    members, nu = [members[i] for i in order], [nu[i] for i in order]
     size = len(members)
-    if size > max_members:
-        raise ClassTooLarge(f"{size} members exceed the cap {max_members}")
-    sig = sigma_array(members)
+    engine._check_budget(size * size, 1, "the comparability matrix")
+    sig = np.array([_sigma(a.bits, a.n) for a in members], dtype=np.int32)
     leq = np.zeros((size, size), dtype=bool)
     for c in range(size):
         leq[:, c] = (sig >= sig[c]).all(axis=1)
-
     strict = leq.copy()
     np.fill_diagonal(strict, False)
     # pred_mask[c]: bit a set when a is strictly below c
-    pred_mask = []
-    for c in range(size):
-        col = np.packbits(strict[:, c], bitorder="little")
-        pred_mask.append(int.from_bytes(col.tobytes(), "little"))
+    pred_mask = [int.from_bytes(np.packbits(col, bitorder="little").tobytes(),
+                                "little") for col in strict.T]
     succ: list[list[int]] = [[] for _ in range(size)]
     for c in range(size):
-        preds = np.nonzero(strict[:, c])[0]
+        preds = np.flatnonzero(strict[:, c]).tolist()
         through = 0
-        for b in preds.tolist():
+        for b in preds:
             through |= pred_mask[b]
-        for a in preds.tolist():
+        for a in preds:
             if not (through >> a) & 1:
                 succ[a].append(c)
     indptr = np.zeros(size + 1, dtype=np.int32)
     np.cumsum([len(lst) for lst in succ], out=indptr[1:])
     targets = np.fromiter(chain.from_iterable(succ), dtype=np.int32,
                           count=indptr[-1])
-    return ClassPoset(margins, members, nu, indptr, targets, "full", leq)
+    return ClassPoset(margins, members, nu, indptr, targets, leq)
 
 
 def build_interchange_dag(margins: MarginPair) -> ClassPoset:
@@ -248,7 +240,7 @@ def build_interchange_dag(margins: MarginPair) -> ClassPoset:
     cover arcs are a subset of these arcs and the Bruhat order is their
     transitive closure."""
     members, nu, indptr, targets = engine.interchange_class(margins)
-    return ClassPoset(margins, members, nu, indptr, targets, "interchange")
+    return ClassPoset(margins, members, nu, indptr, targets)
 
 
 def extremes(poset: ClassPoset) -> tuple[list[BinaryMatrix], list[BinaryMatrix]]:

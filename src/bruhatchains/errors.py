@@ -22,7 +22,8 @@ class InfeasibleMargins(BruhatError):
 
 
 class ClassTooLarge(BruhatError):
-    """The class exceeds the configured member cap."""
+    """The class would need an array over the byte limit
+    (``engine.MAX_ARRAY_BYTES``), or more cells than a packed key holds."""
 
 
 class SearchBudgetExceeded(BruhatError):

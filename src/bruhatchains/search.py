@@ -5,7 +5,7 @@ chain lengths."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -126,7 +126,8 @@ def tight_chain_search(a: BinaryMatrix, c: BinaryMatrix,
     block, which also says whether c is still dominated.  Its inversion
     count needs no tracking, since every step adds exactly one.  Moves
     are tried in (i, i2, j, j2) order, and the search gives up, with
-    budget_hit set, on expanding more than budget states."""
+    budget_hit set, on expanding more than budget states.  The path is an
+    explicit stack, so a chain may be longer than the recursion limit."""
     sa, sc = _require_same_class(a, c)
     if inversion_count(a) > inversion_count(c):
         raise ValueError("start has more inversions than the target")
@@ -136,18 +137,8 @@ def tight_chain_search(a: BinaryMatrix, c: BinaryMatrix,
 
     n, target = a.n, c.bits
     dead: set[tuple[int, ...]] = set()
-    explored = 0
-    budget_hit = False
-    path: list[tuple[int, int, int, int]] = []
 
-    def dfs(rows: tuple[int, ...], excess: list[int]) -> bool:
-        nonlocal explored, budget_hit
-        if rows == target:
-            return True
-        explored += 1
-        if explored > budget:
-            budget_hit = True
-            return False
+    def children(rows: tuple[int, ...], excess: list[int]):
         for move in _moves(rows):
             if _increment(rows, *move) != 1:
                 continue
@@ -155,34 +146,47 @@ def tight_chain_search(a: BinaryMatrix, c: BinaryMatrix,
             if y in dead:
                 continue
             lowered = _lowered(excess, n, *move)
-            if lowered is None:
-                continue
-            path.append(move)
-            if dfs(y, lowered):
-                return True
-            path.pop()
-            if budget_hit:
-                return False
-            dead.add(y)
-        return False
+            if lowered is not None:
+                yield move, y, lowered
 
-    found = dfs(a.bits, excess)
-    witness = (Chain(a, tuple(Interchange(*move) for move in path))
-               if found else None)
-    return SearchOutcome(found, witness, explored, budget_hit)
+    explored = 0
+    path: list[tuple[int, int, int, int]] = []
+    # the states on the path, each with its children not yet tried
+    stack: list[tuple[tuple[int, ...], Iterator]] = []
+    rows = a.bits
+    while True:
+        if rows == target:
+            witness = Chain(a, tuple(Interchange(*move) for move in path))
+            return SearchOutcome(True, witness, explored, False)
+        explored += 1
+        if explored > budget:
+            return SearchOutcome(False, None, explored, True)
+        stack.append((rows, children(rows, excess)))
+        step = next(stack[-1][1], None)
+        while step is None:
+            done, _ = stack.pop()
+            if not stack:
+                return SearchOutcome(False, None, explored, False)
+            dead.add(done)
+            path.pop()
+            step = next(stack[-1][1], None)
+        move, rows, excess = step
+        path.append(move)
 
 
 def monotonicity_check(poset: ClassPoset) -> MonotonicityReport:
     """Scan every strict comparability arc for an inversion-count
     non-increase.  A non-empty violation list is a re-verifiable
-    counterexample certificate, not a failure."""
-    checked = 0
-    violations = []
-    for a, c in poset.strict_pairs():
-        checked += 1
-        if poset.nu[a] >= poset.nu[c]:
-            violations.append((poset.members[a], poset.members[c]))
-    return MonotonicityReport(checked, violations)
+    counterexample certificate, not a failure.  Violations come in
+    row-major (first, second) index order."""
+    strict = poset.strict()
+    nu = np.asarray(poset.nu)
+    bad = np.greater_equal.outer(nu, nu)
+    bad &= strict
+    firsts, seconds = np.nonzero(bad)
+    violations = [(poset.members[a], poset.members[c])
+                  for a, c in zip(firsts.tolist(), seconds.tolist())]
+    return MonotonicityReport(int(np.count_nonzero(strict)), violations)
 
 
 def certificate(a: BinaryMatrix, c: BinaryMatrix) -> dict:

@@ -1,7 +1,14 @@
+from itertools import product
+
 import pytest
 from hypothesis import settings
 
-from bruhatchains import MarginPair, build_interchange_dag, build_poset
+from bruhatchains import (
+    InfeasibleMargins,
+    MarginPair,
+    build_interchange_dag,
+    build_poset,
+)
 
 # wall-clock deadlines make the property tests flaky on loaded machines
 settings.register_profile("default", deadline=None)
@@ -26,3 +33,26 @@ def poset_52():
 @pytest.fixture(scope="session")
 def dag_62():
     return build_interchange_dag(MarginPair.uniform(6, 2))
+
+
+def _small_margin_pairs(max_dim: int):
+    for m in range(1, max_dim + 1):
+        for n in range(1, max_dim + 1):
+            for rows in product(range(3), repeat=m):
+                total = sum(rows)
+                for cols in product(range(3), repeat=n):
+                    if sum(cols) == total:
+                        yield MarginPair(rows, cols)
+
+
+@pytest.fixture(scope="session")
+def small_posets():
+    """The full poset of every feasible class of at most 4 x 4 with
+    margins at most 2, the classes criterion 9 sweeps."""
+    posets = []
+    for margins in _small_margin_pairs(4):
+        try:
+            posets.append(build_poset(margins))
+        except InfeasibleMargins:
+            continue
+    return posets

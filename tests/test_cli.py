@@ -6,7 +6,7 @@ import time
 import pytest
 from click.testing import CliRunner
 
-from bruhatchains import cli
+from bruhatchains import MarginPair, build_extremes, cli, engine
 from bruhatchains.cli import main
 
 
@@ -108,24 +108,86 @@ def test_longest(runner):
     assert result.output.strip() == "16"
 
 
-def test_longest_k2_routes_like_n(runner, monkeypatch, poset_42):
-    # --n N --k 2 must take the square-class route, not the full poset
+A62_MARGINS = ",".join(["2"] * 6) + "/" + ",".join(["2"] * 6)
+
+
+def _route_to_fake_dag(monkeypatch, dag):
     calls = []
 
-    def fake(n, cap):
-        calls.append(n)
-        return poset_42
+    def fake_dag(margins):
+        calls.append(margins)
+        return dag
 
     def full_poset(*args, **kwargs):
         raise AssertionError("the full A(6,2) poset needs about 9.7 GB")
 
-    monkeypatch.setattr(cli, "_poset_for_square", fake)
+    monkeypatch.setattr(cli.enumeration, "build_interchange_dag", fake_dag)
     monkeypatch.setattr(cli.enumeration, "build_poset", full_poset)
-    for args in (["--n", "6"], ["--n", "6", "--k", "2"]):
+    return calls
+
+
+def test_longest_k2_routes_like_n(runner, monkeypatch, poset_42):
+    # every all-two square class, however given, takes the interchange DAG
+    calls = _route_to_fake_dag(monkeypatch, poset_42)
+    forms = [["--n", "6"], ["--n", "6", "--k", "2"], ["--margins", A62_MARGINS],
+             ["--n", "4"]]
+    for args in forms:
         result = runner.invoke(main, ["longest", *args])
         assert result.exit_code == 0
         assert result.output.strip() == "16"
-    assert calls == [6, 6]
+    assert calls == [MarginPair.uniform(6, 2)] * 3 + [MarginPair.uniform(4, 2)]
+
+
+def test_spectrum_routes_to_the_dag(runner, monkeypatch, poset_42):
+    calls = _route_to_fake_dag(monkeypatch, poset_42)
+    result = runner.invoke(main, ["spectrum", "--n", "6"])
+    assert result.exit_code == 0
+    assert result.output.strip() == "16"
+    assert calls == [MarginPair.uniform(6, 2)]
+
+
+def test_other_classes_route_to_the_full_poset(runner, monkeypatch):
+    def no_dag(margins):
+        raise AssertionError("not an all-two square class")
+
+    monkeypatch.setattr(cli.enumeration, "build_interchange_dag", no_dag)
+    for args, length in ((["--margins", "2,2,1/2,2,1"], "3"),
+                         (["--n", "3", "--k", "1"], "3"),
+                         (["--margins", "2,2,2/3,3"], "0")):
+        result = runner.invoke(main, ["longest", *args])
+        assert result.exit_code == 0
+        assert result.output.strip() == length
+
+
+def test_longest_margins_a62(runner):
+    result = runner.invoke(main, ["longest", "--margins", A62_MARGINS])
+    assert result.exit_code == 0
+    assert result.output.strip() == "48"
+
+
+@pytest.mark.parametrize("n, length", [(2, 0), (3, 3), (4, 16), (5, 29)])
+def test_longest_and_spectrum_small_orders(runner, n, length):
+    # delta(n) for n >= 4, and the values the full poset gives for n < 4
+    for command in ("longest", "spectrum"):
+        result = runner.invoke(main, [command, "--n", str(n)])
+        assert result.exit_code == 0
+        assert result.output.strip() == str(length)
+
+
+@pytest.mark.parametrize("command", ["poset", "monotone"])
+def test_full_poset_over_byte_limit_refused(runner, command):
+    # A(6,2) has 67,950 members: each 67,950^2 matrix would take 4.6 GB
+    started = time.monotonic()
+    result = runner.invoke(main, [command, "--n", "6"])
+    assert time.monotonic() - started < 30
+    _one_error_line(result)
+    assert f"{67_950 ** 2} bytes" in result.output
+    assert f"{engine.MAX_ARRAY_BYTES}-byte limit" in result.output
+
+
+def test_cap_option_removed(runner):
+    result = runner.invoke(main, ["poset", "--n", "4", "--cap", "10"])
+    assert result.exit_code == 2
 
 
 def test_parallel_option_removed(runner):
@@ -271,3 +333,17 @@ def test_tight_default_budget_is_the_order_default(runner, p4_q4,
     monkeypatch.setattr(cli.search, "tight_chain_search", spy)
     assert runner.invoke(main, ["tight", *p4_q4]).exit_code == 0
     assert budgets == [cli.order.DEFAULT_NODE_BUDGET]
+
+
+def test_tight_chain_longer_than_the_recursion_limit(runner, tmp_path):
+    p30, q30 = build_extremes(30)
+    src, dst = tmp_path / "p30.txt", tmp_path / "q30.txt"
+    src.write_text(p30.to_text())
+    dst.write_text(q30.to_text())
+    result = runner.invoke(main, ["tight", str(src), str(dst),
+                                  "--budget", "5000"])
+    assert result.exit_code == 0
+    assert result.exception is None
+    lines = dict(ln.split(": ") for ln in result.output.splitlines())
+    assert (lines["found"], lines["budget_hit"]) == ("true", "false")
+    assert lines["length"] == "1680"

@@ -13,6 +13,7 @@ from bruhatchains import (
     MarginPair,
     apply_interchange,
     build_interchange_dag,
+    build_poset,
     enumerate_class,
     find_interchanges,
     inversion_count,
@@ -69,7 +70,7 @@ def reference_longest_paths(poset, sources=None):
 def test_engine_matches_object_path(margins):
     members, nu, succ = object_dag(margins)
     dag = build_interchange_dag(margins)
-    assert dag.mode == "interchange"
+    assert dag.leq is None
     assert dag.members == members
     assert dag.nu == nu
     assert [set(s.tolist()) for s in dag.succ] == succ
@@ -181,8 +182,7 @@ def test_arc_store_is_read_only():
 def test_csr_must_describe_arcs_over_members(indptr, targets):
     a, c = _equal_nu_pair()
     with pytest.raises(ValueError, match="CSR"):
-        ClassPoset(a.margins(), [a, c], [1, 1], indptr, targets,
-                   "interchange")
+        ClassPoset(a.margins(), [a, c], [1, 1], indptr, targets)
 
 
 def _equal_nu_pair():
@@ -196,8 +196,7 @@ def _equal_nu_pair():
 def test_equal_nu_arc_raises():
     a, c = _equal_nu_pair()
     nu = inversion_count(a)
-    poset = ClassPoset(a.margins(), [a, c], [nu, nu], [0, 1, 1], [1],
-                       "interchange")
+    poset = ClassPoset(a.margins(), [a, c], [nu, nu], [0, 1, 1], [1])
     with pytest.raises(ValueError, match=f"arc 0 -> 1 .*nu {nu} -> {nu}"):
         longest_chain(poset)
     with pytest.raises(ValueError, match="arc 0 -> 1"):
@@ -206,8 +205,7 @@ def test_equal_nu_arc_raises():
 
 def test_members_out_of_nu_order_raise():
     a, c = _equal_nu_pair()
-    poset = ClassPoset(a.margins(), [a, c], [2, 1], [0, 0, 0], [],
-                       "interchange")
+    poset = ClassPoset(a.margins(), [a, c], [2, 1], [0, 0, 0], [])
     with pytest.raises(ValueError, match="not sorted"):
         longest_chain(poset)
 
@@ -219,3 +217,15 @@ def test_full_mode_extremes_match_comparability(poset_52):
         == np.flatnonzero(~strict.any(axis=0)).tolist()
     assert poset_52.maximal_indices() \
         == np.flatnonzero(~strict.any(axis=1)).tolist()
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_dag_and_full_poset_agree_on_all_two_classes(n):
+    # the CLI routes every all-two square class to the DAG; on the classes
+    # small enough for the full poset both give the same answers
+    margins = MarginPair.uniform(n, 2)
+    dag, full = build_interchange_dag(margins), build_poset(margins)
+    assert dag.members == full.members
+    assert dag.nu == full.nu
+    assert longest_chain(dag)[0] == longest_chain(full)[0]
+    assert maximal_chain_spectrum(dag) == maximal_chain_spectrum(full)

@@ -2,6 +2,7 @@
 independent brute-force filter over all bit patterns."""
 
 import math
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -21,6 +22,7 @@ from bruhatchains import (
     extremes,
     inversion_count,
 )
+from bruhatchains import engine
 
 A221_MEMBERS = [
     BinaryMatrix.from_rows(rows)
@@ -125,9 +127,27 @@ class TestBuildPoset:
             for b in range(len(poset_221)):
                 assert not ((a, b) in covers and (b, c) in covers)
 
-    def test_cap(self):
-        with pytest.raises(ClassTooLarge):
-            build_poset(MarginPair.uniform(4, 2), max_members=10)
+    def test_cap(self, monkeypatch):
+        # A(4,2) has 90 members: its comparability matrix is 90^2 bytes
+        monkeypatch.setattr(engine, "MAX_ARRAY_BYTES", 90 * 90 - 1)
+        with pytest.raises(ClassTooLarge, match="8100 bytes, over the "
+                                                "8099-byte limit"):
+            build_poset(MarginPair.uniform(4, 2))
+        monkeypatch.setattr(engine, "MAX_ARRAY_BYTES", 90 * 90)
+        assert len(build_poset(MarginPair.uniform(4, 2))) == 90
+
+    def test_refused_before_any_square_array(self, monkeypatch):
+        # A(5,2) has 2040 members; a refusal must come before any
+        # 2040 x 2040 array exists, so numpy never holds that many bytes
+        monkeypatch.setattr(engine, "MAX_ARRAY_BYTES", 2040 * 2040 - 1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ClassTooLarge, match="comparability matrix"):
+                build_poset(MarginPair.uniform(5, 2))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2040 * 2040
 
 
 class TestExtremes:
@@ -167,6 +187,35 @@ class TestInterchangeDag:
             == {canonical_key(a) for a in mins_d}
         assert {canonical_key(a) for a in maxs_f} \
             == {canonical_key(a) for a in maxs_d}
+
+
+class TestFullPosetOnly:
+    """An interchange DAG has no comparability matrix: the queries and
+    exports that need one refuse it."""
+
+    @pytest.fixture(scope="class")
+    def dag_42(self):
+        return build_interchange_dag(MarginPair.uniform(4, 2))
+
+    def test_dag_has_no_comparability(self, dag_42):
+        assert dag_42.leq is None
+        with pytest.raises(ValueError, match="full poset"):
+            dag_42.strict()
+        with pytest.raises(ValueError, match="full poset"):
+            list(dag_42.strict_pairs())
+
+    def test_dag_exports_refused(self, dag_42):
+        with pytest.raises(ValueError, match="DOT export needs the full"):
+            dag_42.to_dot()
+        with pytest.raises(ValueError, match="JSONL export needs the full"):
+            dag_42.to_jsonl()
+
+    def test_strict_is_leq_without_diagonal(self, poset_42):
+        strict = poset_42.strict()
+        assert not strict.diagonal().any()
+        assert (strict | np.eye(len(poset_42), dtype=bool)
+                == poset_42.leq).all()
+        assert poset_42.leq.diagonal().all()
 
 
 class TestExports:

@@ -1,6 +1,7 @@
 """Search oracles: longest chains, tight-chain search, monotonicity
 sweeps, and the spectrum of maximal chain lengths."""
 
+import numpy as np
 import pytest
 
 from bruhatchains import (
@@ -8,7 +9,9 @@ from bruhatchains import (
     ClassPoset,
     MarginMismatch,
     MarginPair,
+    MonotonicityReport,
     build_extremes,
+    build_interchange_dag,
     build_poset,
     certificate,
     delta,
@@ -75,7 +78,7 @@ class TestLongestChain:
         # CSR arcs: member 0 has none, member 1 has one, back to 0
         poset = ClassPoset(lo.margins(), [lo, hi],
                            [inversion_count(lo), inversion_count(hi)],
-                           [0, 0, 1], [0], "interchange")
+                           [0, 0, 1], [0])
         with pytest.raises(ValueError, match="arc 1 -> 0"):
             longest_chain(poset)
         with pytest.raises(ValueError, match="arc 1 -> 0"):
@@ -120,6 +123,16 @@ class TestTightChainSearch:
         out = tight_chain_search(p6, q6, budget=3)
         assert out.budget_hit and not out.found
 
+    def test_chain_longer_than_the_recursion_limit(self):
+        # delta(30) = 1680 steps, past the default recursion limit of 1000
+        p30, q30 = build_extremes(30)
+        out = tight_chain_search(p30, q30, budget=5000)
+        assert out.found and not out.budget_hit
+        assert out.explored <= 5000
+        rep = verify_chain(out.witness, p30, q30)
+        assert rep.valid and rep.tight and rep.endpoints_ok
+        assert rep.length == delta(30) == 1680
+
     def test_witness_is_tight_everywhere(self, poset_42):
         import random
 
@@ -137,7 +150,48 @@ class TestTightChainSearch:
                     == inversion_count(c) - inversion_count(a)
 
 
+def reference_monotonicity(poset):
+    """The per-pair loop the vectorised check replaced: every strict pair in
+    row-major order, a violation where the inversion count does not rise."""
+    checked = 0
+    violations = []
+    for a, c in poset.strict_pairs():
+        checked += 1
+        if poset.nu[a] >= poset.nu[c]:
+            violations.append((poset.members[a], poset.members[c]))
+    return MonotonicityReport(checked, violations)
+
+
 class TestMonotonicity:
+    def test_matches_reference_on_criterion_9_classes(
+            self, poset_221, poset_42, poset_52, small_posets):
+        for poset in (poset_221, poset_42, poset_52, *small_posets):
+            assert monotonicity_check(poset) == reference_monotonicity(poset)
+
+    def test_matches_reference_on_planted_violations(self, poset_42):
+        # claim a few pairs comparable whose inversion count falls or stays
+        nu = np.asarray(poset_42.nu)
+        leq = poset_42.leq.copy()
+        planted = [(89, 0), (40, 3), (5, 2)]
+        assert nu[89] > nu[0] and nu[40] > nu[3] and nu[5] == nu[2]
+        assert not any(leq[a, c] for a, c in planted)
+        for a, c in planted:
+            leq[a, c] = True
+        poset = ClassPoset(poset_42.margins, poset_42.members, poset_42.nu,
+                           poset_42.indptr, poset_42.targets, leq)
+        report = monotonicity_check(poset)
+        assert report == reference_monotonicity(poset)
+        assert report.pairs_checked \
+            == monotonicity_check(poset_42).pairs_checked + 3
+        members = poset_42.members
+        assert report.violations == [(members[a], members[c])
+                                     for a, c in sorted(planted)]
+
+    def test_refuses_an_interchange_dag(self):
+        dag = build_interchange_dag(MarginPair.uniform(4, 2))
+        with pytest.raises(ValueError, match="full poset"):
+            monotonicity_check(dag)
+
     def test_zero_violations_on_small_classes(self, poset_221, poset_42):
         for poset in (poset_221, poset_42):
             report = monotonicity_check(poset)
