@@ -28,6 +28,7 @@ from .enumeration import (
     ClassPoset,
     build_interchange_dag,
     build_poset,
+    count_class,
     enumerate_class,
     extremes,
 )

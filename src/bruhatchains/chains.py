@@ -409,19 +409,31 @@ def chain_to_json(chain: Chain) -> str:
 
 
 def chain_from_json_dict(data: dict) -> Chain:
+    """The chain in its JSON form.  Bad data raises MalformedChain naming
+    the field: ``start``, ``splices``, ``splices[k]``, ``steps`` or
+    ``steps[k]``."""
+    field = "start"
     try:
         start = BinaryMatrix.from_json_dict(data["start"])
-        splices = {s["at"]: BinaryMatrix.from_json_dict(s["matrix"])
-                   for s in data.get("splices", [])}
+        field, splices = "splices", {}
+        for k, s in enumerate(data.get("splices", [])):
+            field = f"splices[{k}]"
+            splices[s["at"]] = BinaryMatrix.from_json_dict(s["matrix"])
+        field = "steps"
         steps: list[Step] = []
         for k, quad in enumerate(data["steps"]):
+            field = f"steps[{k}]"
             if quad is None:
                 steps.append(BruhatStep(splices[k]))
-            else:
-                i, i2, j, j2 = quad
-                steps.append(Interchange(i, i2, j, j2, Direction.ItoL))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise MalformedChain(str(exc)) from exc
+                continue
+            i, i2, j, j2 = quad
+            if not all(type(v) is int for v in (i, i2, j, j2)):
+                raise ValueError(f"step indices must be integers: {quad}")
+            steps.append(Interchange(i, i2, j, j2, Direction.ItoL))
+    except KeyError as exc:
+        raise MalformedChain(f"{field}: missing key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise MalformedChain(f"{field}: {exc}") from exc
     return Chain(start, tuple(steps))
 
 

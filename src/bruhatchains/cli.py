@@ -145,19 +145,19 @@ def compare(first: str, second: str, budget: int, as_json: bool) -> None:
 
 @main.command(name="enumerate")
 @click.option("--margins", default=None)
-@click.option("--n", type=int, default=None)
-@click.option("--k", type=int, default=None)
+@click.option("--n", type=click.IntRange(min=1), default=None)
+@click.option("--k", type=click.IntRange(min=0), default=None)
 @click.option("--count", "count_only", is_flag=True,
               help="print only the number of members")
 @click.option("--json", "as_json", is_flag=True)
 def enumerate_members(margins, n, k, count_only, as_json) -> None:
-    """List every member of a class."""
+    """List every member of a class, or count them without enumerating."""
     started = time.monotonic()
     pair = _resolve_margins(margins, n, k)
-    members = list(enumeration.enumerate_class(pair))
     if count_only:
-        _emit("enumerate", len(members), as_json, started)
+        _emit("enumerate", enumeration.count_class(pair), as_json, started)
         return
+    members = list(enumeration.enumerate_class(pair))
     if as_json:
         _emit("enumerate", [m.to_json_dict() for m in members], True, started)
     else:
@@ -166,8 +166,8 @@ def enumerate_members(margins, n, k, count_only, as_json) -> None:
 
 @main.command()
 @click.option("--margins", default=None)
-@click.option("--n", type=int, default=None)
-@click.option("--k", type=int, default=None)
+@click.option("--n", type=click.IntRange(min=1), default=None)
+@click.option("--k", type=click.IntRange(min=0), default=None)
 @click.option("--dot", "dot_path", type=click.Path(writable=True), default=None)
 @click.option("--jsonl", "jsonl_path", type=click.Path(writable=True), default=None)
 @click.option("--json", "as_json", is_flag=True)
@@ -184,7 +184,8 @@ def poset(margins, n, k, dot_path, jsonl_path, as_json) -> None:
             fh.write(built.to_jsonl())
     summary = {
         "members": len(built),
-        "strict_arcs": int(np.count_nonzero(built.strict())),
+        # every member is below itself: strict arcs are leq less its diagonal
+        "strict_arcs": int(np.count_nonzero(built.leq)) - len(built),
         "cover_arcs": len(built.cover_pairs()),
         "minimal": len(built.minimal_indices()),
         "maximal": len(built.maximal_indices()),
@@ -262,9 +263,9 @@ def _chain_poset(pair: MarginPair) -> enumeration.ClassPoset:
 
 
 @main.command()
-@click.option("--n", type=int, default=None)
+@click.option("--n", type=click.IntRange(min=1), default=None)
 @click.option("--margins", default=None)
-@click.option("--k", type=int, default=None)
+@click.option("--k", type=click.IntRange(min=0), default=None)
 @click.option("--json", "as_json", is_flag=True)
 def longest(n, margins, k, as_json) -> None:
     """Length of the longest chain in the Bruhat order of a class."""
@@ -275,7 +276,7 @@ def longest(n, margins, k, as_json) -> None:
 
 
 @main.command()
-@click.option("--n", type=int, required=True)
+@click.option("--n", type=click.IntRange(min=1), required=True)
 @click.option("--json", "as_json", is_flag=True)
 def spectrum(n, as_json) -> None:
     """Maximum chain lengths over all (minimal, maximal) pairs."""
@@ -315,8 +316,8 @@ def tight(from_matrix, to_matrix, budget, as_json) -> None:
 
 @main.command()
 @click.option("--margins", default=None)
-@click.option("--n", type=int, default=None)
-@click.option("--k", type=int, default=None)
+@click.option("--n", type=click.IntRange(min=1), default=None)
+@click.option("--k", type=click.IntRange(min=0), default=None)
 @click.option("--json", "as_json", is_flag=True)
 def monotone(margins, n, k, as_json) -> None:
     """Check inversion monotonicity over all strict arcs of a class.

@@ -5,7 +5,8 @@ Cell (i, j) of an m x n member sits at bit m*n - 1 - (i*n + j) of its key,
 so integer order of keys is ``canonical_key`` order.  An ItoL interchange
 at rows i < i2 and columns j < j2 is a four-bit mask M with source pattern
 V: it applies to X where ``X & M == V`` and yields ``X ^ M`` (the bitboard
-idiom; Knuth, TAOCP 4A, section 7.1.3).
+idiom; Knuth, TAOCP 4A, section 7.1.3).  ``matrices.pack`` and
+``matrices.decode`` convert between a key and a ``BinaryMatrix``.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import ClassTooLarge, InfeasibleMargins
-from .matrices import BinaryMatrix, MarginPair
+from .matrices import MarginPair
 
 # The largest array the engine allocates: a row's frontier (a key and n
 # column caps per state) or the arc targets.  A(7,2) needs 47 MB for its
@@ -62,8 +63,10 @@ def enumerate_keys(margins: MarginPair) -> np.ndarray:
             bit = col_set.type(1 << j)
             open_cols[caps[:, j] > 0] |= bit
             must[caps[:, j] > m - i - 1] |= bit
+        # only a column still open in some state can take a one
+        live = [j for j in range(n) if caps[:, j].any()]
         choices = [(cols, col_set.type(sum(1 << j for j in cols)))
-                   for cols in combinations(range(n), r)]
+                   for cols in combinations(live, r)]
 
         def fits(c) -> np.ndarray:
             return ((open_cols & c) == c) & ((must & c) == must)
@@ -139,25 +142,20 @@ def interchange_arcs(keys: np.ndarray, order: np.ndarray, m: int, n: int
     return indptr, targets
 
 
-def unpack(keys: np.ndarray, m: int, n: int) -> list[BinaryMatrix]:
-    """The members as matrices, row bit j holding column j."""
-    rows = []
-    for i in range(m):
-        word = np.zeros(len(keys), np.uint64)
-        for j in range(n):
-            word |= _cell(keys, m, n, i, j) << np.uint64(j)
-        rows.append(word.tolist())
-    return [BinaryMatrix(m, n, bits) for bits in zip(*rows)]
+def sigma_table(keys: np.ndarray, m: int, n: int) -> np.ndarray:
+    """Every key's partial-sum table, one row each in the layout of
+    ``matrices._sigma``: the cells, summed down and then across."""
+    shifts = np.arange(m * n - 1, -1, -1, dtype=np.uint64)
+    cells = ((keys[:, None] >> shifts) & _ONE).astype(np.int8)
+    cells = cells.reshape(len(keys), m, n).cumsum(axis=1, dtype=np.int8)
+    return cells.cumsum(axis=2, dtype=np.int8).reshape(len(keys), m * n)
 
 
-def interchange_class(margins: MarginPair) -> tuple[
-        list[BinaryMatrix], list[int], np.ndarray, np.ndarray]:
-    """Members sorted by inversion count, ties in key order, with their
-    inversion counts and the CSR arrays (indptr, targets) of their ItoL
-    interchange arcs."""
-    m, n = margins.m, margins.n
+def ranked_class(margins: MarginPair) -> tuple[
+        np.ndarray, np.ndarray, np.ndarray]:
+    """Every member's key ascending, its inversion count, and the member
+    order: the key indices sorted stably by inversion count, so members
+    of equal count stay in key order."""
     keys = enumerate_keys(margins)
-    nu = inversion_counts(keys, m, n)
-    order = np.argsort(nu, kind="stable")
-    indptr, targets = interchange_arcs(keys, order, m, n)
-    return unpack(keys[order], m, n), nu[order].tolist(), indptr, targets
+    nu = inversion_counts(keys, margins.m, margins.n)
+    return keys, nu, np.argsort(nu, kind="stable")

@@ -1,69 +1,55 @@
-"""Exhaustive enumeration of a class with fixed margins, and its order
-digraphs (comparability and covers)."""
+"""Exhaustive enumeration and counting of a class with fixed margins, and
+its order digraphs (comparability and covers)."""
 
 from __future__ import annotations
 
 import json
+from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, combinations
+from itertools import chain, product
+from math import comb, prod
 from typing import Iterator
 
 import numpy as np
 
 from . import engine
 from .errors import InfeasibleMargins
-from .matrices import (
-    BinaryMatrix,
-    MarginPair,
-    _sigma,
-    canonical_key,
-    inversion_count,
-)
+from .matrices import BinaryMatrix, MarginPair, canonical_key, decode, pack
 
 
 def enumerate_class(margins: MarginPair) -> Iterator[BinaryMatrix]:
     """Yield every member of the class exactly once, sorted by canonical
-    key.  Row-by-row backtracking; a row placement is pruned when some
-    remaining column demand exceeds the number of rows left."""
+    key: the packed engine's keys, decoded one at a time.  A class over 64
+    cells raises ClassTooLarge, as does one whose enumeration frontier
+    would pass ``engine.MAX_ARRAY_BYTES``."""
     m, n = margins.m, margins.n
-    if any(r > n for r in margins.row_sums) or any(c > m for c in margins.col_sums):
-        raise InfeasibleMargins("a margin exceeds the opposite dimension")
+    for key in engine.enumerate_keys(margins).tolist():
+        yield decode(key, m, n)
 
-    caps = list(margins.col_sums)
-    rows: list[int] = []
-    out: list[BinaryMatrix] = []
 
-    def backtrack(i: int) -> None:
-        if i == m:
-            out.append(BinaryMatrix(m, n, tuple(rows)))
-            return
-        remaining = m - i - 1
-        open_cols = [j for j in range(n) if caps[j] > 0]
-        for chosen in combinations(open_cols, margins.row_sums[i]):
-            ok = True
-            for j in chosen:
-                caps[j] -= 1
-            for j in range(n):
-                if caps[j] > remaining:
-                    ok = False
-                    break
-            if ok:
-                mask = 0
-                for j in chosen:
-                    mask |= 1 << j
-                rows.append(mask)
-                backtrack(i + 1)
-                rows.pop()
-            for j in chosen:
-                caps[j] += 1
-
-    backtrack(0)
-    if not out:
+def count_class(margins: MarginPair) -> int:
+    """The number of members, by an exact DP over the rows that enumerates
+    nothing.  A state counts the columns at each remaining cap; a row of
+    sum r that takes k_v of the c_v columns at cap v has prod C(c_v, k_v)
+    ways.  Infeasible margins raise InfeasibleMargins."""
+    top = max(margins.col_sums, default=0)
+    states = Counter({tuple(map(margins.col_sums.count, range(top + 1))): 1})
+    for r in margins.row_sums:
+        after: Counter = Counter()
+        for state, ways in states.items():
+            for take in product(*(range(min(c, r) + 1) for c in state[1:])):
+                if sum(take) == r:
+                    moved = (0, *take, 0)  # columns leaving each cap
+                    after[tuple(c - moved[v] + moved[v + 1]
+                                for v, c in enumerate(state))] \
+                        += ways * prod(map(comb, state[1:], take))
+        states = after
+    total = sum(states.values())  # the caps total the rows: none is left
+    if not total:
         raise InfeasibleMargins("no matrix realizes these margins")
-    out.sort(key=canonical_key)
-    yield from out
+    return total
 
 
 class _ArcRows(Sequence):
@@ -81,10 +67,37 @@ class _ArcRows(Sequence):
         return self._targets[self._indptr[v]:self._indptr[v + 1]]
 
 
+class _Members(Sequence):
+    """Read-only view of keys as matrices: ``members[v]`` decodes key v on
+    its first read and keeps it, so every later read returns that object."""
+
+    def __init__(self, keys: np.ndarray, m: int, n: int) -> None:
+        self._keys, self._m, self._n = keys, m, n
+        self._slots: list[BinaryMatrix | None] = [None] * len(keys)
+
+    def __len__(self) -> int:
+        return len(self._slots)
+
+    def __getitem__(self, v: int) -> BinaryMatrix:
+        if self._slots[v] is None:
+            self._slots[v] = decode(int(self._keys[v]), self._m, self._n)
+        return self._slots[v]
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return list(self) == list(other)
+
+
 @dataclass
 class ClassPoset:
     """All members of one class, sorted by inversion count, with order arcs
     over them.
+
+    The members are stored once, as their keys (``matrices.pack``) in a
+    read-only uint64 array.  ``members`` is a read-only view that decodes
+    a key on its first read and keeps the matrix; ``index_of`` finds a
+    matrix by binary search over the keys.
 
     The arcs are stored once, in CSR form: the targets of member v are
     ``targets[indptr[v]:indptr[v + 1]]`` (int32 arrays, read-only).
@@ -100,40 +113,49 @@ class ClassPoset:
     """
 
     margins: MarginPair
-    members: list[BinaryMatrix]
+    keys: np.ndarray
     nu: list[int]
     indptr: np.ndarray
     targets: np.ndarray
     leq: np.ndarray | None = None
 
     def __post_init__(self) -> None:
+        self.keys = np.asarray(self.keys, dtype=np.uint64)
         self.indptr = np.asarray(self.indptr, dtype=np.int32)
         self.targets = np.asarray(self.targets, dtype=np.int32)
-        size = len(self.members)
+        size = len(self.keys)
         if (len(self.indptr) != size + 1 or self.indptr[0] != 0
                 or self.indptr[-1] != len(self.targets)
                 or (np.diff(self.indptr) < 0).any()
                 or len(self.targets) and (self.targets.min() < 0
                                           or self.targets.max() >= size)):
             raise ValueError("CSR arrays do not describe arcs over the members")
-        self.indptr.flags.writeable = False
-        self.targets.flags.writeable = False
+        for store in (self.keys, self.indptr, self.targets):
+            store.flags.writeable = False
+
+    @cached_property
+    def members(self) -> _Members:
+        return _Members(self.keys, self.margins.m, self.margins.n)
 
     @cached_property
     def succ(self) -> _ArcRows:
         return _ArcRows(self.indptr, self.targets)
 
     @cached_property
-    def _index(self) -> dict[BinaryMatrix, int]:
-        return {a: i for i, a in enumerate(self.members)}
+    def _by_key(self) -> np.ndarray:
+        """Member indices in key order."""
+        return np.argsort(self.keys)
 
     def __len__(self) -> int:
-        return len(self.members)
+        return len(self.keys)
 
     def index_of(self, a: BinaryMatrix) -> int:
-        if a not in self._index:
-            raise KeyError("matrix is not a member of this class")
-        return self._index[a]
+        if (a.m, a.n) == (self.margins.m, self.margins.n):
+            key = np.uint64(pack(a))
+            at = int(np.searchsorted(self.keys, key, sorter=self._by_key))
+            if at < len(self) and self.keys[self._by_key[at]] == key:
+                return int(self._by_key[at])
+        raise KeyError("matrix is not a member of this class")
 
     def strict(self) -> np.ndarray:
         """Strict comparability: a copy of ``leq`` with the diagonal
@@ -150,12 +172,12 @@ class ClassPoset:
         yield from zip(rows.tolist(), cols.tolist())
 
     def cover_pairs(self) -> list[tuple[int, int]]:
-        sources = np.repeat(np.arange(len(self.members)), np.diff(self.indptr))
+        sources = np.repeat(np.arange(len(self)), np.diff(self.indptr))
         return list(zip(sources.tolist(), self.targets.tolist()))
 
     def minimal_indices(self) -> list[int]:
         """Members with no incoming arc."""
-        has_pred = np.zeros(len(self.members), dtype=bool)
+        has_pred = np.zeros(len(self), dtype=bool)
         has_pred[self.targets] = True
         return np.flatnonzero(~has_pred).tolist()
 
@@ -198,40 +220,43 @@ def build_poset(margins: MarginPair) -> ClassPoset:
 
     Every ordered pair is tested, with no inversion-count shortcut, so the
     comparability relation stays an independent oracle for the
-    monotonicity sweeps.  A size x size matrix over
-    ``engine.MAX_ARRAY_BYTES`` is refused with ClassTooLarge before any
-    is allocated.
+    monotonicity sweeps.  Members and their tables come from the engine's
+    keys (``engine.ranked_class``, at most 64 cells).  The class is counted
+    first and, before anything is enumerated, refused with ClassTooLarge
+    when two size x size matrices would pass ``engine.MAX_ARRAY_BYTES``:
+    ``leq``, and as much again for what this build and
+    ``monotonicity_check`` hold beside it.
     """
-    members = list(enumerate_class(margins))
-    nu = [inversion_count(a) for a in members]
-    # a stable sort keeps the canonical-key order of enumerate_class on ties
-    order = sorted(range(len(members)), key=nu.__getitem__)
-    members, nu = [members[i] for i in order], [nu[i] for i in order]
-    size = len(members)
-    engine._check_budget(size * size, 1, "the comparability matrix")
-    sig = np.array([_sigma(a.bits, a.n) for a in members], dtype=np.int32)
+    size = count_class(margins)
+    engine._check_budget(size * size, 2, f"the comparability matrix "
+                         f"({size * size} bytes) and its working arrays")
+    keys, nu, order = engine.ranked_class(margins)
+    keys, nu = keys[order], nu[order].tolist()
+    sig = engine.sigma_table(keys, margins.m, margins.n)
     leq = np.zeros((size, size), dtype=bool)
     for c in range(size):
         leq[:, c] = (sig >= sig[c]).all(axis=1)
-    strict = leq.copy()
-    np.fill_diagonal(strict, False)
+    # the covers need strict comparability: clear the diagonal in place of
+    # a copy, and set it again after, since every member is below itself
+    np.fill_diagonal(leq, False)
     # pred_mask[c]: bit a set when a is strictly below c
     pred_mask = [int.from_bytes(np.packbits(col, bitorder="little").tobytes(),
-                                "little") for col in strict.T]
+                                "little") for col in leq.T]
     succ: list[list[int]] = [[] for _ in range(size)]
     for c in range(size):
-        preds = np.flatnonzero(strict[:, c]).tolist()
+        preds = np.flatnonzero(leq[:, c]).tolist()
         through = 0
         for b in preds:
             through |= pred_mask[b]
         for a in preds:
             if not (through >> a) & 1:
                 succ[a].append(c)
+    np.fill_diagonal(leq, True)
     indptr = np.zeros(size + 1, dtype=np.int32)
     np.cumsum([len(lst) for lst in succ], out=indptr[1:])
     targets = np.fromiter(chain.from_iterable(succ), dtype=np.int32,
                           count=indptr[-1])
-    return ClassPoset(margins, members, nu, indptr, targets, leq)
+    return ClassPoset(margins, keys, nu, indptr, targets, leq)
 
 
 def build_interchange_dag(margins: MarginPair) -> ClassPoset:
@@ -239,8 +264,11 @@ def build_interchange_dag(margins: MarginPair) -> ClassPoset:
     engine (at most 64 cells).  Intended for all-two square classes, where
     cover arcs are a subset of these arcs and the Bruhat order is their
     transitive closure."""
-    members, nu, indptr, targets = engine.interchange_class(margins)
-    return ClassPoset(margins, members, nu, indptr, targets)
+    keys, nu, order = engine.ranked_class(margins)
+    indptr, targets = engine.interchange_arcs(keys, order, margins.m,
+                                              margins.n)
+    return ClassPoset(margins, keys[order], nu[order].tolist(), indptr,
+                      targets)
 
 
 def extremes(poset: ClassPoset) -> tuple[list[BinaryMatrix], list[BinaryMatrix]]:

@@ -427,22 +427,30 @@ def embed(host: BinaryMatrix, row_idx: Sequence[int], col_idx: Sequence[int],
     return BinaryMatrix(host.m, host.n, tuple(bits))
 
 
-# _REVERSED_BYTE[b] is b with its eight bits in reverse order
-_REVERSED_BYTE = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
-
-
-def canonical_key(a: BinaryMatrix) -> bytes:
-    """Injective byte encoding: dimensions then row-major packed bits.
-    For equal dimensions, byte order agrees with row-major bit order."""
-    cells = a.m * a.n
+def pack(a: BinaryMatrix) -> int:
+    """The key of a matrix: its cells in row-major order read as one binary
+    number, so cell (i, j) sits at bit m*n - 1 - (i*n + j)."""
     packed = 0  # cell (i, j) at bit i*n + j
     for i, b in enumerate(a.bits):
         packed |= b << (i * a.n)
-    width = (cells + 7) // 8
-    # reverse the cells-bit word: cell (i, j) moves to bit cells-1-(i*n+j)
-    flipped = packed.to_bytes(width, "little").translate(_REVERSED_BYTE)
-    payload = (1 << cells) | int.from_bytes(flipped, "big") >> (8 * width - cells)
+    return int(format(packed, f"0{a.m * a.n}b")[::-1], 2)
+
+
+def decode(key: int, m: int, n: int) -> BinaryMatrix:
+    """The m x n matrix with this key; the inverse of ``pack``.  Written in
+    binary and reversed, the key holds cell (i, j) at (m-1-i)*n + n-1-j,
+    so the slice of row i reads in binary as its row int."""
+    cells = format(key, f"0{m * n}b")[::-1]
+    return BinaryMatrix(m, n, tuple(int(cells[k:k + n], 2)
+                                    for k in range((m - 1) * n, -1, -n)))
+
+
+def canonical_key(a: BinaryMatrix) -> bytes:
+    """Injective byte encoding: dimensions then the key (``pack``).  For
+    equal dimensions, byte order agrees with key order."""
+    cells = a.m * a.n
     # the sentinel high bit keeps leading zero rows in to_bytes
+    payload = 1 << cells | pack(a)
     return (a.m.to_bytes(2, "big") + a.n.to_bytes(2, "big")
             + payload.to_bytes(cells // 8 + 1, "big"))
 

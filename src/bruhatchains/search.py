@@ -178,15 +178,18 @@ def monotonicity_check(poset: ClassPoset) -> MonotonicityReport:
     """Scan every strict comparability arc for an inversion-count
     non-increase.  A non-empty violation list is a re-verifiable
     counterexample certificate, not a failure.  Violations come in
-    row-major (first, second) index order."""
-    strict = poset.strict()
-    nu = np.asarray(poset.nu)
-    bad = np.greater_equal.outer(nu, nu)
-    bad &= strict
-    firsts, seconds = np.nonzero(bad)
-    violations = [(poset.members[a], poset.members[c])
-                  for a, c in zip(firsts.tolist(), seconds.tolist())]
-    return MonotonicityReport(int(np.count_nonzero(strict)), violations)
+    row-major (first, second) index order.  ``leq`` is read one row at a
+    time, so nothing of its size is allocated beside it."""
+    if poset.leq is None:
+        raise ValueError("comparability needs the full poset")
+    leq, nu = poset.leq, np.asarray(poset.nu)
+    checked = int(np.count_nonzero(leq) - np.count_nonzero(leq.diagonal()))
+    violations = []
+    for a in range(len(nu)):
+        for c in np.flatnonzero(leq[a] & (nu <= nu[a])).tolist():
+            if c != a:
+                violations.append((poset.members[a], poset.members[c]))
+    return MonotonicityReport(checked, violations)
 
 
 def certificate(a: BinaryMatrix, c: BinaryMatrix) -> dict:

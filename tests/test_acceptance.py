@@ -5,6 +5,7 @@ import random
 import resource
 import time
 
+import numpy as np
 import pytest
 
 from bruhatchains import (
@@ -32,6 +33,9 @@ from bruhatchains import (
     verify_chain,
     z_matrix,
 )
+from bruhatchains import engine
+from bruhatchains.matrices import pack
+from reference import backtrack_class
 
 
 def _report(name: str, ok: bool, started: float) -> None:
@@ -197,19 +201,46 @@ def test_criterion_10_order_six_class(dag_62):
 
 
 @pytest.mark.slow
-def test_order_seven_class_longest_chain():
+def test_order_seven_class_longest_chain(monkeypatch):
     started = time.monotonic()
-    dag = build_interchange_dag(MarginPair.uniform(7, 2))
-    built = time.monotonic() - started
-    timed = time.monotonic()
+    margins = MarginPair.uniform(7, 2)
+    reference = backtrack_class(margins)
+    want = np.sort(np.fromiter(map(pack, reference), np.uint64,
+                               len(reference)))
+    del reference
+    reference_s = time.monotonic() - started
+
+    # time each engine stage inside the one build the CLI runs
+    timers, results = {}, {}
+
+    def timed(name, stage):
+        def run(*args):
+            begun = time.monotonic()
+            results[name] = stage(*args)
+            timers[name] = time.monotonic() - begun
+            return results[name]
+        return run
+
+    for name, stage in (("enumeration", "enumerate_keys"),
+                        ("nu", "inversion_counts"),
+                        ("arcs", "interchange_arcs")):
+        monkeypatch.setattr(engine, stage, timed(name, getattr(engine, stage)))
+    timed("build", build_interchange_dag)(margins)
+    dag = results.pop("build")
+    ok = bool((results.pop("enumeration") == want).all())
+    del want, results
+    timed_at = time.monotonic()
     length = longest_chain(dag)[0]
-    longest_s = time.monotonic() - timed
+    longest_s = time.monotonic() - timed_at
     spectrum = sorted(maximal_chain_spectrum(dag))
     peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     # the spectrum is recorded, not asserted: nothing predicts it
-    print(f"A(7,2): {len(dag)} members, {len(dag.targets)} arcs, built in "
-          f"{built:.1f}s; longest {length} in {longest_s:.1f}s; "
-          f"spectrum {spectrum}; peak RSS {peak_mb:.0f} MB")
-    ok = len(dag) == 3_110_940 and length == 69 == delta(7)
-    _report("A(7,2): OEIS A001499 size and longest chain delta(7)",
-            ok, started)
+    print(f"A(7,2): {len(dag)} members, {len(dag.targets)} arcs; reference "
+          f"backtracking {reference_s:.1f}s; enumeration "
+          f"{timers['enumeration']:.1f}s, nu {timers['nu']:.1f}s, arcs "
+          f"{timers['arcs']:.1f}s, build {timers['build']:.1f}s; longest "
+          f"{length} in {longest_s:.1f}s; spectrum {spectrum}; peak RSS "
+          f"{peak_mb:.0f} MB")
+    ok &= len(dag) == 3_110_940 and length == 69 == delta(7)
+    _report("A(7,2): OEIS A001499 size, keys equal to the reference "
+            "backtracking, and longest chain delta(7)", ok, started)

@@ -347,3 +347,81 @@ def test_tight_chain_longer_than_the_recursion_limit(runner, tmp_path):
     lines = dict(ln.split(": ") for ln in result.output.splitlines())
     assert (lines["found"], lines["budget_hit"]) == ("true", "false")
     assert lines["length"] == "1680"
+
+
+def _usage_error(result, option):
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+    assert f"Invalid value for '{option}'" in result.output
+
+
+@pytest.mark.parametrize("command", [["enumerate"], ["enumerate", "--count"],
+                                     ["poset"], ["monotone"], ["longest"],
+                                     ["spectrum"]])
+@pytest.mark.parametrize("n", ["0", "-1", "-7"])
+def test_order_below_one_is_a_usage_error(runner, command, n):
+    _usage_error(runner.invoke(main, [*command, "--n", n]), "--n")
+
+
+@pytest.mark.parametrize("command", [["enumerate"], ["enumerate", "--count"],
+                                     ["poset"], ["monotone"], ["longest"]])
+def test_negative_row_sum_is_a_usage_error(runner, command):
+    _usage_error(runner.invoke(main, [*command, "--n", "3", "--k", "-1"]),
+                 "--k")
+
+
+@pytest.mark.parametrize("n, count", [(7, 3_110_940), (8, 187_530_840)])
+def test_count_does_not_enumerate(runner, n, count):
+    started = time.monotonic()
+    result = runner.invoke(main, ["enumerate", "--n", str(n), "--count"])
+    assert time.monotonic() - started < 5
+    assert result.exit_code == 0
+    assert result.output.strip() == str(count)
+
+
+def test_full_poset_refused_before_enumerating(runner):
+    # A(7,2) has 3,110,940 members; the count alone refuses it
+    started = time.monotonic()
+    result = runner.invoke(main, ["poset", "--n", "7"])
+    assert time.monotonic() - started < 5
+    _one_error_line(result)
+    assert f"{engine.MAX_ARRAY_BYTES}-byte limit" in result.output
+
+
+def test_more_than_64_cells(runner):
+    # J_9 is the only member of its class, and has 81 cells
+    result = runner.invoke(main, ["enumerate", "--n", "9", "--k", "9"])
+    _one_error_line(result)
+    assert "81 cells" in result.output
+    result = runner.invoke(main, ["enumerate", "--n", "9", "--k", "9",
+                                  "--count"])
+    assert result.exit_code == 0
+    assert result.output.strip() == "1"
+
+
+_START = {"m": 2, "n": 2, "rows": ["10", "01"]}
+
+
+@pytest.mark.parametrize("chain, field", [
+    ({"start": 1}, "start"),
+    ({"steps": []}, "start"),
+    ({"start": {"m": 2, "n": 2}, "steps": []}, "start"),
+    ({"start": _START}, "steps"),
+    ({"start": _START, "steps": 3}, "steps"),
+    ({"start": _START, "steps": [[0, 1, 0, 1], [0, 1, 0]]}, "steps[1]"),
+    ({"start": _START, "steps": [[0, 1.0, 0, 1]]}, "steps[0]"),
+    ({"start": _START, "steps": [[1, 0, 0, 1]]}, "steps[0]"),
+    ({"start": _START, "steps": [None]}, "steps[0]"),
+    ({"start": _START, "steps": [None], "splices": 5}, "splices"),
+    ({"start": _START, "steps": [None], "splices": [{"at": 0}]},
+     "splices[0]"),
+    ({"start": _START, "steps": [None],
+      "splices": [{"at": 0, "matrix": _START}, {"at": [0], "matrix": _START}]},
+     "splices[1]"),
+])
+def test_malformed_chain_names_the_field(runner, chain, field):
+    result = runner.invoke(main, ["chain", "verify", "-"],
+                           input=json.dumps(chain))
+    _one_error_line(result)
+    assert result.output.startswith(f"error: {field}: ")

@@ -4,6 +4,8 @@ find_interchanges/apply_interchange on BinaryMatrix values."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bruhatchains import (
     ClassPoset,
@@ -22,7 +24,9 @@ from bruhatchains import (
     longest_chain,
     maximal_chain_spectrum,
 )
-from bruhatchains import engine
+from bruhatchains import canonical_key, engine
+from bruhatchains.matrices import decode, pack
+from reference import backtrack_class
 
 CLASSES = [
     MarginPair((2, 2, 1), (2, 2, 1)),
@@ -38,7 +42,7 @@ CLASSES = [
 def object_dag(margins):
     """The object-path reference: members sorted stably by inversion count
     from canonical-key order, and each member's interchange targets."""
-    members = list(enumerate_class(margins))
+    members = sorted(backtrack_class(margins), key=canonical_key)
     nu = [inversion_count(a) for a in members]
     order = sorted(range(len(members)), key=nu.__getitem__)
     members = [members[i] for i in order]
@@ -81,7 +85,8 @@ def test_engine_uses_all_64_bits():
     # the permutation matrices of order 8 fill every bit of the key
     margins = MarginPair.uniform(8, 1)
     dag = build_interchange_dag(margins)
-    members = sorted(enumerate_class(margins), key=inversion_count)
+    members = sorted(sorted(backtrack_class(margins), key=canonical_key),
+                     key=inversion_count)
     assert len(dag) == 40320
     assert dag.members == members
     assert dag.nu == [inversion_count(a) for a in members]
@@ -91,7 +96,7 @@ def test_engine_nu_equals_inversion_count_on_a52():
     margins = MarginPair.uniform(5, 2)
     keys = engine.enumerate_keys(margins)
     nu = engine.inversion_counts(keys, 5, 5)
-    members = engine.unpack(keys, 5, 5)
+    members = [decode(key, 5, 5) for key in keys.tolist()]
     assert len(members) == 2040
     assert nu.tolist() == [inversion_count(a) for a in members]
 
@@ -182,7 +187,8 @@ def test_arc_store_is_read_only():
 def test_csr_must_describe_arcs_over_members(indptr, targets):
     a, c = _equal_nu_pair()
     with pytest.raises(ValueError, match="CSR"):
-        ClassPoset(a.margins(), [a, c], [1, 1], indptr, targets)
+        ClassPoset(a.margins(), [pack(a), pack(c)], [1, 1],
+                   indptr, targets)
 
 
 def _equal_nu_pair():
@@ -196,7 +202,8 @@ def _equal_nu_pair():
 def test_equal_nu_arc_raises():
     a, c = _equal_nu_pair()
     nu = inversion_count(a)
-    poset = ClassPoset(a.margins(), [a, c], [nu, nu], [0, 1, 1], [1])
+    poset = ClassPoset(a.margins(), [pack(a), pack(c)],
+                       [nu, nu], [0, 1, 1], [1])
     with pytest.raises(ValueError, match=f"arc 0 -> 1 .*nu {nu} -> {nu}"):
         longest_chain(poset)
     with pytest.raises(ValueError, match="arc 0 -> 1"):
@@ -205,7 +212,8 @@ def test_equal_nu_arc_raises():
 
 def test_members_out_of_nu_order_raise():
     a, c = _equal_nu_pair()
-    poset = ClassPoset(a.margins(), [a, c], [2, 1], [0, 0, 0], [])
+    poset = ClassPoset(a.margins(), [pack(a), pack(c)],
+                       [2, 1], [0, 0, 0], [])
     with pytest.raises(ValueError, match="not sorted"):
         longest_chain(poset)
 
@@ -229,3 +237,50 @@ def test_dag_and_full_poset_agree_on_all_two_classes(n):
     assert dag.nu == full.nu
     assert longest_chain(dag)[0] == longest_chain(full)[0]
     assert maximal_chain_spectrum(dag) == maximal_chain_spectrum(full)
+
+
+REFERENCE_CLASSES = [
+    *(MarginPair.uniform(n, 2) for n in range(2, 7)),
+    *(MarginPair.uniform(n, 1) for n in range(1, 6)),
+    # zero-sum rows and columns
+    MarginPair((0, 2, 1, 0), (1, 1, 1)),
+    MarginPair((2, 0, 1), (1, 0, 1, 1)),
+    MarginPair((0, 0), (0, 0, 0)),
+    # 1 x n and n x 1, up to the full 64 cells
+    MarginPair((3,), (1, 1, 0, 1)),
+    MarginPair((1, 1, 0, 1), (3,)),
+    MarginPair((32,), (1, 0) * 32),
+    MarginPair((0, 1) * 32, (32,)),
+]
+
+
+def reference_members(margins):
+    return sorted(backtrack_class(margins), key=canonical_key)
+
+
+@pytest.mark.parametrize("margins", REFERENCE_CLASSES, ids=str)
+def test_engine_members_match_backtracking(margins):
+    assert list(enumerate_class(margins)) == reference_members(margins)
+
+
+def test_engine_members_match_backtracking_on_criterion_9_classes(
+        small_posets):
+    for poset in small_posets:
+        want = reference_members(poset.margins)
+        assert list(enumerate_class(poset.margins)) == want
+        assert sorted(poset.members, key=canonical_key) == want
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_pack_and_decode_are_inverses(data):
+    m = data.draw(st.integers(1, 64))
+    n = data.draw(st.integers(1, 64 // m))
+    key = data.draw(st.integers(0, (1 << m * n) - 1))
+    a = decode(key, m, n)
+    assert (a.m, a.n) == (m, n)
+    assert pack(a) == key
+    assert decode(pack(a), m, n) == a
+    # key bit m*n - 1 - (i*n + j) holds cell (i, j)
+    assert all(a.get(i, j) == key >> (m * n - 1 - (i * n + j)) & 1
+               for i in range(m) for j in range(n))

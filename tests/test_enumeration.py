@@ -3,6 +3,7 @@ independent brute-force filter over all bit patterns."""
 
 import math
 import tracemalloc
+from fractions import Fraction
 from itertools import product
 
 import numpy as np
@@ -18,11 +19,15 @@ from bruhatchains import (
     build_poset,
     bruhat_leq,
     canonical_key,
+    count_class,
     enumerate_class,
     extremes,
     inversion_count,
+    monotonicity_check,
 )
 from bruhatchains import engine
+from bruhatchains.matrices import decode, pack
+from reference import backtrack_class
 
 A221_MEMBERS = [
     BinaryMatrix.from_rows(rows)
@@ -128,12 +133,13 @@ class TestBuildPoset:
                 assert not ((a, b) in covers and (b, c) in covers)
 
     def test_cap(self, monkeypatch):
-        # A(4,2) has 90 members: its comparability matrix is 90^2 bytes
-        monkeypatch.setattr(engine, "MAX_ARRAY_BYTES", 90 * 90 - 1)
-        with pytest.raises(ClassTooLarge, match="8100 bytes, over the "
-                                                "8099-byte limit"):
+        # A(4,2) has 90 members: its comparability matrix is 90^2 bytes,
+        # and the check counts it twice, for the working arrays beside it
+        monkeypatch.setattr(engine, "MAX_ARRAY_BYTES", 2 * 90 * 90 - 1)
+        with pytest.raises(ClassTooLarge, match="16200 bytes, over the "
+                                                "16199-byte limit"):
             build_poset(MarginPair.uniform(4, 2))
-        monkeypatch.setattr(engine, "MAX_ARRAY_BYTES", 90 * 90)
+        monkeypatch.setattr(engine, "MAX_ARRAY_BYTES", 2 * 90 * 90)
         assert len(build_poset(MarginPair.uniform(4, 2))) == 90
 
     def test_refused_before_any_square_array(self, monkeypatch):
@@ -235,3 +241,110 @@ class TestExports:
             == {canonical_key(a).hex() for a in poset_221.members}
         total_covers = sum(len(r["covers"]) for r in rows)
         assert total_covers == len(poset_221.cover_pairs())
+
+
+def a001499(n: int) -> int:
+    """OEIS A001499, n x n (0,1)-matrices with every row and column sum 2,
+    from its closed form."""
+    f = math.factorial
+    return int(sum(Fraction((-1) ** k * f(n) ** 2 * f(2 * n - 2 * k),
+                            f(k) * f(n - k) ** 2 * 2 ** (2 * n - k))
+                   for k in range(n + 1)))
+
+
+class TestCountClass:
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_a001499(self, n):
+        want = a001499(n)
+        if want == 0:
+            with pytest.raises(InfeasibleMargins):
+                count_class(MarginPair.uniform(n, 2))
+        else:
+            assert count_class(MarginPair.uniform(n, 2)) == want
+
+    def test_reference_length_on_criterion_9_classes(self, small_posets):
+        for poset in small_posets:
+            assert count_class(poset.margins) \
+                == len(backtrack_class(poset.margins)) == len(poset)
+
+    def test_infeasible(self):
+        for margins in (MarginPair((2, 0), (0, 2)), MarginPair((2, 2), (3, 1)),
+                        MarginPair((3, 3, 0), (3, 2, 1))):
+            with pytest.raises(InfeasibleMargins):
+                count_class(margins)
+
+    def test_counts_past_64_cells(self):
+        assert count_class(MarginPair.uniform(9, 9)) == 1
+        assert count_class(MarginPair.uniform(9, 1)) == math.factorial(9)
+
+
+class TestMembersView:
+    def test_index_of_every_member(self, poset_52):
+        for i, a in enumerate(poset_52.members):
+            assert poset_52.index_of(a) == i
+            # an equal matrix, not the stored object
+            assert poset_52.index_of(BinaryMatrix(a.m, a.n, a.bits)) == i
+
+    def test_index_of_refuses_non_members(self, poset_52):
+        with pytest.raises(KeyError):
+            poset_52.index_of(BinaryMatrix.from_rows(["10000"] * 5))
+        # another shape whose key is a member's key
+        key = int(poset_52.keys[7])
+        for m, n in ((1, 25), (25, 1), (4, 4)):
+            other = decode(key & ((1 << m * n) - 1), m, n)
+            with pytest.raises(KeyError):
+                poset_52.index_of(other)
+        with pytest.raises(KeyError):
+            poset_52.index_of(decode(key, 1, 25))
+
+    def test_members_cannot_be_written(self, poset_221):
+        with pytest.raises(TypeError):
+            poset_221.members[0] = poset_221.members[1]
+        with pytest.raises(TypeError):
+            del poset_221.members[0]
+        with pytest.raises(ValueError):
+            poset_221.keys[0] = 0
+        assert not hasattr(poset_221.members, "append")
+
+    def test_a_decoded_member_is_kept(self):
+        dag = build_interchange_dag(MarginPair.uniform(4, 2))
+        first = dag.members[5]
+        assert dag.members[5] is first
+        assert dag.members[-85] is first
+        assert list(dag.members)[5] is first
+
+    def test_members_decode_the_keys(self, poset_42):
+        assert [pack(a) for a in poset_42.members] \
+            == poset_42.keys.tolist()
+
+
+class TestOversizeClass:
+    """A class over 64 cells is refused on every path that enumerates."""
+
+    MARGINS = MarginPair.uniform(9, 9)  # one member, 81 cells
+
+    def test_enumerate_class(self):
+        with pytest.raises(ClassTooLarge, match="81 cells"):
+            list(enumerate_class(self.MARGINS))
+
+    def test_build_poset(self):
+        with pytest.raises(ClassTooLarge, match="81 cells"):
+            build_poset(self.MARGINS)
+
+
+def test_peaks_stay_under_the_checked_bytes():
+    # build_poset admits A(5,2) by counting two 2040 x 2040 bool arrays;
+    # neither it nor monotonicity_check, with leq still held, may go past
+    checked = 2 * 2040 * 2040
+    tracemalloc.start()
+    try:
+        poset = build_poset(MarginPair.uniform(5, 2))
+        _, build_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        report = monotonicity_check(poset)
+        _, check_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.pairs_checked == 752_695
+    assert build_peak < checked
+    assert check_peak < checked

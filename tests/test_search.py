@@ -23,6 +23,7 @@ from bruhatchains import (
     tight_chain_search,
     verify_chain,
 )
+from bruhatchains.matrices import pack
 
 A221_A1 = BinaryMatrix.from_rows(["110", "110", "001"])
 A221_A4 = BinaryMatrix.from_rows(["101", "110", "010"])
@@ -76,7 +77,7 @@ class TestLongestChain:
     def test_backward_arc_raises(self):
         lo, hi = A221_A1, A221_A5
         # CSR arcs: member 0 has none, member 1 has one, back to 0
-        poset = ClassPoset(lo.margins(), [lo, hi],
+        poset = ClassPoset(lo.margins(), [pack(lo), pack(hi)],
                            [inversion_count(lo), inversion_count(hi)],
                            [0, 0, 1], [0])
         with pytest.raises(ValueError, match="arc 1 -> 0"):
@@ -177,7 +178,7 @@ class TestMonotonicity:
         assert not any(leq[a, c] for a, c in planted)
         for a, c in planted:
             leq[a, c] = True
-        poset = ClassPoset(poset_42.margins, poset_42.members, poset_42.nu,
+        poset = ClassPoset(poset_42.margins, poset_42.keys, poset_42.nu,
                            poset_42.indptr, poset_42.targets, leq)
         report = monotonicity_check(poset)
         assert report == reference_monotonicity(poset)
