@@ -43,16 +43,26 @@ def _check_budget(count: int, per_item: int, what: str) -> None:
             f"{MAX_ARRAY_BYTES}-byte limit")
 
 
-def enumerate_keys(margins: MarginPair) -> np.ndarray:
-    """Every member's key, ascending.  Rows are placed one at a time over a
-    frontier of (key, column caps) states; a row choice must use only open
-    columns and every column whose cap exceeds the rows left after it."""
+def check_cells(margins: MarginPair) -> None:
     m, n = margins.m, margins.n
     if m * n > 64:
         raise ClassTooLarge(
             f"a {m}x{n} class has {m * n} cells; packed keys hold 64")
-    if any(r > n for r in margins.row_sums) or any(c > m for c in margins.col_sums):
+
+
+def check_margins(margins: MarginPair) -> None:
+    if (any(r > margins.n for r in margins.row_sums)
+            or any(c > margins.m for c in margins.col_sums)):
         raise InfeasibleMargins("a margin exceeds the opposite dimension")
+
+
+def enumerate_keys(margins: MarginPair) -> np.ndarray:
+    """Every member's key, ascending.  Rows are placed one at a time over a
+    frontier of (key, column caps) states; a row choice must use only open
+    columns and every column whose cap exceeds the rows left after it."""
+    check_cells(margins)
+    check_margins(margins)
+    m, n = margins.m, margins.n
     keys = np.zeros(1, np.uint64)
     caps = np.array([margins.col_sums], np.int8)
     col_set = np.min_scalar_type((1 << n) - 1)  # n bits, column j at bit j
@@ -107,14 +117,13 @@ def inversion_counts(keys: np.ndarray, m: int, n: int) -> np.ndarray:
     return nu
 
 
-def interchange_arcs(keys: np.ndarray, order: np.ndarray, m: int, n: int
+def interchange_arcs(keys: np.ndarray, rank: np.ndarray, m: int, n: int
                      ) -> tuple[np.ndarray, np.ndarray]:
-    """CSR arcs over member indices, member k holding key ``keys[order[k]]``:
-    an arc from each member to the result of each ItoL interchange that
-    applies to it.  A counting pass sizes every member's slot before the
-    targets are filled in."""
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
+    """CSR arcs over members, member v holding key ``keys[v]`` and
+    ``rank[k]`` the member with the k-th smallest key: an arc from each
+    member to the result of each ItoL interchange that applies to it.  A
+    counting pass sizes every member's slot before the targets are filled
+    in."""
     moves = []
     for i, i2 in combinations(range(m), 2):
         for j, j2 in combinations(range(n), 2):
@@ -126,10 +135,11 @@ def interchange_arcs(keys: np.ndarray, order: np.ndarray, m: int, n: int
         counts[np.flatnonzero((keys & mask) == pattern)] += 1
     _check_budget(int(counts.sum()), 4, "the interchange arcs")
     indptr = np.zeros(len(keys) + 1, np.int32)
-    np.cumsum(counts[order], out=indptr[1:])
+    np.cumsum(counts, out=indptr[1:])
     del counts
     targets = np.empty(int(indptr[-1]), np.int32)
-    cursor = indptr[rank]
+    # by key from here on: the sources in key order find targets by search
+    keys, cursor = keys[rank], indptr[rank]
     for mask, pattern in moves:
         p = np.flatnonzero((keys & mask) == pattern)
         moved = keys[p] ^ mask
@@ -153,9 +163,12 @@ def sigma_table(keys: np.ndarray, m: int, n: int) -> np.ndarray:
 
 def ranked_class(margins: MarginPair) -> tuple[
         np.ndarray, np.ndarray, np.ndarray]:
-    """Every member's key ascending, its inversion count, and the member
-    order: the key indices sorted stably by inversion count, so members
-    of equal count stay in key order."""
+    """The members' keys and inversion counts, sorted stably by inversion
+    count so members of equal count stay in key order, and the rank:
+    ``rank[k]`` is the member with the k-th smallest key."""
     keys = enumerate_keys(margins)
     nu = inversion_counts(keys, margins.m, margins.n)
-    return keys, nu, np.argsort(nu, kind="stable")
+    order = np.argsort(nu, kind="stable")
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return keys[order], nu[order], rank

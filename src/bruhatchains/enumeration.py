@@ -34,6 +34,7 @@ def count_class(margins: MarginPair) -> int:
     nothing.  A state counts the columns at each remaining cap; a row of
     sum r that takes k_v of the c_v columns at cap v has prod C(c_v, k_v)
     ways.  Infeasible margins raise InfeasibleMargins."""
+    engine.check_margins(margins)  # so no cap passes the rows
     top = max(margins.col_sums, default=0)
     states = Counter({tuple(map(margins.col_sums.count, range(top + 1))): 1})
     for r in margins.row_sums:
@@ -78,7 +79,9 @@ class _Members(Sequence):
     def __len__(self) -> int:
         return len(self._slots)
 
-    def __getitem__(self, v: int) -> BinaryMatrix:
+    def __getitem__(self, v):
+        if isinstance(v, slice):
+            return [self[i] for i in range(*v.indices(len(self)))]
         if self._slots[v] is None:
             self._slots[v] = decode(int(self._keys[v]), self._m, self._n)
         return self._slots[v]
@@ -221,17 +224,17 @@ def build_poset(margins: MarginPair) -> ClassPoset:
     Every ordered pair is tested, with no inversion-count shortcut, so the
     comparability relation stays an independent oracle for the
     monotonicity sweeps.  Members and their tables come from the engine's
-    keys (``engine.ranked_class``, at most 64 cells).  The class is counted
-    first and, before anything is enumerated, refused with ClassTooLarge
-    when two size x size matrices would pass ``engine.MAX_ARRAY_BYTES``:
-    ``leq``, and as much again for what this build and
-    ``monotonicity_check`` hold beside it.
+    keys (``engine.ranked_class``), so a class over 64 cells is refused at
+    once.  The class is counted next and, before anything is enumerated,
+    refused with ClassTooLarge when two size x size matrices would pass
+    ``engine.MAX_ARRAY_BYTES``: ``leq``, and as much again for what this
+    build and ``monotonicity_check`` hold beside it.
     """
+    engine.check_cells(margins)
     size = count_class(margins)
     engine._check_budget(size * size, 2, f"the comparability matrix "
                          f"({size * size} bytes) and its working arrays")
-    keys, nu, order = engine.ranked_class(margins)
-    keys, nu = keys[order], nu[order].tolist()
+    keys, nu, _ = engine.ranked_class(margins)
     sig = engine.sigma_table(keys, margins.m, margins.n)
     leq = np.zeros((size, size), dtype=bool)
     for c in range(size):
@@ -256,7 +259,7 @@ def build_poset(margins: MarginPair) -> ClassPoset:
     np.cumsum([len(lst) for lst in succ], out=indptr[1:])
     targets = np.fromiter(chain.from_iterable(succ), dtype=np.int32,
                           count=indptr[-1])
-    return ClassPoset(margins, keys, nu, indptr, targets, leq)
+    return ClassPoset(margins, keys, nu.tolist(), indptr, targets, leq)
 
 
 def build_interchange_dag(margins: MarginPair) -> ClassPoset:
@@ -264,11 +267,9 @@ def build_interchange_dag(margins: MarginPair) -> ClassPoset:
     engine (at most 64 cells).  Intended for all-two square classes, where
     cover arcs are a subset of these arcs and the Bruhat order is their
     transitive closure."""
-    keys, nu, order = engine.ranked_class(margins)
-    indptr, targets = engine.interchange_arcs(keys, order, margins.m,
-                                              margins.n)
-    return ClassPoset(margins, keys[order], nu[order].tolist(), indptr,
-                      targets)
+    keys, nu, rank = engine.ranked_class(margins)
+    indptr, targets = engine.interchange_arcs(keys, rank, margins.m, margins.n)
+    return ClassPoset(margins, keys, nu.tolist(), indptr, targets)
 
 
 def extremes(poset: ClassPoset) -> tuple[list[BinaryMatrix], list[BinaryMatrix]]:

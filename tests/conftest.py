@@ -1,3 +1,4 @@
+import resource
 from itertools import product
 
 import pytest
@@ -13,6 +14,28 @@ from bruhatchains import (
 # wall-clock deadlines make the property tests flaky on loaded machines
 settings.register_profile("default", deadline=None)
 settings.load_profile("default")
+
+
+@pytest.fixture
+def memory_cap():
+    """Cap this process's address space 1 GiB above its size now, so an
+    input that must be refused before anything sized by it is built fails
+    with MemoryError, not by filling the machine, if the refusal breaks."""
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    try:
+        with open("/proc/self/statm") as fh:  # Linux: size in pages first
+            size = int(fh.read().split()[0]) * resource.getpagesize()
+    except OSError:
+        yield
+        return
+    cap = size + (1 << 30)
+    if hard != resource.RLIM_INFINITY:
+        cap = min(cap, hard)
+    resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+    try:
+        yield
+    finally:
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
 
 
 @pytest.fixture(scope="session")

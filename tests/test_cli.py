@@ -400,6 +400,22 @@ def test_more_than_64_cells(runner):
     assert result.output.strip() == "1"
 
 
+@pytest.mark.parametrize("args", [
+    ["poset", "--margins", "1000000000/1000000000"],
+    ["monotone", "--margins", "1000000000/1000000000"],
+    ["longest", "--margins", "1000000000/1000000000"],
+    ["enumerate", "--n", "1", "--k", "1000000000"],
+    ["enumerate", "--n", "1", "--k", "1000000000", "--count"],
+])
+def test_margin_over_the_opposite_dimension(runner, memory_cap, args):
+    # refused before the count builds a table as long as the margin
+    started = time.monotonic()
+    result = runner.invoke(main, args)
+    assert time.monotonic() - started < 5
+    _one_error_line(result)
+    assert "a margin exceeds the opposite dimension" in result.output
+
+
 _START = {"m": 2, "n": 2, "rows": ["10", "01"]}
 
 

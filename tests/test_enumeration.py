@@ -273,6 +273,13 @@ class TestCountClass:
             with pytest.raises(InfeasibleMargins):
                 count_class(margins)
 
+    def test_margin_over_the_opposite_dimension(self, memory_cap):
+        for margins in (MarginPair((10**9,), (10**9,)),
+                        MarginPair((3, 0), (2, 1)),
+                        MarginPair((10**9, 0), (10**9 - 1, 1))):
+            with pytest.raises(InfeasibleMargins, match="opposite dimension"):
+                count_class(margins)
+
     def test_counts_past_64_cells(self):
         assert count_class(MarginPair.uniform(9, 9)) == 1
         assert count_class(MarginPair.uniform(9, 1)) == math.factorial(9)
@@ -312,6 +319,16 @@ class TestMembersView:
         assert dag.members[5] is first
         assert dag.members[-85] is first
         assert list(dag.members)[5] is first
+
+    def test_members_slice(self):
+        dag = build_interchange_dag(MarginPair.uniform(4, 2))
+        # a slice of a fresh view decodes, as reading one member does
+        assert dag.members[:3] == [decode(k, 4, 4) for k in
+                                   dag.keys[:3].tolist()]
+        every = list(dag.members)
+        for cut in (slice(3), slice(-4, None), slice(1, 40, 3),
+                    slice(None, None, -7), slice(200, None)):
+            assert dag.members[cut] == every[cut]
 
     def test_members_decode_the_keys(self, poset_42):
         assert [pack(a) for a in poset_42.members] \
