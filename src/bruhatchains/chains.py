@@ -1,6 +1,6 @@
 """Chain values, the distinguished minimal/maximal matrices P_n and Q_n,
-the tabulated base chains, the recursive maximum-chain constructions, and
-the closed-form extremal quantities."""
+the tabulated base chains, the maximum-chain constructions, and the
+closed-form extremal quantities."""
 
 from __future__ import annotations
 
@@ -10,6 +10,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Sequence, Union
 
+from . import engine
 from .errors import (
     MalformedChain,
     MarginMismatch,
@@ -275,10 +276,9 @@ def z_matrix() -> BinaryMatrix:
 
 
 def chain_p5_q5() -> Chain:
-    """Length-29 interchange chain from P_5 to Q_5 (the two tabulated
-    chains concatenated)."""
-    first, second = tabulated_chains_5()
-    return first.concat(second)
+    """Length-29 interchange chain from P_5 to Q_5: the two tabulated
+    chains joined at Z."""
+    return _chain_from_table(_TABLE_P5_TO_Z + _TABLE_Z_TO_Q5[1:])
 
 
 # The length-16 tight chain from P_4 to Q_4.  Its existence is known; the
@@ -310,44 +310,50 @@ def chain_y_to_q5() -> Chain:
     return Chain(y, (BruhatStep(z_matrix()),) + second.steps)
 
 
-# --- recursive constructions --------------------------------------------
+# --- maximum-chain constructions ----------------------------------------
 
 
-def _map_steps(steps: Sequence[Step], host: BinaryMatrix,
-               rows: Sequence[int], cols: Sequence[int]) -> tuple[list[Step], BinaryMatrix]:
-    """Reindex sub-chain steps into a host window, and replay them there.
-    A jump target fills the window of the host: nothing outside the window
-    moves, so this is the full state after the jump."""
-    out: list[Step] = [
+def _place(state: list[int], width: int, steps: Sequence[Step],
+           rows: Sequence[int], cols: Sequence[int], out: list[Step]) -> None:
+    """Reindex sub-chain steps into the rows x cols window of the running
+    state, then apply them to it once (``_replay``) and append them to out.
+    A jump target fills the window of the state the window starts from:
+    nothing outside the window moves, so this is the full state after the
+    jump."""
+    mapped = [
         Interchange(rows[s.i], rows[s.i2], cols[s.j], cols[s.j2], s.direction)
         if isinstance(s, Interchange)
-        else BruhatStep(embed(host, rows, cols, s.target))
+        else BruhatStep(embed(BinaryMatrix(len(state), width, tuple(state)),
+                              rows, cols, s.target))
         for s in steps]
-    return out, Chain(host, tuple(out)).end
+    out.extend(_replay(state, width, mapped))
+
+
+def _even_rounds(state: list[int], width: int, n: int, shift: int,
+                 out: list[Step]) -> None:
+    """The rounds of the even construction of order n (see ``chain_even``)
+    on rows 0..n-1 and columns shift..shift+n-1."""
+    base = base_chain_4().steps
+    for m in range(4, n + 1, 2):
+        for r in range(1, m // 2):
+            _place(state, width, base, (2 * r - 2, 2 * r - 1, m - 2, m - 1),
+                   range(shift + m - 2 * r - 2, shift + m - 2 * r + 2), out)
 
 
 @lru_cache(maxsize=None)
 def chain_even(n: int) -> Chain:
     """Chain of length 2n(n-2) from P_n to Q_n, for even n >= 4.
 
-    Recursive: lift the order n-2 chain through a direct sum with the
-    all-ones 2x2 block, then walk that block to the top-right corner by
-    n/2 - 1 embedded copies of the length-16 base chain on sliding 4x4
-    windows."""
+    Built in rounds over one running state, from P_n.  Round m = 4, 6,
+    ..., n walks the all-ones 2x2 block at rows m-2, m-1 to the top-right
+    corner of the leading m x m block by m/2 - 1 copies of the length-16
+    base chain, copy r on rows 2r-2, 2r-1, m-2, m-1 and columns
+    m-2r-2 .. m-2r+1.  Round 4 is the base chain itself."""
     if n < 4 or n % 2:
         raise UnsupportedOrder("even construction needs even n >= 4")
-    if n == 4:
-        return base_chain_4()
-    inner = chain_even(n - 2)
     p_n, _ = build_extremes(n)
-    steps: list[Step] = list(inner.steps)  # indices unchanged by the lift
-    cur = direct_sum([inner.end, J2])
-    base = base_chain_4()
-    for r in range(1, n // 2):
-        rows = (2 * r - 2, 2 * r - 1, n - 2, n - 1)
-        cols = tuple(range(n - 2 * r - 2, n - 2 * r + 2))
-        mapped, cur = _map_steps(base.steps, cur, rows, cols)
-        steps.extend(mapped)
+    state, steps = list(p_n.bits), []
+    _even_rounds(state, n, n, 0, steps)
     return Chain(p_n, tuple(steps))
 
 
@@ -356,35 +362,39 @@ def chain_odd(n: int) -> Chain:
     """Chain of length 2n(n-2)-1 from P_n to Q_n, for odd n >= 5.
 
     The length-29 chain runs on the trailing 5x5 block; the 3x3 reversed
-    block then migrates to the bottom-left corner through (n-5)/2 embedded
-    copies of the length-24 mixed chain on sliding 5-row windows; the even
-    construction of order n-3 finishes in the top-right block."""
+    block then migrates to the bottom-left corner through (n-5)/2 copies
+    of the length-24 mixed chain on sliding 5-row windows; the rounds of
+    the even construction of order n-3 finish on rows 0..n-4 and columns
+    3..n-1."""
     if n < 5 or n % 2 == 0:
         raise UnsupportedOrder("odd construction needs odd n >= 5")
-    if n == 5:
-        return chain_p5_q5()
     k = (n - 5) // 2
     p_n, _ = build_extremes(n)
-    base29 = chain_p5_q5()
-    window = tuple(range(2 * k, n))
-    steps, cur = _map_steps(base29.steps, p_n, window, window)
-    y_chain = chain_y_to_q5()
+    state, steps = list(p_n.bits), []
+    _place(state, n, chain_p5_q5().steps, range(2 * k, n), range(2 * k, n),
+           steps)
+    y_steps = chain_y_to_q5().steps
     for t in range(1, k + 1):
         rows = (2 * k - 2 * t, 2 * k - 2 * t + 1, n - 3, n - 2, n - 1)
-        cols = tuple(range(2 * k - 2 * t, 2 * k - 2 * t + 5))
-        mapped, cur = _map_steps(y_chain.steps, cur, rows, cols)
-        steps.extend(mapped)
-    even = chain_even(n - 3)
-    mapped, cur = _map_steps(even.steps, cur,
-                             tuple(range(n - 3)), tuple(range(3, n)))
-    steps.extend(mapped)
+        _place(state, n, y_steps, rows,
+               range(2 * k - 2 * t, 2 * k - 2 * t + 5), steps)
+    _even_rounds(state, n, n - 3, 3, steps)
     return Chain(p_n, tuple(steps))
 
 
+# What `chain build` holds per step at its peak: the chain, its JSON dict
+# and its JSON text, about 380 bytes under tracemalloc at n = 100.
+_STEP_BYTES = 384
+
+
 def build_chain(n: int) -> Chain:
-    """Dispatch to the even or odd construction."""
+    """Dispatch to the even or odd construction.  An order whose delta(n)
+    steps would pass ``engine.MAX_ARRAY_BYTES`` at ``_STEP_BYTES`` each is
+    refused with ClassTooLarge before anything is built."""
     if n < 4:
         raise UnsupportedOrder("chain construction needs n >= 4")
+    engine._check_budget(delta(n), _STEP_BYTES,
+                         f"the {delta(n)} steps of the order-{n} chain")
     return chain_even(n) if n % 2 == 0 else chain_odd(n)
 
 

@@ -12,6 +12,7 @@ idiom; Knuth, TAOCP 4A, section 7.1.3).  ``matrices.pack`` and
 from __future__ import annotations
 
 from itertools import combinations
+from math import comb
 
 import numpy as np
 
@@ -75,6 +76,10 @@ def enumerate_keys(margins: MarginPair) -> np.ndarray:
             must[caps[:, j] > m - i - 1] |= bit
         # only a column still open in some state can take a one
         live = [j for j in range(n) if caps[:, j].any()]
+        # a choice holds a tuple of r columns, its mask and the pair of
+        # them: under 128 + 8r bytes (tracemalloc)
+        _check_budget(comb(len(live), r), 128 + 8 * r,
+                      f"the column choices for row {i + 1}")
         choices = [(cols, col_set.type(sum(1 << j for j in cols)))
                    for cols in combinations(live, r)]
 

@@ -170,9 +170,14 @@ class ClassPoset:
         return strict
 
     def strict_pairs(self) -> Iterator[tuple[int, int]]:
-        """All ordered pairs (a, c) with a strictly below c."""
-        rows, cols = np.nonzero(self.strict())
-        yield from zip(rows.tolist(), cols.tolist())
+        """All ordered pairs (a, c) with a strictly below c, read from
+        ``leq`` one row at a time."""
+        if self.leq is None:
+            raise ValueError("comparability needs the full poset")
+        for a, row in enumerate(self.leq):
+            for c in np.flatnonzero(row).tolist():
+                if c != a:
+                    yield a, c
 
     def cover_pairs(self) -> list[tuple[int, int]]:
         sources = np.repeat(np.arange(len(self)), np.diff(self.indptr))

@@ -1,9 +1,12 @@
-"""Chain values, the tabulated chains, the recursive constructions, and
-the closed-form extremal quantities."""
+"""Chain values, the tabulated chains, the maximum-chain constructions,
+and the closed-form extremal quantities."""
+
+import hashlib
 
 import pytest
 
 from bruhatchains import chains as chains_module
+from bruhatchains import engine
 from bruhatchains import (
     F3,
     F3R,
@@ -11,6 +14,7 @@ from bruhatchains import (
     BinaryMatrix,
     BruhatStep,
     Chain,
+    ClassTooLarge,
     Direction,
     Interchange,
     MalformedChain,
@@ -156,14 +160,14 @@ class TestRecursiveConstructions:
         assert rep.valid and rep.endpoints_ok and rep.tight
 
     def test_round_structure_n8(self):
-        # the lift contributes the n=6 chain, then three embedded copies
-        # of the length-16 base chain
+        # rounds 4 and 6 give the n=6 chain, then round 8 places three
+        # copies of the length-16 base chain
         chain = chain_even(8)
         assert chain.length == 48 + 16 * 3 == 96
 
     def test_round_structure_n9(self):
         # 29 on the trailing block, two mixed rounds of 24, then the even
-        # construction of order 6
+        # rounds of order 6
         chain = chain_odd(9)
         assert chain.length == 29 + 24 * 2 + 48 == 125
         jumps = [k for k, s in enumerate(chain.steps)
@@ -190,6 +194,82 @@ class TestRecursiveConstructions:
         assert build_chain(7).length == delta(7)
         with pytest.raises(UnsupportedOrder):
             build_chain(3)
+
+
+# sha256 of chain_to_json(build_chain(n)) as the earlier recursive
+# construction emitted it: the one-pass build matches it step for step
+_CHAIN_DIGESTS = {
+    4: "e5738c1eca354eb20f5e40c6e9a3e27f4be7e00e4d05b5c723f329d01bbd065f",
+    5: "27a741ccdeefb353d7529a2a171d290661313d4248cf7434d448ad797126692b",
+    6: "c9dab2063e938dd4667b511bb33c0a06e3214623d0b2e66f7e4f4c4c2ddb0c21",
+    7: "af8085ef9f2f6b48654de35568495d6380efda9f41acb1f181136259d60cfaa1",
+    8: "39db86c99ddedd2af757b7a50314cf808ee25be12ec20c371e9d5a4ca4bd794e",
+    9: "5066b79485a99cc3c1cfdd7b53bdf72c0a274819402f197cb8954678315f38fe",
+    10: "d58d48fb184196e8fcb427203853b52e7c2450231095145c325953426cb4b8ab",
+    11: "3fc36ec0dd28eae59ca3c82b23cd9c160fad837682d2d3e1ed822232bdc9e44c",
+    12: "da7547cc240c0b003a659752475007578fd09c0036eabbd603eebfaf14991a5f",
+    13: "42927b72fcb2bb9d34cc4ecad358751093f9bef162c355c2132c8824cf99c862",
+    14: "3acf7c22b608d8267f6c29b2b135dec1629c0da6399c2bb20dd34ec75684a59f",
+    15: "532b6599119479e4cc801269e96d281d819997a0cee8deb885cbb51b838c7a16",
+    16: "6f20c3b971514c538636e6f1958c4a63f720d9d90e0bba242dd2852857c42e17",
+    17: "59a6520daa2b75b9006dd734d61169a25b57633ba3202d4bc4904d3879d49ea9",
+    18: "8cf7f2569ef9d3d8b799d9254227cfe7e4242fac7aad6304999b9d58d7abbea9",
+    19: "71843b10c75b809ff2055e62ef55782672bbe2575f5db946fe99f34b5063a956",
+    20: "6a5dcf8aa81d860fa95932b4ed5f71e3f61856ac4c15faa874ccdbfb08d3dcd2",
+    21: "73d63f5ccec4218dd761c1076736ea1570323ba42cc4e40bc00765225897d98d",
+    22: "d8de9221a8d415d45749628916d0e052c49497abc0c844df2056db1fd6ebdf37",
+    23: "ce13f808770710f4b9caa9928e1fda3921a5446bcad061afef556d50e54e8618",
+    24: "575d78fca8b53b18285a0bbd24c69477717e575ae5a23dd478b79857e3c7c679",
+    25: "5b1a92d07a93629c947aeafd717c72580bd1d7533ce4e4e4cbf683193e92a913",
+    26: "34dc5aec843dd7e1890139f15c8774b8a2d3b9469e71d9a6a0f3ca38ad41a537",
+    27: "1b88efd0af9066c9d224e90506825d6b14174890265715035ff819ebd3c5e0bc",
+    28: "a0498ef2b5bde838f196850c9d11bfbbdbefc5674eaf320441c50447f7fe67b3",
+    29: "a22e48245e34daedd141efe8ebaa5c1e82c79807fcffcb2faa5377ddf715924a",
+    30: "2b16ad93f15b5f32a485d346ace6a5b2eaf73a51450d5a5e27cb064bad7ab1d6",
+    31: "660c9571e861cf733c077c0c97bda6fedf42716b1ca5e9b6ee4e34d32f29bccd",
+    32: "76289226cca24b78ede026a4abd473b46a6ea6ddb4ee30f1f444167e7723cc6a",
+    33: "c1167ee12b869f4d8f48b66aef01c9e4d67adf9cd37597b070cb044f0b288bd8",
+    34: "c8da55d93c1847712b26b16875f6a73aa67a1977767a96fd3de82783f0b8df07",
+    35: "d1fad8d4e675ed0220d237eef195445d91355b41814fdf42eddcd90753fbe9c8",
+    36: "adabc6666580333ee3b69344e301949d807864afb6c72eecf67d41405c937457",
+    37: "8c49d92d83ec022da26d177c6c737376e3ada42230f3f17a7aee5ded4995bf71",
+    38: "2b077ffccc09b5fe848bc2e7bd2ace371579267b0c9450e5af8db66684aca01b",
+    39: "40d329c4059e5b7e78f142f11ebdf7016d72867fa8842e5fd4be6f2104d30579",
+    40: "a6f41550844cb42a0e3f5833a612e08aa86d946ed3fde8164164dced0b2e1e95",
+    61: "069325a5e70e0593b70894eed22da1706068b6a3a231aee08e9f3afe7c4c2d96",
+    100: "f05402f4a18663d65e3cfadcace88e465b50690fc378f5009e8b85e1f44ef067",
+}
+
+
+class TestOnePassBuild:
+    @pytest.mark.parametrize("n", sorted(_CHAIN_DIGESTS))
+    def test_chain_json_is_pinned(self, n):
+        text = chain_to_json(build_chain(n))
+        assert hashlib.sha256(text.encode()).hexdigest() == _CHAIN_DIGESTS[n]
+
+    @pytest.mark.parametrize("n", [10, 11])
+    def test_each_step_applied_once(self, monkeypatch, n):
+        applied = []
+        replay = chains_module._replay
+
+        def counting(rows, width, steps):
+            for step in replay(rows, width, steps):
+                applied.append(step)
+                yield step
+
+        monkeypatch.setattr(chains_module, "_replay", counting)
+        chain_even.cache_clear()
+        chain_odd.cache_clear()
+        chain = build_chain(n)
+        assert len(applied) == chain.length == delta(n)
+        assert tuple(applied) == chain.steps
+
+    def test_order_past_the_byte_limit_refused(self):
+        # 837 is the largest order whose steps fit the limit
+        assert delta(837) * chains_module._STEP_BYTES \
+            <= engine.MAX_ARRAY_BYTES
+        with pytest.raises(ClassTooLarge, match="order-838 chain"):
+            build_chain(838)
 
 
 class TestClosedForms:

@@ -416,6 +416,33 @@ def test_margin_over_the_opposite_dimension(runner, memory_cap, args):
     assert "a margin exceeds the opposite dimension" in result.output
 
 
+_ONES_32 = "16,16/" + ",".join(["1"] * 32)
+
+
+def test_column_choices_refused_before_they_are_listed(runner, memory_cap):
+    # row 1 would choose 16 of 32 columns: C(32, 16) choices, over 100 GB
+    # as a list, refused before the list is built
+    started = time.monotonic()
+    result = runner.invoke(main, ["enumerate", "--margins", _ONES_32])
+    assert time.monotonic() - started < 5
+    _one_error_line(result)
+    assert "column choices for row 1" in result.output
+    result = runner.invoke(main, ["enumerate", "--margins", _ONES_32,
+                                  "--count"])
+    assert result.exit_code == 0
+    assert result.output.strip() == "601080390"
+
+
+def test_chain_too_large_refused_before_building(runner, memory_cap):
+    # 49,980,000 steps at about 380 bytes each
+    started = time.monotonic()
+    result = runner.invoke(main, ["chain", "build", "--n", "5000"])
+    assert time.monotonic() - started < 5
+    _one_error_line(result)
+    assert "49980000 steps" in result.output
+    assert f"{engine.MAX_ARRAY_BYTES}-byte limit" in result.output
+
+
 _START = {"m": 2, "n": 2, "rows": ["10", "01"]}
 
 

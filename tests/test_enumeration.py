@@ -223,6 +223,11 @@ class TestFullPosetOnly:
                 == poset_42.leq).all()
         assert poset_42.leq.diagonal().all()
 
+    def test_strict_pairs_are_strict_in_row_major_order(self, poset_42):
+        rows, cols = np.nonzero(poset_42.strict())
+        assert list(poset_42.strict_pairs()) == list(zip(rows.tolist(),
+                                                         cols.tolist()))
+
 
 class TestExports:
     def test_dot(self, poset_221):
@@ -365,3 +370,17 @@ def test_peaks_stay_under_the_checked_bytes():
     assert report.pairs_checked == 752_695
     assert build_peak < checked
     assert check_peak < checked
+
+
+def test_strict_pairs_stream_one_row_at_a_time(poset_52):
+    # the pairs come from leq row by row: no copy of leq, no list of pairs
+    pairs = 0
+    tracemalloc.start()
+    try:
+        for _ in poset_52.strict_pairs():
+            pairs += 1
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert pairs == int(poset_52.leq.sum()) - len(poset_52)
+    assert peak < poset_52.leq.nbytes // 16
