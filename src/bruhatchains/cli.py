@@ -18,6 +18,7 @@ usage errors.
 
 from __future__ import annotations
 
+import functools
 import json
 import sys
 import time
@@ -51,7 +52,7 @@ def _read_matrix(path: str) -> BinaryMatrix:
     except KeyError as exc:
         raise BruhatError(
             f"malformed matrix in {path}: missing key {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, RecursionError) as exc:
         raise BruhatError(f"malformed matrix in {path}: {exc}") from exc
 
 
@@ -65,18 +66,32 @@ def _parse_margins(spec: str) -> MarginPair:
         raise click.UsageError(f"bad margins {spec!r}: {exc}") from exc
 
 
-def _resolve_margins(margins: str | None, n: int | None,
-                     k: int | None) -> MarginPair:
-    if margins is not None:
-        return _parse_margins(margins)
-    if n is not None:
-        return MarginPair.uniform(n, 2 if k is None else k)
-    raise click.UsageError("give either --margins R/S or --n N [--k K]")
+def _class_options(command):
+    """Name a class by ``--margins R/S``, or by ``--n N`` with ``--k K``
+    (default 2) for the square class of uniform sums; the command gets
+    the class as ``pair``."""
+
+    @click.option("--margins", default=None)
+    @click.option("--n", type=click.IntRange(min=1), default=None)
+    @click.option("--k", type=click.IntRange(min=0), default=None)
+    @functools.wraps(command)
+    def with_pair(margins, n, k, **kwargs):
+        if margins is not None:
+            pair = _parse_margins(margins)
+        elif n is not None:
+            pair = MarginPair.uniform(n, 2 if k is None else k)
+        else:
+            raise click.UsageError(
+                "give either --margins R/S or --n N [--k K]")
+        return command(pair=pair, **kwargs)
+
+    return with_pair
 
 
-def _emit(command: str, result, as_json: bool, started: float,
+def _emit(command: str, result, as_json: bool,
           plain: str | None = None) -> None:
     if as_json:
+        started = click.get_current_context().obj["started"]
         envelope = {"command": command, "result": result,
                     "elapsed_ms": int((time.monotonic() - started) * 1000)}
         click.echo(json.dumps(envelope))
@@ -96,8 +111,11 @@ class _DomainErrorGroup(click.Group):
 
 
 @click.group(cls=_DomainErrorGroup)
-def main() -> None:
+@click.pass_context
+def main(ctx: click.Context) -> None:
     """Bruhat-order toolkit for (0,1)-matrix classes."""
+    # the clock of every --json envelope's elapsed_ms
+    ctx.obj = {"started": time.monotonic()}
 
 
 @main.command()
@@ -105,9 +123,8 @@ def main() -> None:
 @click.option("--json", "as_json", is_flag=True)
 def inv(matrix: str, as_json: bool) -> None:
     """Inversion count of a matrix."""
-    started = time.monotonic()
     nu = matrices.inversion_count(_read_matrix(matrix))
-    _emit("inv", nu, as_json, started)
+    _emit("inv", nu, as_json)
 
 
 @main.command()
@@ -115,11 +132,10 @@ def inv(matrix: str, as_json: bool) -> None:
 @click.option("--json", "as_json", is_flag=True)
 def sigma(matrix: str, as_json: bool) -> None:
     """Cumulative partial-sum table of a matrix."""
-    started = time.monotonic()
     table = matrices.cumulative_sums(_read_matrix(matrix))
     rows = [list(r) for r in table.values]
     plain = "\n".join(" ".join(map(str, r)) for r in rows)
-    _emit("sigma", rows, as_json, started, plain)
+    _emit("sigma", rows, as_json, plain)
 
 
 @main.command()
@@ -130,7 +146,6 @@ def sigma(matrix: str, as_json: bool) -> None:
 @click.option("--json", "as_json", is_flag=True)
 def compare(first: str, second: str, budget: int, as_json: bool) -> None:
     """Bruhat and secondary Bruhat verdicts for a pair."""
-    started = time.monotonic()
     a, c = _read_matrix(first), _read_matrix(second)
     verdict = order.bruhat_verdict(a, c)
     result = {
@@ -140,41 +155,33 @@ def compare(first: str, second: str, budget: int, as_json: bool) -> None:
         "secondary_geq": order.secondary_bruhat_leq(c, a, budget),
     }
     plain = "\n".join(f"{k}: {str(v).lower()}" for k, v in result.items())
-    _emit("compare", result, as_json, started, plain)
+    _emit("compare", result, as_json, plain)
 
 
 @main.command(name="enumerate")
-@click.option("--margins", default=None)
-@click.option("--n", type=click.IntRange(min=1), default=None)
-@click.option("--k", type=click.IntRange(min=0), default=None)
+@_class_options
 @click.option("--count", "count_only", is_flag=True,
               help="print only the number of members")
 @click.option("--json", "as_json", is_flag=True)
-def enumerate_members(margins, n, k, count_only, as_json) -> None:
+def enumerate_members(pair, count_only, as_json) -> None:
     """List every member of a class, or count them without enumerating."""
-    started = time.monotonic()
-    pair = _resolve_margins(margins, n, k)
     if count_only:
-        _emit("enumerate", enumeration.count_class(pair), as_json, started)
+        _emit("enumerate", enumeration.count_class(pair), as_json)
         return
     members = list(enumeration.enumerate_class(pair))
     if as_json:
-        _emit("enumerate", [m.to_json_dict() for m in members], True, started)
+        _emit("enumerate", [m.to_json_dict() for m in members], True)
     else:
         click.echo("\n\n".join(m.to_text() for m in members))
 
 
 @main.command()
-@click.option("--margins", default=None)
-@click.option("--n", type=click.IntRange(min=1), default=None)
-@click.option("--k", type=click.IntRange(min=0), default=None)
+@_class_options
 @click.option("--dot", "dot_path", type=click.Path(writable=True), default=None)
 @click.option("--jsonl", "jsonl_path", type=click.Path(writable=True), default=None)
 @click.option("--json", "as_json", is_flag=True)
-def poset(margins, n, k, dot_path, jsonl_path, as_json) -> None:
+def poset(pair, dot_path, jsonl_path, as_json) -> None:
     """Build the class poset and export it."""
-    started = time.monotonic()
-    pair = _resolve_margins(margins, n, k)
     built = enumeration.build_poset(pair)
     if dot_path:
         with open(dot_path, "w", encoding="utf-8") as fh:
@@ -191,7 +198,7 @@ def poset(margins, n, k, dot_path, jsonl_path, as_json) -> None:
         "maximal": len(built.maximal_indices()),
     }
     plain = "\n".join(f"{key}: {val}" for key, val in summary.items())
-    _emit("poset", summary, as_json, started, plain)
+    _emit("poset", summary, as_json, plain)
 
 
 @main.command()
@@ -199,11 +206,9 @@ def poset(margins, n, k, dot_path, jsonl_path, as_json) -> None:
 @click.option("--json", "as_json", is_flag=True)
 def extremes(n: int, as_json: bool) -> None:
     """The distinguished minimal and maximal matrices P_n and Q_n."""
-    started = time.monotonic()
     p, q = chains.build_extremes(n)
     if as_json:
-        _emit("extremes", {"P": p.to_json_dict(), "Q": q.to_json_dict()},
-              True, started)
+        _emit("extremes", {"P": p.to_json_dict(), "Q": q.to_json_dict()}, True)
     else:
         click.echo(p.to_text() + "\n\n" + q.to_text())
 
@@ -219,11 +224,10 @@ def chain() -> None:
               help="wrap the chain in the result envelope")
 def chain_build(n: int, as_json: bool) -> None:
     """Maximum-length chain from P_n to Q_n, as chain JSON."""
-    started = time.monotonic()
     built = chains.build_chain(n)
     payload = chains.chain_to_json_dict(built)
     if as_json:
-        _emit("chain build", payload, True, started)
+        _emit("chain build", payload, True)
     else:
         click.echo(json.dumps(payload))
 
@@ -233,7 +237,6 @@ def chain_build(n: int, as_json: bool) -> None:
 @click.option("--json", "as_json", is_flag=True)
 def chain_verify(chain_file: str, as_json: bool) -> None:
     """Replay a chain (chain JSON or text format) and report on it."""
-    started = time.monotonic()
     text = _read_text(chain_file)
     if text.lstrip().startswith("{"):
         loaded = chains.chain_from_json(text)
@@ -251,7 +254,7 @@ def chain_verify(chain_file: str, as_json: bool) -> None:
              f"tight: {str(report.tight).lower()}")
     if report.failing_step is not None:
         plain += f"\nfailing_step: {report.failing_step}"
-    _emit("chain verify", result, as_json, started, plain)
+    _emit("chain verify", result, as_json, plain)
 
 
 def _chain_poset(pair: MarginPair) -> enumeration.ClassPoset:
@@ -263,16 +266,13 @@ def _chain_poset(pair: MarginPair) -> enumeration.ClassPoset:
 
 
 @main.command()
-@click.option("--n", type=click.IntRange(min=1), default=None)
-@click.option("--margins", default=None)
-@click.option("--k", type=click.IntRange(min=0), default=None)
+@_class_options
 @click.option("--json", "as_json", is_flag=True)
-def longest(n, margins, k, as_json) -> None:
+def longest(pair, as_json) -> None:
     """Length of the longest chain in the Bruhat order of a class."""
-    started = time.monotonic()
-    built = _chain_poset(_resolve_margins(margins, n, k))
+    built = _chain_poset(pair)
     length, _ = search.longest_chain(built)
-    _emit("longest", length, as_json, started)
+    _emit("longest", length, as_json)
 
 
 @main.command()
@@ -280,11 +280,9 @@ def longest(n, margins, k, as_json) -> None:
 @click.option("--json", "as_json", is_flag=True)
 def spectrum(n, as_json) -> None:
     """Maximum chain lengths over all (minimal, maximal) pairs."""
-    started = time.monotonic()
     built = _chain_poset(MarginPair.uniform(n, 2))
     lengths = sorted(search.maximal_chain_spectrum(built))
-    _emit("spectrum", lengths, as_json, started,
-          " ".join(map(str, lengths)))
+    _emit("spectrum", lengths, as_json, " ".join(map(str, lengths)))
 
 
 @main.command()
@@ -295,7 +293,6 @@ def spectrum(n, as_json) -> None:
 @click.option("--json", "as_json", is_flag=True)
 def tight(from_matrix, to_matrix, budget, as_json) -> None:
     """Search for a tight chain between two matrices."""
-    started = time.monotonic()
     a, c = _read_matrix(from_matrix), _read_matrix(to_matrix)
     outcome = search.tight_chain_search(a, c, budget)
     result = {
@@ -311,20 +308,17 @@ def tight(from_matrix, to_matrix, budget, as_json) -> None:
              f"budget_hit: {str(outcome.budget_hit).lower()}")
     if outcome.found:
         plain += f"\nlength: {outcome.witness.length}"
-    _emit("tight", result, as_json, started, plain)
+    _emit("tight", result, as_json, plain)
 
 
 @main.command()
-@click.option("--margins", default=None)
-@click.option("--n", type=click.IntRange(min=1), default=None)
-@click.option("--k", type=click.IntRange(min=0), default=None)
+@_class_options
 @click.option("--json", "as_json", is_flag=True)
-def monotone(margins, n, k, as_json) -> None:
+def monotone(pair, as_json) -> None:
     """Check inversion monotonicity over all strict arcs of a class.
 
     A found violation is printed as a certificate and still exits 0."""
-    started = time.monotonic()
-    built = enumeration.build_poset(_resolve_margins(margins, n, k))
+    built = enumeration.build_poset(pair)
     report = search.monotonicity_check(built)
     certs = [search.certificate(a, c) for a, c in report.violations]
     result = {"pairs_checked": report.pairs_checked,
@@ -333,7 +327,7 @@ def monotone(margins, n, k, as_json) -> None:
         plain = json.dumps(certs, indent=2)
     else:
         plain = f"checked {report.pairs_checked} arcs, no violations"
-    _emit("monotone", result, as_json, started, plain)
+    _emit("monotone", result, as_json, plain)
 
 
 @main.command()
@@ -341,8 +335,7 @@ def monotone(margins, n, k, as_json) -> None:
 @click.option("--json", "as_json", is_flag=True)
 def delta(n: int, as_json: bool) -> None:
     """Closed-form maximum chain length for the all-two square class."""
-    started = time.monotonic()
-    _emit("delta", chains.delta(n), as_json, started)
+    _emit("delta", chains.delta(n), as_json)
 
 
 if __name__ == "__main__":

@@ -16,6 +16,9 @@ from typing import Iterator, Sequence
 
 from .errors import IndexOutOfRange, PatternMismatch, SizeMismatch
 
+# The two cell characters; a row's text holds no other.
+_CELLS = frozenset("01")
+
 
 class Direction(Enum):
     """Orientation of an interchange: identity pattern to anti-identity, or back."""
@@ -43,31 +46,26 @@ class BinaryMatrix:
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int] | str]) -> "BinaryMatrix":
-        """Build from row sequences of 0/1 ints or '0'/'1' strings."""
-        if not rows:
-            raise ValueError("need at least one row")
-        n = len(rows[0])
+        """Build from rows given as strings of '0'/'1' characters or as
+        sequences of the integers 0 and 1.  A row is read as a reversed
+        binary numeral, so its first cell is bit 0.  Any other cell (a
+        float, a bool, a digit other than 0 and 1) raises ValueError."""
+        n = len(rows[0]) if len(rows) else 0
+        if not n:
+            raise ValueError("need at least one row of at least one cell")
         bits = []
         for row in rows:
-            if len(row) != n:
-                raise ValueError("ragged rows")
-            mask = 0
-            for j, cell in enumerate(row):
-                v = int(cell)
-                if v not in (0, 1):
-                    raise ValueError("cells must be 0 or 1")
-                mask |= v << j
-            bits.append(mask)
+            cells = row if isinstance(row, str) else tuple(map(str, row))
+            if len(cells) != n or not _CELLS.issuperset(cells):
+                raise ValueError(f"each row must be {n} cells, each 0 or 1")
+            bits.append(int("".join(cells)[::-1], 2))
         return cls(len(rows), n, tuple(bits))
 
     def get(self, i: int, j: int) -> int:
         return (self.bits[i] >> j) & 1
 
     def row_string(self, i: int) -> str:
-        return "".join(str((self.bits[i] >> j) & 1) for j in range(self.n))
-
-    def to_lists(self) -> list[list[int]]:
-        return [[(b >> j) & 1 for j in range(self.n)] for b in self.bits]
+        return format(self.bits[i], f"0{self.n}b")[::-1]
 
     def ones(self) -> Iterator[tuple[int, int]]:
         """Positions of ones in row-major order."""
@@ -320,9 +318,9 @@ def _lowered(excess: list[int], n: int, i: int, i2: int, j: int, j2: int
 
 def _matches_pattern(rows: Sequence[int], t: Interchange) -> bool:
     """Whether the rows hold the source pattern of t at its 2x2 position.
-    Both patterns have a one in column j2, so a column index beyond the
-    width never matches."""
-    if t.i2 >= len(rows):
+    Both patterns have a one in column j2, so a column index past the
+    highest one of the two rows never matches, and is never shifted by."""
+    if t.i2 >= len(rows) or t.j2 >= (rows[t.i] | rows[t.i2]).bit_length():
         return False
     left, right = 1 << t.j, 1 << t.j2
     if t.direction is Direction.LtoI:
@@ -375,15 +373,10 @@ def direct_sum(blocks: Sequence[BinaryMatrix]) -> BinaryMatrix:
 
 
 def reverse_columns(a: BinaryMatrix) -> BinaryMatrix:
-    """Flip the matrix left/right; an involution."""
-    def rev(mask: int) -> int:
-        out = 0
-        for j in range(a.n):
-            if (mask >> j) & 1:
-                out |= 1 << (a.n - 1 - j)
-        return out
-
-    return BinaryMatrix(a.m, a.n, tuple(rev(b) for b in a.bits))
+    """Flip the matrix left/right; an involution.  A row string read as a
+    plain binary numeral is the reversed row."""
+    return BinaryMatrix(a.m, a.n, tuple(int(a.row_string(i), 2)
+                                        for i in range(a.m)))
 
 
 def _check_indices(idx: Sequence[int], bound: int, what: str) -> None:

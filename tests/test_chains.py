@@ -383,3 +383,11 @@ class TestSerialization:
             chain_from_json("{not json")
         with pytest.raises(MalformedChain):
             chain_from_json('{"mode": "interchange"}')
+
+
+class TestExtremesByteLimit:
+    def test_order_past_the_byte_limit_refused(self):
+        # 6426 is the largest order whose n x n cells fit the limit
+        assert 6426 ** 2 * chains_module._CELL_BYTES <= engine.MAX_ARRAY_BYTES
+        with pytest.raises(ClassTooLarge, match="6427x6427 extremes"):
+            build_extremes(6427)

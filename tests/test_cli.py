@@ -1,12 +1,14 @@
 """Command-line surface: subcommands, formats, exit codes, determinism."""
 
+import hashlib
 import json
 import time
 
+import click
 import pytest
 from click.testing import CliRunner
 
-from bruhatchains import MarginPair, build_extremes, cli, engine
+from bruhatchains import MarginPair, build_extremes, chains, cli, engine
 from bruhatchains.cli import main
 
 
@@ -468,3 +470,130 @@ def test_malformed_chain_names_the_field(runner, chain, field):
                            input=json.dumps(chain))
     _one_error_line(result)
     assert result.output.startswith(f"error: {field}: ")
+
+
+@pytest.mark.parametrize("text", [
+    '{"m":1,"n":2,"rows":[[0.7,1]]}',
+    '{"m":1,"n":2,"rows":[[1.9,0]]}',
+    '{"m":1,"n":2,"rows":[[true,false]]}',
+    '{"m":1,"n":2,"rows":[[10,0]]}',
+    '{"m":1,"n":2,"rows":["１0"]}',
+    "１１\n",
+])
+def test_cells_other_than_0_and_1_are_malformed(runner, text):
+    # a cell was truncated by int() before it was checked: 0.7 read as 0
+    result = runner.invoke(main, ["inv", "-"], input=text)
+    _one_error_line(result)
+    assert result.output.startswith("error: malformed matrix")
+
+
+_DEEP = '{"a":' * 100_000
+_HUGE_INT_STEP = ('{"start": {"m": 2, "n": 2, "rows": ["10", "01"]}, '
+                  '"steps": [[0, 1, 0, ' + "9" * 5000 + ']]}')
+
+
+@pytest.mark.parametrize("command, text", [
+    (["inv"], _DEEP),
+    (["chain", "verify"], _DEEP),
+    (["chain", "verify"], _HUGE_INT_STEP),
+], ids=["inv-deep", "chain-deep", "chain-digits"])
+def test_json_past_the_parser_limits_is_malformed(runner, command, text):
+    # nesting past the recursion limit, an integer past 4300 digits
+    result = runner.invoke(main, [*command, "-"], input=text)
+    _one_error_line(result)
+
+
+@pytest.mark.parametrize("chain", [
+    json.dumps({"start": {"m": 2, "n": 2, "rows": ["10", "01"]},
+                "steps": [[0, 1, 0, far]]})
+    for far in (10 ** 10, 10 ** 14)
+] + ["10\n01\n\n0 1 0 10000000000\n"],
+    ids=["json-1e10", "json-1e14", "text-1e10"])
+def test_column_past_the_width_fails_its_step(runner, memory_cap, chain):
+    # the step is invalid; 1 << 10**10 alone would take 1.25 GB
+    result = runner.invoke(main, ["chain", "verify", "--json", "-"],
+                           input=chain)
+    assert result.exit_code == 0
+    report = json.loads(result.output)["result"]
+    assert report["valid"] is False and report["failing_step"] == 0
+
+
+# sha256 prefixes of `extremes --n N` before the row codec was rewritten
+_EXTREMES_DIGESTS = {
+    4: "10ca6c53b99c272d", 5: "e3e3e5d6195fcec8", 6: "be31c369237641f6",
+    7: "201a8d5fbb5c2885", 60: "67db7ced1c6a3692", 61: "f9d8d04557bed442",
+    1000: "0553bdaafc601faf", 1001: "40af67b74a82114d",
+}
+
+
+@pytest.mark.parametrize("n", sorted(_EXTREMES_DIGESTS))
+def test_extremes_output_is_pinned(runner, n):
+    result = runner.invoke(main, ["extremes", "--n", str(n)])
+    assert result.exit_code == 0
+    digest = hashlib.sha256(result.output.encode()).hexdigest()
+    assert digest[:16] == _EXTREMES_DIGESTS[n]
+
+
+@pytest.mark.parametrize("as_json", [[], ["--json"]])
+def test_extremes_too_large_refused_before_building(runner, memory_cap,
+                                                    as_json):
+    # 10**10 cells: two matrices and their text would take about 130 GB
+    started = time.monotonic()
+    result = runner.invoke(main, ["extremes", "--n", "100000", *as_json])
+    assert time.monotonic() - started < 5
+    _one_error_line(result)
+    assert "100000x100000 extremes" in result.output
+    assert f"{engine.MAX_ARRAY_BYTES}-byte limit" in result.output
+
+
+@pytest.mark.parametrize("name", ["enumerate", "poset", "longest",
+                                  "monotone"])
+def test_class_options_are_the_same_everywhere(name):
+    params = {p.name: p for p in main.commands[name].params}
+    assert params["margins"].type is click.STRING
+    for option, low in (("n", 1), ("k", 0)):
+        assert isinstance(params[option].type, click.IntRange)
+        assert params[option].type.min == low
+    assert all(params[o].default is None for o in ("margins", "n", "k"))
+
+
+def test_spectrum_takes_only_the_order(runner):
+    params = {p.name for p in main.commands["spectrum"].params}
+    assert params == {"n", "as_json"}
+    result = runner.invoke(main, ["spectrum", "--n", "4", "--k", "2"])
+    assert result.exit_code == 2
+
+
+def _envelope_commands(p4, q4):
+    """One --json invocation of every command: name, arguments, stdin."""
+    chain = json.dumps(chains.chain_to_json_dict(chains.build_chain(4)))
+    return [
+        ("delta", ["delta", "--n", "4"], None),
+        ("inv", ["inv", "-"], P4_TEXT),
+        ("sigma", ["sigma", "-"], P4_TEXT),
+        ("compare", ["compare", p4, q4], None),
+        ("enumerate", ["enumerate", "--n", "3"], None),
+        ("poset", ["poset", "--n", "3"], None),
+        ("extremes", ["extremes", "--n", "4"], None),
+        ("chain build", ["chain", "build", "--n", "4"], None),
+        ("chain verify", ["chain", "verify", "-"], chain),
+        ("longest", ["longest", "--n", "3"], None),
+        ("spectrum", ["spectrum", "--n", "3"], None),
+        ("tight", ["tight", p4, q4], None),
+        ("monotone", ["monotone", "--n", "3"], None),
+    ]
+
+
+def test_every_envelope_is_timed_by_the_group_clock(runner, p4_q4,
+                                                    monkeypatch):
+    commands = _envelope_commands(*p4_q4)
+    # every leaf command: the group's, less `chain`, plus chain's two
+    assert len(commands) == len(main.commands) - 1 + len(cli.chain.commands)
+    for name, args, stdin in commands:
+        ticks = iter([100.0, 100.25])  # the group's start, then _emit's read
+        monkeypatch.setattr(cli.time, "monotonic", lambda: next(ticks))
+        result = runner.invoke(main, [*args, "--json"], input=stdin)
+        assert result.exit_code == 0, (name, result.output)
+        envelope = json.loads(result.output)
+        assert envelope["command"] == name
+        assert envelope["elapsed_ms"] == 250

@@ -367,3 +367,54 @@ class TestWireFormats:
     def test_json_dimension_check(self):
         with pytest.raises(ValueError):
             BinaryMatrix.from_json('{"m": 3, "n": 2, "rows": ["11", "11"]}')
+
+
+class TestStrictRowCodec:
+    """A row is its '0'/'1' text, or a sequence of the integers 0 and 1;
+    every other cell is refused, never truncated or coerced."""
+
+    @pytest.mark.parametrize("rows", [
+        [[0.5, 1]], [[1.9, 0]], [[True, False]], [[10, 0]], ["１0"],
+        [[0.7, 1]], [["11", ""]], [[1, None]], ["1 "], ["2"], ["-1"],
+        ["1_0"], [[]], [""], [], ["10", "1"], [[1, 0], [1]],
+    ])
+    def test_other_cells_refused(self, rows):
+        with pytest.raises(ValueError):
+            BinaryMatrix.from_rows(rows)
+
+    @pytest.mark.parametrize("rows", [
+        ["10", "01"], [[1, 0], [0, 1]], [["1", "0"], ["0", "1"]],
+        ["10", [0, 1]], ("10", "01"),
+    ])
+    def test_strings_and_integer_sequences_agree(self, rows):
+        assert BinaryMatrix.from_rows(rows) == I2
+
+    def test_numpy_integer_rows(self):
+        np = pytest.importorskip("numpy")
+        rows = np.array([[1, 1, 0], [1, 0, 1], [0, 1, 1]], dtype=np.int8)
+        assert BinaryMatrix.from_rows(rows) == F3
+
+    @given(st.integers(1, 130).flatmap(lambda n: st.lists(
+        st.text(alphabet="01", min_size=n, max_size=n),
+        min_size=1, max_size=8)))
+    def test_row_strings_roundtrip(self, rows):
+        a = BinaryMatrix.from_rows(rows)
+        assert (a.m, a.n) == (len(rows), len(rows[0]))
+        for i, row in enumerate(rows):
+            assert a.row_string(i) == row
+            assert all(a.get(i, j) == int(c) for j, c in enumerate(row))
+        flipped = reverse_columns(a)
+        assert [flipped.row_string(i) for i in range(a.m)] \
+            == [row[::-1] for row in rows]
+        assert BinaryMatrix.from_text(a.to_text()) == a
+        assert BinaryMatrix.from_json(a.to_json()) == a
+        assert a.to_text() == "\n".join(rows)
+
+
+def test_column_past_the_rows_never_matches(memory_cap):
+    # no shift by the column index: 1 << 10**10 alone is 1.25 GB
+    far = Interchange(0, 1, 0, 10 ** 10)
+    with pytest.raises(PatternMismatch):
+        apply_interchange(I2, far)
+    with pytest.raises(PatternMismatch):
+        interchange_increment(I2, far)
