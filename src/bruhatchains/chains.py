@@ -19,12 +19,16 @@ from .errors import (
 )
 from .matrices import (
     F3,
+    F3R,
     J2,
     BinaryMatrix,
     Direction,
     Interchange,
+    _ascii_int,
+    _flip,
     _increment,
     _matches_pattern,
+    _moves,
     direct_sum,
     embed,
     inversion_count,
@@ -247,20 +251,13 @@ _TABLE_Z_TO_Q5 = (
 
 
 def _step_between(prev: BinaryMatrix, nxt: BinaryMatrix) -> Interchange:
-    """The unique ItoL interchange turning prev into nxt."""
-    diff_rows = [i for i in range(prev.m) if prev.bits[i] != nxt.bits[i]]
-    if len(diff_rows) != 2:
-        raise MalformedChain("consecutive matrices differ in != 2 rows")
-    i, i2 = diff_rows
-    cols = prev.bits[i] ^ nxt.bits[i]
-    if cols != prev.bits[i2] ^ nxt.bits[i2] or cols.bit_count() != 2:
-        raise MalformedChain("difference is not a 2x2 interchange")
-    j = (cols & -cols).bit_length() - 1
-    j2 = cols.bit_length() - 1
-    step = Interchange(i, i2, j, j2, Direction.ItoL)
-    if not _matches_pattern(prev.bits, step):
-        raise MalformedChain("matrices differ by an LtoI move, not ItoL")
-    return step
+    """The ItoL interchange turning prev into nxt: the one move of prev
+    whose flip gives nxt.  Distinct moves flip distinct cells, so no two
+    give the same matrix."""
+    for move in _moves(prev.bits):
+        if _flip(prev.bits, *move) == nxt.bits:
+            return Interchange(*move)
+    raise MalformedChain("consecutive matrices differ by no ItoL interchange")
 
 
 def _chain_from_table(table: Sequence[Sequence[str]]) -> Chain:
@@ -308,8 +305,6 @@ def chain_y_to_q5() -> Chain:
     """Length-24 mixed chain: one Bruhat jump from Y (the 2x2 all-ones
     block above the reversed 3x3 block) to Z, then the tabulated length-23
     chain to Q_5."""
-    from .matrices import F3R
-
     y = direct_sum([J2, F3R])
     _, second = tabulated_chains_5()
     return Chain(y, (BruhatStep(z_matrix()),) + second.steps)
@@ -485,7 +480,7 @@ def chain_from_text(text: str) -> Chain:
         for ln in lines[split + 1:]:
             if not ln.strip():
                 continue
-            i, i2, j, j2 = map(int, ln.split())
+            i, i2, j, j2 = map(_ascii_int, ln.split())
             steps.append(Interchange(i, i2, j, j2, Direction.ItoL))
     except (ValueError, TypeError) as exc:
         raise MalformedChain(str(exc)) from exc

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import chains, enumeration, matrices, order, search
 from .errors import BruhatError
-from .matrices import BinaryMatrix, MarginPair
+from .matrices import BinaryMatrix, MarginPair, _ascii_int
 
 
 def _read_text(path: str) -> str:
@@ -58,9 +58,8 @@ def _read_matrix(path: str) -> BinaryMatrix:
 
 def _parse_margins(spec: str) -> MarginPair:
     try:
-        row_part, col_part = spec.split("/")
-        rows = tuple(int(x) for x in row_part.split(","))
-        cols = tuple(int(x) for x in col_part.split(","))
+        rows, cols = (tuple(map(_ascii_int, side.split(",")))
+                      for side in spec.split("/"))
         return MarginPair(rows, cols)
     except ValueError as exc:
         raise click.UsageError(f"bad margins {spec!r}: {exc}") from exc
@@ -69,16 +68,16 @@ def _parse_margins(spec: str) -> MarginPair:
 def _class_options(command):
     """Name a class by ``--margins R/S``, or by ``--n N`` with ``--k K``
     (default 2) for the square class of uniform sums; the command gets
-    the class as ``pair``."""
+    the class as ``pair``.  Both at once, or neither, is a usage error."""
 
     @click.option("--margins", default=None)
     @click.option("--n", type=click.IntRange(min=1), default=None)
     @click.option("--k", type=click.IntRange(min=0), default=None)
     @functools.wraps(command)
     def with_pair(margins, n, k, **kwargs):
-        if margins is not None:
+        if margins is not None and n is None and k is None:
             pair = _parse_margins(margins)
-        elif n is not None:
+        elif n is not None and margins is None:
             pair = MarginPair.uniform(n, 2 if k is None else k)
         else:
             raise click.UsageError(

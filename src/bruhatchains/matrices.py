@@ -20,6 +20,14 @@ from .errors import IndexOutOfRange, PatternMismatch, SizeMismatch
 _CELLS = frozenset("01")
 
 
+def _ascii_int(text: str) -> int:
+    """The integer spelled by ASCII digits alone.  A sign, a blank, an
+    underscore or a fullwidth digit, which int() takes, raises ValueError."""
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"{text!r} is not written in the digits 0-9")
+    return int(text)
+
+
 class Direction(Enum):
     """Orientation of an interchange: identity pattern to anti-identity, or back."""
 
@@ -114,8 +122,15 @@ class BinaryMatrix:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "BinaryMatrix":
-        mat = cls.from_rows(data["rows"])
-        if mat.m != data["m"] or mat.n != data["n"]:
+        """``rows`` a list of strings or lists (``from_rows``), and ``m``
+        and ``n`` JSON integers, not ``true`` or ``1.0``, equal to its size."""
+        rows, m, n = data["rows"], data["m"], data["n"]
+        if not (type(m) is int and type(n) is int and isinstance(rows, list)
+                and all(isinstance(row, (str, list)) for row in rows)):
+            raise ValueError("m and n must be integers, rows a list of "
+                             "strings or lists")
+        mat = cls.from_rows(rows)
+        if mat.m != m or mat.n != n:
             raise ValueError("declared dimensions disagree with row data")
         return mat
 
@@ -231,27 +246,24 @@ def cumulative_sums(a: BinaryMatrix) -> CumulativeTable:
         tuple(flat[k:k + a.n]) for k in range(0, len(flat), a.n)))
 
 
+def _nu(sig: Sequence[int], rows: Sequence[int], n: int) -> int:
+    """The inversion count of the rows, read off their flat partial-sum
+    table: a one at (i, j) sits below and left of the ones in rows
+    0..i-1 and columns j+1..n-1, which number sig(i-1, n-1) - sig(i-1, j)."""
+    total = 0
+    for base, b in zip(range(0, len(sig), n), rows[1:]):
+        above = sig[base + n - 1]   # all ones in the rows above
+        while b:
+            low = b & -b
+            total += above - sig[base + low.bit_length() - 1]
+            b ^= low
+    return total
+
+
 def inversion_count(a: BinaryMatrix) -> int:
     """Number of unordered pairs of ones where one sits strictly
-    top-right of the other.  One O(n) prefix sweep per row."""
-    total = 0
-    col_counts = [0] * a.n
-    seen = 0
-    for b in a.bits:
-        if seen:
-            prefix = 0  # ones in earlier rows at columns <= j
-            bb = b
-            for j in range(a.n):
-                prefix += col_counts[j]
-                if (bb >> j) & 1:
-                    total += seen - prefix
-        bb = b
-        while bb:
-            low = bb & -bb
-            col_counts[low.bit_length() - 1] += 1
-            seen += 1
-            bb ^= low
-    return total
+    top-right of the other, read off the partial-sum table."""
+    return _nu(_sigma(a.bits, a.n), a.bits, a.n)
 
 
 def _moves(rows: Sequence[int], direction: Direction = Direction.ItoL

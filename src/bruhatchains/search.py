@@ -18,8 +18,8 @@ from .matrices import (
     _increment,
     _lowered,
     _moves,
-    cumulative_sums,
-    inversion_count,
+    _nu,
+    _sigma,
 )
 from .order import DEFAULT_NODE_BUDGET, _require_same_class
 
@@ -129,7 +129,7 @@ def tight_chain_search(a: BinaryMatrix, c: BinaryMatrix,
     budget_hit set, on expanding more than budget states.  The path is an
     explicit stack, so a chain may be longer than the recursion limit."""
     sa, sc = _require_same_class(a, c)
-    if inversion_count(a) > inversion_count(c):
+    if _nu(sa, a.bits, a.n) > _nu(sc, c.bits, c.n):
         raise ValueError("start has more inversions than the target")
     excess = [u - v for u, v in zip(sa, sc)]
     if min(excess) < 0:
@@ -194,13 +194,14 @@ def monotonicity_check(poset: ClassPoset) -> MonotonicityReport:
 
 def certificate(a: BinaryMatrix, c: BinaryMatrix) -> dict:
     """Self-contained JSON-ready certificate for a monotonicity violation."""
+    sa, sc = _sigma(a.bits, a.n), _sigma(c.bits, c.n)
     return {
         "first": a.to_json_dict(),
         "second": c.to_json_dict(),
-        "sigma_first": [list(r) for r in cumulative_sums(a).values],
-        "sigma_second": [list(r) for r in cumulative_sums(c).values],
-        "nu_first": inversion_count(a),
-        "nu_second": inversion_count(c),
+        "sigma_first": [sa[k:k + a.n] for k in range(0, len(sa), a.n)],
+        "sigma_second": [sc[k:k + c.n] for k in range(0, len(sc), c.n)],
+        "nu_first": _nu(sa, a.bits, a.n),
+        "nu_second": _nu(sc, c.bits, c.n),
         "violated": "first strictly precedes second in the Bruhat order "
                     "but nu(first) >= nu(second)",
     }

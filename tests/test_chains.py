@@ -109,6 +109,15 @@ class TestTabulatedChains:
         rep = verify_chain(c29, p5, q5)
         assert rep.valid and rep.endpoints_ok and rep.tight
 
+    @pytest.mark.parametrize("table", [
+        (("01", "10"), ("10", "01")),        # L2 to I2: an LtoI move
+        (("1000", "0100", "0010", "0001"),
+         ("0100", "1000", "0001", "0010")),  # two ItoL interchanges at once
+    ], ids=["LtoI", "two-interchanges"])
+    def test_rows_one_itol_interchange_apart(self, table):
+        with pytest.raises(MalformedChain):
+            chains_module._chain_from_table(table)
+
 
 class TestBaseChain4:
     def test_frozen_chain(self):

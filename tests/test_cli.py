@@ -227,7 +227,14 @@ def test_domain_error_exit_code(runner):
     assert result.exit_code == 1
 
 
-@pytest.mark.parametrize("text", ["012\n", '{"m":1}\n'])
+@pytest.mark.parametrize("text", [
+    "012\n", '{"m":1}\n',
+    # a dimension is a JSON integer, and rows a list of strings or lists
+    '{"m": true, "n": 2, "rows": ["01"]}',
+    '{"m": 1.0, "n": 2, "rows": ["01"]}',
+    '{"m": 1, "n": 2, "rows": [{"1": 0, "0": 5}]}',
+    '{"m": 2, "n": 1, "rows": "01"}',
+])
 def test_malformed_matrix_exit_code(runner, text):
     result = runner.invoke(main, ["inv", "-"], input=text)
     assert result.exit_code == 1
@@ -271,6 +278,41 @@ def test_oversize_class_refused(runner, args):
     assert time.monotonic() - started < 60
     _one_error_line(result)
     assert "class" in result.output or "bytes" in result.output
+
+
+@pytest.mark.parametrize("spec", [
+    " 2 ,  2/ 2,2", "１_0/1_0", "1_0/1_0", "+2,2/2,2", "2,-0/2,0",
+    "２,2/2,2",
+])
+def test_margin_entries_are_ascii_digits(runner, spec):
+    # int() took blanks, signs, underscores and fullwidth digits
+    result = runner.invoke(main, ["enumerate", "--margins", spec, "--count"])
+    assert result.exit_code == 2
+    assert "Traceback" not in result.output
+    assert result.output.count("Error: bad margins") == 1
+
+
+@pytest.mark.parametrize("step", ["０ 1 0 1", "+0 1 0 1", "-0 1 0 1",
+                                  "0 1 0 1_0"])
+def test_chain_text_indices_are_ascii_digits(runner, step):
+    result = runner.invoke(main, ["chain", "verify", "-"],
+                           input=f"10\n01\n\n{step}\n")
+    _one_error_line(result)
+    assert "not written in the digits 0-9" in result.output
+
+
+@pytest.mark.parametrize("command", ["enumerate", "poset", "longest",
+                                     "monotone"])
+@pytest.mark.parametrize("square", [["--n", "3"], ["--k", "2"],
+                                    ["--n", "3", "--k", "2"]],
+                         ids=["n", "k", "n-k"])
+def test_margins_with_n_or_k_is_a_usage_error(runner, command, square):
+    # --n was dropped: longest --margins <A(4,2)> --n 3 answered 16
+    result = runner.invoke(main, [command, "--margins", "2,2,2,2/2,2,2,2",
+                                  *square])
+    assert result.exit_code == 2
+    assert "Traceback" not in result.output
+    assert result.output.count("Error: give either --margins") == 1
 
 
 def test_usage_error_exit_code(runner):

@@ -21,6 +21,7 @@ from bruhatchains import (
     SizeMismatch,
     all_pair_count,
     apply_interchange,
+    build_chain,
     canonical_key,
     cumulative_sums,
     direct_sum,
@@ -134,6 +135,16 @@ class TestInversionCount:
     @settings(max_examples=60)
     def test_matches_brute_force(self, a):
         assert inversion_count(a) == brute_inversions(a)
+
+    def test_matches_brute_force_past_six(self):
+        # sigma is read at row stride n: one row or one column (no
+        # inversions, but every stride), and 20x20 states with many
+        rng = random.Random(7)
+        wide = BinaryMatrix(1, 130, (rng.getrandbits(130),))
+        tall = BinaryMatrix(130, 1, tuple(rng.getrandbits(1)
+                                          for _ in range(130)))
+        for a in [wide, tall, *build_chain(20).matrices()]:
+            assert inversion_count(a) == brute_inversions(a)
 
     @given(matrices_st)
     @settings(max_examples=60)

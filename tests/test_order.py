@@ -116,6 +116,8 @@ class TestExtremalStructure:
     def test_not_in_class(self):
         with pytest.raises(NotInClass):
             is_minimal_An2(I2)
+        with pytest.raises(NotInClass):
+            is_maximal_An2(I2)
 
     def test_matches_poset_extremes(self, poset_42):
         strict = poset_42.leq.copy()
