@@ -24,11 +24,13 @@ from .matrices import (
     BinaryMatrix,
     Direction,
     Interchange,
+    _BLANKS,
     _ascii_int,
     _flip,
     _increment,
     _matches_pattern,
     _moves,
+    _text_lines,
     direct_sum,
     embed,
     inversion_count,
@@ -469,18 +471,22 @@ def chain_to_text(chain: Chain) -> str:
 
 
 def chain_from_text(text: str) -> Chain:
-    lines = text.splitlines()
+    """The text format: rows and step fields are padded and separated by
+    ASCII spaces and tabs alone (``matrices._text_lines``)."""
+    lines = _text_lines(text)
     try:
         split = lines.index("")
     except ValueError as exc:
         raise MalformedChain("missing blank line after start matrix") from exc
     try:
-        start = BinaryMatrix.from_rows([ln.strip() for ln in lines[:split]])
+        start = BinaryMatrix.from_rows([ln.strip(_BLANKS)
+                                        for ln in lines[:split]])
         steps = []
         for ln in lines[split + 1:]:
-            if not ln.strip():
+            fields = [f for f in ln.replace("\t", " ").split(" ") if f]
+            if not fields:
                 continue
-            i, i2, j, j2 = map(_ascii_int, ln.split())
+            i, i2, j, j2 = map(_ascii_int, fields)
             steps.append(Interchange(i, i2, j, j2, Direction.ItoL))
     except (ValueError, TypeError) as exc:
         raise MalformedChain(str(exc)) from exc

@@ -32,10 +32,12 @@ from .matrices import BinaryMatrix, MarginPair, _ascii_int
 
 
 def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
+    """The UTF-8 text of a file, or of stdin for "-", with no line-end
+    translation: the parsers take \n and \r\n and refuse a lone \r."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        if path == "-":
+            return sys.stdin.buffer.read().decode("utf-8")
+        with open(path, "r", encoding="utf-8", newline="") as fh:
             return fh.read()
     except OSError as exc:
         raise BruhatError(f"cannot read {path}: {exc.strerror}") from exc

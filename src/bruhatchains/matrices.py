@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from itertools import accumulate
 from typing import Iterator, Sequence
 
@@ -18,6 +19,19 @@ from .errors import IndexOutOfRange, PatternMismatch, SizeMismatch
 
 # The two cell characters; a row's text holds no other.
 _CELLS = frozenset("01")
+
+
+# The blanks that may pad a line of text or separate its fields.
+_BLANKS = " \t"
+
+
+def _text_lines(text: str) -> list[str]:
+    """The lines of a text as str.splitlines() gives them, except that a
+    line ends at \n or \r\n and nowhere else: any other break (a lone
+    \r, a form feed, U+2028) stays in its line, where no cell or index
+    reader accepts it."""
+    lines = text.replace("\r\n", "\n").split("\n")
+    return lines[:-1] if lines[-1] == "" else lines
 
 
 def _ascii_int(text: str) -> int:
@@ -107,8 +121,8 @@ class BinaryMatrix:
     def from_text(cls, text: str) -> "BinaryMatrix":
         """Parse the text format; a blank line terminates the matrix."""
         rows = []
-        for line in text.splitlines():
-            line = line.strip()
+        for line in _text_lines(text):
+            line = line.strip(_BLANKS)
             if not line:
                 break
             rows.append(line)
@@ -292,6 +306,32 @@ def _moves(rows: Sequence[int], direction: Direction = Direction.ItoL
                     yield i, i2, low.bit_length() - 1, high.bit_length() - 1
 
 
+def _tight_moves(rows: Sequence[int]) -> Iterator[tuple[int, int, int, int]]:
+    """The moves of ``_moves(rows)`` whose increment is 1, in the same
+    order.  The increment counts the ones of rows i and i2 strictly
+    between columns j and j2, and the ones of the rows strictly between
+    i and i2 in columns j..j2, so it is 1 iff j2 is the next one of
+    rows[i] | rows[i2] after j, that one is in row i2 only, and a running
+    OR of the rows between holds no one in columns j..j2."""
+    m = len(rows)
+    for i in range(m - 1):
+        bi = rows[i]
+        between = 0
+        for i2 in range(i + 1, m):
+            bi2 = rows[i2]
+            left = bi & ~bi2      # columns with a one in row i only
+            bot = bi2 & ~bi       # columns with a one in row i2 only
+            both = bi | bi2
+            while left:
+                low = left & -left
+                left ^= low
+                beyond = both & -(low << 1)
+                high = beyond & -beyond   # the next one after j
+                if high & bot and not between & ((high << 1) - low):
+                    yield i, i2, low.bit_length() - 1, high.bit_length() - 1
+            between |= bi2
+
+
 def find_interchanges(a: BinaryMatrix,
                       direction: Direction = Direction.ItoL) -> list[Interchange]:
     """All positions whose 2x2 submatrix matches the source pattern of the
@@ -310,22 +350,51 @@ def _flip(rows: tuple[int, ...], i: int, i2: int, j: int, j2: int
     return tuple(out)
 
 
-def _lowered(excess: list[int], n: int, i: int, i2: int, j: int, j2: int
-             ) -> list[int] | None:
-    """The excess table sigma(x) - sigma(c) of x after an ItoL interchange
-    at (i, i2, j, j2), or None when the result no longer dominates c.
+# The constants of a packed table: guard bits, row and column lane sums.
+_Lanes = tuple[int, tuple[int, ...], tuple[int, ...]]
+
+
+@lru_cache(maxsize=32)
+def _lanes(m: int, n: int, w: int) -> _Lanes:
+    """Constants for an m x n table packed into w-bit lanes, entry k*n + l
+    in bits k*n*w + l*w and up: the guard bits H (the top bit of every
+    lane), and R and C with R[r] * C[l] holding a 1 in each lane of rows
+    0..r-1 and columns 0..l-1, so (R[i2] - R[i]) * (C[j2] - C[j]) is the
+    block of rows i..i2-1 and columns j..j2-1."""
+    return (sum(1 << k * w + w - 1 for k in range(m * n)),
+            tuple(sum(1 << k * n * w for k in range(r)) for r in range(m + 1)),
+            tuple(sum(1 << l * w for l in range(c)) for c in range(n + 1)))
+
+
+def _packed_excess(sa: Sequence[int], sc: Sequence[int], n: int
+                   ) -> tuple[int, _Lanes] | None:
+    """The excess table sigma(a) - sigma(c) of two same-class flat tables
+    of width n as one int of w-bit lanes, entry k in bits k*w and up, with
+    its ``_lanes``; None when some entry is negative.  w is one more than
+    the bit length of the number of ones, the top entry of sigma(a), which
+    bounds every entry: the extra bit is each lane's guard bit."""
+    w = sa[-1].bit_length() + 1
+    packed = 0
+    for u, v in zip(reversed(sa), reversed(sc)):
+        if u < v:
+            return None
+        packed = packed << w | u - v
+    return packed, _lanes(len(sa) // n, n, w)
+
+
+def _lowered(excess: int, lanes: _Lanes, i: int, i2: int, j: int, j2: int
+             ) -> int | None:
+    """The packed excess table sigma(x) - sigma(c) of x after an ItoL
+    interchange at (i, i2, j, j2), or None when the result no longer
+    dominates c; lanes are the table's ``_lanes``.
 
     The move lowers sigma by exactly one on rows i..i2-1 and columns
-    j..j2-1 and leaves every other entry alone, so with a nonnegative
-    excess the result dominates c iff no entry of that block is 0."""
-    width = j2 - j
-    starts = range(i * n + j, i2 * n + j, n)
-    if any(0 in excess[k:k + width] for k in starts):
-        return None
-    out = excess.copy()
-    for k in starts:
-        out[k:k + width] = [v - 1 for v in excess[k:k + width]]
-    return out
+    j..j2-1 and leaves every other entry alone.  With every guard bit set
+    first, one subtraction lowers the block with no borrow between lanes,
+    and a lane's guard bit survives iff its entry stays nonnegative."""
+    high, rows, cols = lanes
+    y = (excess | high) - (rows[i2] - rows[i]) * (cols[j2] - cols[j])
+    return y ^ high if y & high == high else None
 
 
 def _matches_pattern(rows: Sequence[int], t: Interchange) -> bool:

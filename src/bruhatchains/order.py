@@ -17,6 +17,7 @@ from .matrices import (
     _lowered,
     _moves,
     _nu,
+    _packed_excess,
     _sigma,
     reverse_columns,
 )
@@ -81,11 +82,12 @@ def secondary_bruhat_leq(a: BinaryMatrix, c: BinaryMatrix,
     lower partial sums and strictly raise the inversion count, so such
     states can never reach c.
 
-    A state is its rows, its excess table sigma(x) - sigma(c) and its
-    inversion count, each updated by the move rather than recounted: the
-    rows by two XORs, the table by lowering one block (which also says
-    whether c is still dominated), and the count by the interchange
-    increment.  States expand in (total excess, rows) order, and more
+    A state is its rows, its excess table sigma(x) - sigma(c) packed into
+    lanes of one int, and its inversion count, each updated by the move
+    rather than recounted: the rows by two XORs, the table by lowering one
+    block (which also says whether c is still dominated), and the count by
+    the interchange increment, computed only for a child that still
+    dominates c.  States expand in (total excess, rows) order, and more
     than node_budget expansions raise SearchBudgetExceeded.
     """
     sa, sc = _require_same_class(a, c)
@@ -93,11 +95,12 @@ def secondary_bruhat_leq(a: BinaryMatrix, c: BinaryMatrix,
         return True
     n, target = a.n, c.bits
     nu_a, nu_c = _nu(sa, a.bits, n), _nu(sc, target, n)
-    excess = [u - v for u, v in zip(sa, sc)]
-    if min(excess) < 0 or nu_a >= nu_c:
+    packed = _packed_excess(sa, sc, n)
+    if packed is None or nu_a >= nu_c:
         return False
+    excess, lanes = packed
     visited = {a.bits}
-    heap = [(sum(excess), a.bits, excess, nu_a)]
+    heap = [(sum(sa) - sum(sc), a.bits, excess, nu_a)]
     expanded = 0
     while heap:
         total, rows, excess, nu = heapq.heappop(heap)
@@ -112,11 +115,11 @@ def secondary_bruhat_leq(a: BinaryMatrix, c: BinaryMatrix,
             if y in visited:
                 continue
             visited.add(y)
+            lowered = _lowered(excess, lanes, i, i2, j, j2)
+            if lowered is None:
+                continue
             nu_y = nu + _increment(rows, i, i2, j, j2)
             if nu_y >= nu_c:
-                continue
-            lowered = _lowered(excess, n, i, i2, j, j2)
-            if lowered is None:
                 continue
             heapq.heappush(
                 heap, (total - (i2 - i) * (j2 - j), y, lowered, nu_y))

@@ -15,11 +15,11 @@ from .matrices import (
     BinaryMatrix,
     Interchange,
     _flip,
-    _increment,
     _lowered,
-    _moves,
     _nu,
+    _packed_excess,
     _sigma,
+    _tight_moves,
 )
 from .order import DEFAULT_NODE_BUDGET, _require_same_class
 
@@ -121,31 +121,31 @@ def tight_chain_search(a: BinaryMatrix, c: BinaryMatrix,
     stop dominating the target's partial-sum table are dead.  Dead states
     are memoized.
 
-    A state is its rows and its excess table sigma(x) - sigma(c), both
-    updated by the move: the rows by two XORs, the table by lowering one
-    block, which also says whether c is still dominated.  Its inversion
-    count needs no tracking, since every step adds exactly one.  Moves
-    are tried in (i, i2, j, j2) order, and the search gives up, with
-    budget_hit set, on expanding more than budget states.  The path is an
-    explicit stack, so a chain may be longer than the recursion limit."""
+    A state is its rows and its excess table sigma(x) - sigma(c) packed
+    into lanes of one int, both updated by the move: the rows by two XORs,
+    the table by lowering one block, which also says whether c is still
+    dominated.  Its inversion count needs no tracking, since every step
+    adds exactly one.  Moves are tried in (i, i2, j, j2) order, and the
+    search gives up, with budget_hit set, on expanding more than budget
+    states.  The path is an explicit stack, so a chain may be longer than
+    the recursion limit."""
     sa, sc = _require_same_class(a, c)
     if _nu(sa, a.bits, a.n) > _nu(sc, c.bits, c.n):
         raise ValueError("start has more inversions than the target")
-    excess = [u - v for u, v in zip(sa, sc)]
-    if min(excess) < 0:
+    packed = _packed_excess(sa, sc, a.n)
+    if packed is None:
         return SearchOutcome(False, None, 0, False)
 
-    n, target = a.n, c.bits
+    excess, lanes = packed
+    target = c.bits
     dead: set[tuple[int, ...]] = set()
 
-    def children(rows: tuple[int, ...], excess: list[int]):
-        for move in _moves(rows):
-            if _increment(rows, *move) != 1:
-                continue
+    def children(rows: tuple[int, ...], excess: int):
+        for move in _tight_moves(rows):
             y = _flip(rows, *move)
             if y in dead:
                 continue
-            lowered = _lowered(excess, n, *move)
+            lowered = _lowered(excess, lanes, *move)
             if lowered is not None:
                 yield move, y, lowered
 

@@ -292,6 +292,46 @@ def test_margin_entries_are_ascii_digits(runner, spec):
     assert result.output.count("Error: bad margins") == 1
 
 
+@pytest.mark.parametrize("command, text", [
+    (["chain", "verify"], "10\n01\n\n0\u30001 0 1\n"),
+    (["inv"], "10\u00a0\n01\n"),
+    (["chain", "verify"], "10\n01\n\n0 1\u00a00 1\n"),
+    (["chain", "verify"], "10\n01\n\u2003\n0 1 0 1\n"),
+    (["chain", "verify"], "10\n01\n\n0 1 0 1\x0c\n"),
+    (["inv"], "\u300010\n01\n"),
+    (["inv"], "10\r01\n"),
+    (["chain", "verify"], "10\r01\r\r0 1 0 1\r"),
+    (["inv"], "10\u202801\n"),
+    (["inv"], "10\x0b01\n"),
+    (["inv"], "10\x8501\n"),
+], ids=["step-U+3000", "row-U+00A0", "step-U+00A0", "separator-U+2003",
+        "step-formfeed", "row-lead-U+3000", "lone-CR", "chain-lone-CR",
+        "U+2028", "VT", "NEL"])
+@pytest.mark.parametrize("source", ["stdin", "file"])
+def test_only_ascii_blanks_and_line_ends(runner, tmp_path, command, text,
+                                         source):
+    # str.split() and str.strip() took these as blanks, and
+    # str.splitlines() or the file reader the last six as line ends
+    path = tmp_path / "input.txt"
+    path.write_bytes(text.encode())
+    args = ["-"] if source == "stdin" else [str(path)]
+    result = runner.invoke(main, [*command, *args], input=path.read_bytes())
+    _one_error_line(result)
+
+
+@pytest.mark.parametrize("command, text, want", [
+    (["chain", "verify"], "10\r\n01\r\n\r\n0 1 0 1\r\n", "valid: true"),
+    (["chain", "verify"], " 10\t\n\t01 \n\n \t0\t 1  0 1 \n",
+     "valid: true"),
+    (["inv"], "10\r\n01\r\n", "0"),
+    (["inv"], " 10\t\n\t01 \n", "0"),
+])
+def test_ascii_blanks_and_crlf_accepted(runner, command, text, want):
+    result = runner.invoke(main, [*command, "-"], input=text.encode())
+    assert result.exit_code == 0
+    assert want in result.output.splitlines()
+
+
 @pytest.mark.parametrize("step", ["０ 1 0 1", "+0 1 0 1", "-0 1 0 1",
                                   "0 1 0 1_0"])
 def test_chain_text_indices_are_ascii_digits(runner, step):

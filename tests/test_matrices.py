@@ -371,6 +371,13 @@ class TestWireFormats:
         parsed = BinaryMatrix.from_text("10\n01\n\n11\n11\n")
         assert parsed == I2
 
+    def test_only_ascii_blanks_and_line_ends(self):
+        assert BinaryMatrix.from_text(" 10\t\r\n\t01 \r\n\r\n11") == I2
+        for text in ("10\u00a0\n01", "\u300010\n01", "10\r01",
+                     "10\u202801", "10\x0c\n01"):
+            with pytest.raises(ValueError):
+                BinaryMatrix.from_text(text)
+
     def test_json_roundtrip(self):
         for a in (J2, F3R, INCOMP_A):
             assert BinaryMatrix.from_json(a.to_json()) == a

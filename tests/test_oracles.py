@@ -17,6 +17,7 @@ from bruhatchains import (
     MarginMismatch,
     SearchBudgetExceeded,
     apply_interchange,
+    build_chain,
     bruhat_verdict,
     build_extremes,
     cumulative_sums,
@@ -25,8 +26,17 @@ from bruhatchains import (
     inversion_count,
     secondary_bruhat_leq,
     tight_chain_search,
+    verify_chain,
 )
-from bruhatchains.matrices import _flip, _increment, _lowered, _moves, _sigma
+from bruhatchains.matrices import (
+    _flip,
+    _increment,
+    _lowered,
+    _moves,
+    _packed_excess,
+    _sigma,
+    _tight_moves,
+)
 
 
 def reference_secondary(a, c):
@@ -202,6 +212,20 @@ def walks(draw):
     return n, states, quads
 
 
+def lane_width(lanes):
+    """The lane width: the guard bit of lane 0 is its top bit."""
+    high = lanes[0]
+    return (high & -high).bit_length()
+
+
+def unpack(packed, size, lanes):
+    """The lanes of a packed table, guard bits included, checking that
+    nothing is set past its last lane."""
+    w = lane_width(lanes)
+    assert 0 <= packed < 1 << size * w
+    return [packed >> k * w & (1 << w) - 1 for k in range(size)]
+
+
 @given(walks())
 @settings(max_examples=200)
 def test_incremental_state_equals_recount(walk):
@@ -211,16 +235,19 @@ def test_incremental_state_equals_recount(walk):
     m = len(states[0])
     start = BinaryMatrix(m, n, states[0])
     end = _sigma(states[-1], n)
-    excess = [u - v for u, v in zip(_sigma(states[0], n), end)]
+    excess, lanes = _packed_excess(_sigma(states[0], n), end, n)
+    # the top entry of sigma, the number of ones, fits below the guard bit
+    assert lane_width(lanes) == end[-1].bit_length() + 1
     nu = inversion_count(start)
     for rows, quad in zip(states, quads):
         nu += _increment(rows, *quad)
-        excess = _lowered(excess, n, *quad)
+        excess = _lowered(excess, lanes, *quad)
         x = BinaryMatrix(m, n, _flip(rows, *quad))
-        assert excess == [u - v for u, v in
-                          zip(cumulative_sums(x).flat(), end)]
+        recount = cumulative_sums(x).flat()
+        assert unpack(excess, m * n, lanes) == [u - v for u, v in
+                                                zip(recount, end)]
         assert nu == inversion_count(x)
-    assert max(excess) == 0
+    assert excess == 0
 
 
 @given(walks())
@@ -229,12 +256,49 @@ def test_lowered_refuses_exactly_the_non_dominating(walk):
     # every move of every state along the walk, not only the one taken:
     # the move keeps domination of the end iff _lowered returns a table
     n, states, _ = walk
+    m = len(states[0])
     target = _sigma(states[-1], n)
     for rows in states:
-        excess = [u - v for u, v in zip(_sigma(rows, n), target)]
-        assert min(excess) >= 0
+        sigma = _sigma(rows, n)
+        excess, lanes = _packed_excess(sigma, target, n)
+        assert unpack(excess, m * n, lanes) == [u - v for u, v in
+                                                zip(sigma, target)]
         for quad in _moves(rows):
-            child = [u - v for u, v in
-                     zip(_sigma(_flip(rows, *quad), n), target)]
-            got = _lowered(excess, n, *quad)
-            assert got == (child if min(child) >= 0 else None)
+            child_sigma = _sigma(_flip(rows, *quad), n)
+            child = [u - v for u, v in zip(child_sigma, target)]
+            got = _lowered(excess, lanes, *quad)
+            if min(child) < 0:
+                assert got is None
+                assert _packed_excess(child_sigma, target, n) is None
+            else:
+                assert unpack(got, m * n, lanes) == child
+
+
+@given(st.integers(1, 7).flatmap(lambda n: st.lists(
+    st.integers(0, (1 << n) - 1), min_size=1, max_size=7)))
+@settings(max_examples=300)
+def test_tight_moves_are_the_increment_one_moves(rows):
+    rows = tuple(rows)
+    assert list(_tight_moves(rows)) == [
+        mv for mv in _moves(rows) if _increment(rows, *mv) == 1]
+
+
+def test_tight_moves_on_every_a52_member(poset_52):
+    for a in poset_52.members:
+        assert list(_tight_moves(a.bits)) == [
+            mv for mv in _moves(a.bits) if _increment(a.bits, *mv) == 1]
+
+
+def test_lanes_wider_than_a_byte():
+    # 140 ones, so sigma's top entry needs 8 bits and a lane 9
+    states = build_chain(70).matrices()
+    a, c = states[100], states[103]
+    _, lanes = _packed_excess(_sigma(a.bits, a.n), _sigma(c.bits, c.n), a.n)
+    assert lane_width(lanes) == 9
+    assert secondary_bruhat_leq(a, c)
+    assert not secondary_bruhat_leq(c, a)
+    out = tight_chain_search(a, c)
+    assert out.found and not out.budget_hit
+    assert out.witness.length == 3
+    report = verify_chain(out.witness, a, c)
+    assert report.valid and report.tight and report.endpoints_ok
