@@ -108,8 +108,11 @@ def _replay(rows: list[int], width: int,
             target = step.target
             if target.m != len(rows) or target.n != width:
                 raise MalformedChain(f"step {k}: dimension change")
+            # fresh copies, so the order tables the check fills die with
+            # it and a target kept in a chain holds none
             cur = BinaryMatrix(len(rows), width, tuple(rows))
-            if not bruhat_less(cur, target):
+            if not bruhat_less(cur, BinaryMatrix(len(rows), width,
+                                                 target.bits)):
                 raise PatternMismatch(
                     f"step {k}: jump is not a strict Bruhat ascent")
             rows[:] = target.bits
@@ -149,7 +152,7 @@ def verify_chain(chain: Chain,
             if isinstance(step, Interchange):
                 nu += _increment(rows, *step.quad())
             else:
-                nu = inversion_count(step.target)
+                nu = inversion_count(chain._state(rows))
             nu_profile.append(nu)
     except (PatternMismatch, MarginMismatch):
         failing = len(nu_profile) - 1

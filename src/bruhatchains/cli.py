@@ -36,6 +36,8 @@ def _read_text(path: str) -> str:
     translation: the parsers take \n and \r\n and refuse a lone \r."""
     try:
         if path == "-":
+            if sys.stdin is None:   # Python's stdin when fd 0 is closed
+                raise BruhatError("cannot read -: stdin is closed")
             return sys.stdin.buffer.read().decode("utf-8")
         with open(path, "r", encoding="utf-8", newline="") as fh:
             return fh.read()

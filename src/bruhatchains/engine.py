@@ -25,6 +25,12 @@ from .matrices import MarginPair
 # 790 MB for the frontier after six rows, and is refused there.
 MAX_ARRAY_BYTES = 1 << 29
 
+# The most row splits count_class walks, each a way to spread a row's ones
+# over the columns at each cap.  A(14,7) walks 3,891,541 of them in about
+# 3 s on a 2-core machine; A(16,8), which would take about 45 s, is
+# refused at its row 8.
+MAX_COUNT_SPLITS = 1 << 22
+
 _ONE = np.uint64(1)
 
 

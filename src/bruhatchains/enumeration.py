@@ -15,7 +15,7 @@ from typing import Iterator
 import numpy as np
 
 from . import engine
-from .errors import InfeasibleMargins
+from .errors import ClassTooLarge, InfeasibleMargins
 from .matrices import BinaryMatrix, MarginPair, canonical_key, decode, pack
 
 
@@ -33,11 +33,21 @@ def count_class(margins: MarginPair) -> int:
     """The number of members, by an exact DP over the rows that enumerates
     nothing.  A state counts the columns at each remaining cap; a row of
     sum r that takes k_v of the c_v columns at cap v has prod C(c_v, k_v)
-    ways.  Infeasible margins raise InfeasibleMargins."""
+    ways.  Infeasible margins raise InfeasibleMargins.  The DP walks every
+    split of a row over the caps, a take of 0..min(c_v, r) columns from
+    each, and raises ClassTooLarge, before a row, once the splits walked
+    with it would pass ``engine.MAX_COUNT_SPLITS``."""
     engine.check_margins(margins)  # so no cap passes the rows
     top = max(margins.col_sums, default=0)
     states = Counter({tuple(map(margins.col_sums.count, range(top + 1))): 1})
-    for r in margins.row_sums:
+    splits = 0
+    for i, r in enumerate(margins.row_sums):
+        splits += sum(prod(min(c, r) + 1 for c in state[1:])
+                      for state in states)
+        if splits > engine.MAX_COUNT_SPLITS:
+            raise ClassTooLarge(
+                f"the class count to row {i + 1} would walk {splits} "
+                f"splits, over the {engine.MAX_COUNT_SPLITS}-split limit")
         after: Counter = Counter()
         for state, ways in states.items():
             for take in product(*(range(min(c, r) + 1) for c in state[1:])):

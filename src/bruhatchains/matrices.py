@@ -9,11 +9,12 @@ All values are immutable and hashable.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 from itertools import accumulate
-from typing import Iterator, Sequence
+from operator import or_
+from typing import Iterator, NamedTuple, Sequence
 
 from .errors import IndexOutOfRange, PatternMismatch, SizeMismatch
 
@@ -51,11 +52,17 @@ class Direction(Enum):
 
 @dataclass(frozen=True, slots=True)
 class BinaryMatrix:
-    """An m x n matrix of zeros and ones, one int of packed bits per row."""
+    """An m x n matrix of zeros and ones, one int of packed bits per row.
+
+    ``_table`` holds the order table once an order query has computed it
+    (``_order_table``).  It is a cache: equality, hashing, the repr, a
+    pickle and ``dataclasses.replace`` all ignore it."""
 
     m: int
     n: int
     bits: tuple[int, ...]
+    _table: "_OrderTable | None" = field(
+        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.m < 1 or self.n < 1:
@@ -157,6 +164,10 @@ class BinaryMatrix:
 
     def __str__(self) -> str:
         return self.to_text()
+
+    def __reduce__(self):
+        # the cells alone, so a pickle is the same with or without _table
+        return BinaryMatrix, (self.m, self.n, self.bits)
 
 
 @dataclass(frozen=True)
@@ -260,24 +271,10 @@ def cumulative_sums(a: BinaryMatrix) -> CumulativeTable:
         tuple(flat[k:k + a.n]) for k in range(0, len(flat), a.n)))
 
 
-def _nu(sig: Sequence[int], rows: Sequence[int], n: int) -> int:
-    """The inversion count of the rows, read off their flat partial-sum
-    table: a one at (i, j) sits below and left of the ones in rows
-    0..i-1 and columns j+1..n-1, which number sig(i-1, n-1) - sig(i-1, j)."""
-    total = 0
-    for base, b in zip(range(0, len(sig), n), rows[1:]):
-        above = sig[base + n - 1]   # all ones in the rows above
-        while b:
-            low = b & -b
-            total += above - sig[base + low.bit_length() - 1]
-            b ^= low
-    return total
-
-
 def inversion_count(a: BinaryMatrix) -> int:
     """Number of unordered pairs of ones where one sits strictly
-    top-right of the other, read off the partial-sum table."""
-    return _nu(_sigma(a.bits, a.n), a.bits, a.n)
+    top-right of the other, read off the order table."""
+    return _order_table(a).nu
 
 
 def _moves(rows: Sequence[int], direction: Direction = Direction.ItoL
@@ -350,36 +347,119 @@ def _flip(rows: tuple[int, ...], i: int, i2: int, j: int, j2: int
     return tuple(out)
 
 
-# The constants of a packed table: guard bits, row and column lane sums.
-_Lanes = tuple[int, tuple[int, ...], tuple[int, ...]]
+def _join(parts: list[int], stride: int) -> int:
+    """The OR of parts[k] << k*stride over every k, joined in pairs, so
+    each of about log2(len(parts)) rounds shifts the whole result once:
+    O(size * log) bit work, where a shift per part would be quadratic."""
+    while len(parts) > 1:
+        if len(parts) % 2:
+            parts.append(0)
+        parts = [lo | hi << stride for lo, hi in zip(parts[::2], parts[1::2])]
+        stride *= 2
+    return parts[0] if parts else 0
+
+
+@lru_cache(maxsize=8)
+def _guards(m: int, n: int, w: int) -> tuple[int, int]:
+    """The masks of an m x n table packed into w-bit lanes, entry k*n + l
+    in bits (k*n + l)*w and up: the guard bit, the top bit, of every lane;
+    and every bit of the last row's and the last column's lanes.  Each is
+    the size of one table."""
+    span, lane = n * w, (1 << w) - 1
+    row = (1 << span) - 1
+    high = _join([row // lane << w - 1] * m, span)
+    edge = _join([lane << span - w] * m, span) | row << (m - 1) * span
+    return high, edge
+
+
+class _Lanes(NamedTuple):
+    """What ``_lowered`` adds to the guard bits: a table's row and column
+    lane sums."""
+
+    high: int                # the guard bit of every lane (``_guards``)
+    rows: tuple[int, ...]    # rows[r]: a 1 in lane 0 of rows 0..r-1
+    cols: tuple[int, ...]    # cols[c]: a 1 in lanes 0..c-1 of row 0
 
 
 @lru_cache(maxsize=32)
 def _lanes(m: int, n: int, w: int) -> _Lanes:
-    """Constants for an m x n table packed into w-bit lanes, entry k*n + l
-    in bits k*n*w + l*w and up: the guard bits H (the top bit of every
-    lane), and R and C with R[r] * C[l] holding a 1 in each lane of rows
-    0..r-1 and columns 0..l-1, so (R[i2] - R[i]) * (C[j2] - C[j]) is the
-    block of rows i..i2-1 and columns j..j2-1."""
-    return (sum(1 << k * w + w - 1 for k in range(m * n)),
-            tuple(sum(1 << k * n * w for k in range(r)) for r in range(m + 1)),
-            tuple(sum(1 << l * w for l in range(c)) for c in range(n + 1)))
+    """The ``_Lanes`` of an m x n table in w-bit lanes.  rows[r] * cols[l]
+    holds a 1 in each lane of rows 0..r-1 and columns 0..l-1, so
+    (rows[i2] - rows[i]) * (cols[j2] - cols[j]) is the block of rows
+    i..i2-1 and columns j..j2-1.  rows[m] alone is the size of a table and
+    the tuple about m/2 times that, so only the searches, which move
+    blocks, build it."""
+    rows = tuple(accumulate((1 << k * n * w for k in range(m)), or_,
+                            initial=0))
+    cols = tuple(accumulate((1 << l * w for l in range(n)), or_, initial=0))
+    return _Lanes(_guards(m, n, w)[0], rows, cols)
 
 
-def _packed_excess(sa: Sequence[int], sc: Sequence[int], n: int
-                   ) -> tuple[int, _Lanes] | None:
-    """The excess table sigma(a) - sigma(c) of two same-class flat tables
-    of width n as one int of w-bit lanes, entry k in bits k*w and up, with
-    its ``_lanes``; None when some entry is negative.  w is one more than
-    the bit length of the number of ones, the top entry of sigma(a), which
-    bounds every entry: the extra bit is each lane's guard bit."""
-    w = sa[-1].bit_length() + 1
-    packed = 0
-    for u, v in zip(reversed(sa), reversed(sc)):
-        if u < v:
-            return None
-        packed = packed << w | u - v
-    return packed, _lanes(len(sa) // n, n, w)
+class _OrderTable(NamedTuple):
+    """What every order query reads of a matrix: its partial-sum table
+    packed into w-bit lanes as ``_guards`` lays them out, with each guard
+    bit clear; w; the sum of the table's entries; and the inversion
+    count."""
+
+    sigma: int
+    width: int
+    total: int
+    nu: int
+
+
+def _order_table(a: BinaryMatrix) -> _OrderTable:
+    """The order table of a, computed by the first call and kept in a's
+    slot for every later one.
+
+    w is one more than the bit length of the number of ones, the top entry
+    of sigma, which bounds every entry: the extra bit is each lane's guard
+    bit.  The table is built a row at a time.  The column counts of rows
+    0..k sit one to a lane, and one multiply by a 1 in every lane of a row
+    makes lane l the sum of lanes 0..l: row k of sigma, whose entries sum
+    to the column counts weighted by n - l.  The rows are joined in blocks
+    (``_join``), so the build is not quadratic in m.  A one at (i, j) sits
+    below and left of the ones in rows 0..i-1 and columns j+1..n-1, which
+    number sigma(i-1, n-1) - sigma(i-1, j)."""
+    table = a._table
+    if table is not None:
+        return table
+    n = a.n
+    w = a.count_ones().bit_length() + 1
+    span, lane = n * w, (1 << w) - 1
+    row = (1 << span) - 1
+    prefix = row // lane      # a 1 in every lane of a row
+    cols = sums = 0           # column counts so far; sums: row i-1 of sigma
+    total = nu = above = weighted = 0
+    parts, block = [], 0      # sigma in blocks of 32 rows, joined at the end
+    for i, b in enumerate(a.bits):
+        count = b.bit_count()
+        nu += count * above
+        above += count
+        while b:
+            low = b & -b
+            b ^= low
+            j = low.bit_length() - 1
+            nu -= sums >> j * w & lane
+            weighted += n - j
+            cols += 1 << j * w
+        total += weighted
+        sums = cols * prefix & row
+        block |= sums << (i & 31) * span
+        if i & 31 == 31:
+            parts.append(block)
+            block = 0
+    parts.append(block)
+    table = _OrderTable(_join(parts, 32 * span), w, total, nu)
+    object.__setattr__(a, "_table", table)
+    return table
+
+
+def _dominates(x: int, y: int, high: int) -> bool:
+    """Whether every entry of the packed table x is at least the entry of
+    y in the same lane; high is the tables' guard bits.  With every guard
+    bit of x set, one subtraction borrows within lanes only, and a lane's
+    guard bit survives iff its entry of x is at least that of y."""
+    return ((x | high) - y) & high == high
 
 
 def _lowered(excess: int, lanes: _Lanes, i: int, i2: int, j: int, j2: int

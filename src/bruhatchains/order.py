@@ -5,20 +5,21 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from operator import ge, le
 
 from .errors import MarginMismatch, NotInClass, SearchBudgetExceeded
 from .matrices import (
     F3,
     J2,
     BinaryMatrix,
+    _dominates,
     _flip,
+    _guards,
     _increment,
+    _lanes,
     _lowered,
     _moves,
-    _nu,
-    _packed_excess,
-    _sigma,
+    _order_table,
+    _OrderTable,
     reverse_columns,
 )
 
@@ -42,29 +43,31 @@ class OrderVerdict:
 
 
 def _require_same_class(a: BinaryMatrix, c: BinaryMatrix
-                        ) -> tuple[list[int], list[int]]:
-    """The flat partial-sum tables of a and c, once they are known to share
-    a class: equal dimensions, and equal last rows (cumulative column sums)
-    and last columns (cumulative row sums) of the two tables."""
-    if a.m != c.m or a.n != c.n:
-        raise MarginMismatch("matrices are not in the same class")
-    n = a.n
-    sa, sc = _sigma(a.bits, n), _sigma(c.bits, n)
-    if sa[-n:] != sc[-n:] or sa[n - 1::n] != sc[n - 1::n]:
-        raise MarginMismatch("matrices are not in the same class")
-    return sa, sc
+                        ) -> tuple[_OrderTable, _OrderTable, int]:
+    """The order tables of a and c and their guard bits, once a and c are
+    known to share a class: equal dimensions, equal lane widths (else the
+    lanes do not line up), and equal lanes along the last row (cumulative
+    column sums) and the last column (cumulative row sums)."""
+    if a.m == c.m and a.n == c.n:
+        ta, tc = _order_table(a), _order_table(c)
+        if ta.width == tc.width:
+            high, edge = _guards(a.m, a.n, ta.width)
+            if not (ta.sigma ^ tc.sigma) & edge:
+                return ta, tc, high
+    raise MarginMismatch("matrices are not in the same class")
 
 
 def bruhat_leq(a: BinaryMatrix, c: BinaryMatrix) -> bool:
     """a precedes c iff the partial-sum table of a dominates that of c
     entrywise."""
-    sa, sc = _require_same_class(a, c)
-    return all(map(ge, sa, sc))
+    ta, tc, high = _require_same_class(a, c)
+    return _dominates(ta.sigma, tc.sigma, high)
 
 
 def bruhat_verdict(a: BinaryMatrix, c: BinaryMatrix) -> OrderVerdict:
-    sa, sc = _require_same_class(a, c)
-    return OrderVerdict(leq=all(map(ge, sa, sc)), geq=all(map(le, sa, sc)))
+    ta, tc, high = _require_same_class(a, c)
+    return OrderVerdict(leq=_dominates(ta.sigma, tc.sigma, high),
+                        geq=_dominates(tc.sigma, ta.sigma, high))
 
 
 def bruhat_less(a: BinaryMatrix, c: BinaryMatrix) -> bool:
@@ -87,20 +90,20 @@ def secondary_bruhat_leq(a: BinaryMatrix, c: BinaryMatrix,
     rather than recounted: the rows by two XORs, the table by lowering one
     block (which also says whether c is still dominated), and the count by
     the interchange increment, computed only for a child that still
-    dominates c.  States expand in (total excess, rows) order, and more
-    than node_budget expansions raise SearchBudgetExceeded.
+    dominates c.  The start's values come from the order tables of a and
+    c.  States expand in (total excess, rows) order, and more than
+    node_budget expansions raise SearchBudgetExceeded.
     """
-    sa, sc = _require_same_class(a, c)
+    ta, tc, high = _require_same_class(a, c)
     if a == c:
         return True
-    n, target = a.n, c.bits
-    nu_a, nu_c = _nu(sa, a.bits, n), _nu(sc, target, n)
-    packed = _packed_excess(sa, sc, n)
-    if packed is None or nu_a >= nu_c:
+    nu_c = tc.nu
+    if ta.nu >= nu_c or not _dominates(ta.sigma, tc.sigma, high):
         return False
-    excess, lanes = packed
+    lanes = _lanes(a.m, a.n, ta.width)
+    target = c.bits
     visited = {a.bits}
-    heap = [(sum(sa) - sum(sc), a.bits, excess, nu_a)]
+    heap = [(ta.total - tc.total, a.bits, ta.sigma - tc.sigma, ta.nu)]
     expanded = 0
     while heap:
         total, rows, excess, nu = heapq.heappop(heap)

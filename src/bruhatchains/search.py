@@ -14,12 +14,13 @@ from .enumeration import ClassPoset
 from .matrices import (
     BinaryMatrix,
     Interchange,
+    _dominates,
     _flip,
+    _lanes,
     _lowered,
-    _nu,
-    _packed_excess,
     _sigma,
     _tight_moves,
+    inversion_count,
 )
 from .order import DEFAULT_NODE_BUDGET, _require_same_class
 
@@ -129,14 +130,14 @@ def tight_chain_search(a: BinaryMatrix, c: BinaryMatrix,
     search gives up, with budget_hit set, on expanding more than budget
     states.  The path is an explicit stack, so a chain may be longer than
     the recursion limit."""
-    sa, sc = _require_same_class(a, c)
-    if _nu(sa, a.bits, a.n) > _nu(sc, c.bits, c.n):
+    ta, tc, high = _require_same_class(a, c)
+    if ta.nu > tc.nu:
         raise ValueError("start has more inversions than the target")
-    packed = _packed_excess(sa, sc, a.n)
-    if packed is None:
+    if not _dominates(ta.sigma, tc.sigma, high):
         return SearchOutcome(False, None, 0, False)
 
-    excess, lanes = packed
+    lanes = _lanes(a.m, a.n, ta.width)
+    excess = ta.sigma - tc.sigma
     target = c.bits
     dead: set[tuple[int, ...]] = set()
 
@@ -200,8 +201,8 @@ def certificate(a: BinaryMatrix, c: BinaryMatrix) -> dict:
         "second": c.to_json_dict(),
         "sigma_first": [sa[k:k + a.n] for k in range(0, len(sa), a.n)],
         "sigma_second": [sc[k:k + c.n] for k in range(0, len(sc), c.n)],
-        "nu_first": _nu(sa, a.bits, a.n),
-        "nu_second": _nu(sc, c.bits, c.n),
+        "nu_first": inversion_count(a),
+        "nu_second": inversion_count(c),
         "violated": "first strictly precedes second in the Bruhat order "
                     "but nu(first) >= nu(second)",
     }

@@ -332,6 +332,15 @@ class TestVerifyChain:
         assert rep.nu_profile == tuple(
             inversion_count(a) for a in chain.matrices())
 
+    def test_jump_targets_keep_no_order_table(self):
+        # the jump checks and the nu recounts read fresh copies, so the
+        # 28 jump targets of a kept chain hold no table
+        chain = chain_odd.__wrapped__(61)
+        assert verify_chain(chain).valid
+        jumps = [s.target for s in chain.steps if isinstance(s, BruhatStep)]
+        assert len(jumps) == 28
+        assert all(target._table is None for target in jumps)
+
     def test_jump_into_another_class(self):
         p4, _ = build_extremes(4)
         first = base_chain_4().steps[0]

@@ -2,7 +2,11 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import click
 import pytest
@@ -268,6 +272,19 @@ def test_unreadable_path_exit_code(runner, tmp_path, command):
     assert result.output.startswith("error: cannot read")
 
 
+def test_closed_stdin_exit_code():
+    # with fd 0 closed, Python starts with sys.stdin None
+    src = Path(cli.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-m", "bruhatchains.cli", "inv", "-"],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        preexec_fn=lambda: os.close(0))
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == "error: cannot read -: stdin is closed\n"
+
+
 @pytest.mark.parametrize("args", [["longest", "--n", "9"],
                                   ["spectrum", "--n", "8"]])
 def test_oversize_class_refused(runner, args):
@@ -462,6 +479,16 @@ def test_count_does_not_enumerate(runner, n, count):
     assert time.monotonic() - started < 5
     assert result.exit_code == 0
     assert result.output.strip() == str(count)
+
+
+def test_long_count_refused(runner):
+    # A(16,8) would keep the count DP busy for about 45 s
+    started = time.monotonic()
+    result = runner.invoke(main, ["enumerate", "--n", "16", "--k", "8",
+                                  "--count"])
+    assert time.monotonic() - started < 10
+    _one_error_line(result)
+    assert f"{engine.MAX_COUNT_SPLITS}-split limit" in result.output
 
 
 def test_full_poset_refused_before_enumerating(runner):

@@ -289,6 +289,14 @@ class TestCountClass:
         assert count_class(MarginPair.uniform(9, 9)) == 1
         assert count_class(MarginPair.uniform(9, 1)) == math.factorial(9)
 
+    def test_split_limit(self, monkeypatch):
+        # A(8,2) walks 131 row splits in all
+        monkeypatch.setattr(engine, "MAX_COUNT_SPLITS", 131)
+        assert count_class(MarginPair.uniform(8, 2)) == 187_530_840
+        monkeypatch.setattr(engine, "MAX_COUNT_SPLITS", 130)
+        with pytest.raises(ClassTooLarge, match="130-split limit"):
+            count_class(MarginPair.uniform(8, 2))
+
 
 class TestMembersView:
     def test_index_of_every_member(self, poset_52):

@@ -1,9 +1,12 @@
 """The order oracles on incremental state, cross-checked against the object
 path: the secondary-order search and the tight DFS as they were written
 over BinaryMatrix values, recomputing the partial-sum table and the
-inversion count of every state."""
+inversion count of every state.  The packed order table each matrix keeps
+is cross-checked against the same recounts."""
 
+import dataclasses
 import heapq
+import pickle
 import random
 
 import pytest
@@ -18,9 +21,11 @@ from bruhatchains import (
     SearchBudgetExceeded,
     apply_interchange,
     build_chain,
+    bruhat_leq,
     bruhat_verdict,
     build_extremes,
     cumulative_sums,
+    extremal_inversions,
     find_interchanges,
     interchange_increment,
     inversion_count,
@@ -29,11 +34,14 @@ from bruhatchains import (
     verify_chain,
 )
 from bruhatchains.matrices import (
+    _dominates,
     _flip,
+    _guards,
     _increment,
+    _lanes,
     _lowered,
     _moves,
-    _packed_excess,
+    _order_table,
     _sigma,
     _tight_moves,
 )
@@ -185,8 +193,17 @@ TALL = BinaryMatrix.from_rows(["11", "01", "10"])
     (WIDE, TALL),                                    # the dimensions differ
     (WIDE, BinaryMatrix.from_rows(["111", "010"])),  # only row sums differ
     (WIDE, BinaryMatrix.from_rows(["101", "101"])),  # only column sums differ
+    # same dimensions and lane width (4 and 5 ones), more ones in c
+    (BinaryMatrix.from_rows(["110", "011"]),
+     BinaryMatrix.from_rows(["111", "011"])),
+    # 2 ones against 4: the lane widths differ
+    (BinaryMatrix.from_rows(["100", "010"]), WIDE),
+    # read in 1-bit lanes, the 2-bit table of c shows no edge difference
+    (BinaryMatrix.from_rows(["00"]), BinaryMatrix.from_rows(["01"])),
 ])
 def test_class_mismatch_raises(a, c):
+    with pytest.raises(MarginMismatch):
+        bruhat_leq(a, c)
     with pytest.raises(MarginMismatch):
         bruhat_verdict(a, c)
     with pytest.raises(MarginMismatch):
@@ -214,7 +231,7 @@ def walks(draw):
 
 def lane_width(lanes):
     """The lane width: the guard bit of lane 0 is its top bit."""
-    high = lanes[0]
+    high = lanes.high
     return (high & -high).bit_length()
 
 
@@ -226,6 +243,20 @@ def unpack(packed, size, lanes):
     return [packed >> k * w & (1 << w) - 1 for k in range(size)]
 
 
+def packed_excess(rows, target, n):
+    """The packed excess table sigma(rows) - sigma(target) of two
+    same-class row tuples, read off their order tables, with its lanes;
+    None when some entry is negative."""
+    m = len(rows)
+    ta = _order_table(BinaryMatrix(m, n, rows))
+    tc = _order_table(BinaryMatrix(m, n, target))
+    assert ta.width == tc.width
+    lanes = _lanes(m, n, ta.width)
+    if not _dominates(ta.sigma, tc.sigma, lanes.high):
+        return None
+    return ta.sigma - tc.sigma, lanes
+
+
 @given(walks())
 @settings(max_examples=200)
 def test_incremental_state_equals_recount(walk):
@@ -235,7 +266,7 @@ def test_incremental_state_equals_recount(walk):
     m = len(states[0])
     start = BinaryMatrix(m, n, states[0])
     end = _sigma(states[-1], n)
-    excess, lanes = _packed_excess(_sigma(states[0], n), end, n)
+    excess, lanes = packed_excess(states[0], states[-1], n)
     # the top entry of sigma, the number of ones, fits below the guard bit
     assert lane_width(lanes) == end[-1].bit_length() + 1
     nu = inversion_count(start)
@@ -260,18 +291,116 @@ def test_lowered_refuses_exactly_the_non_dominating(walk):
     target = _sigma(states[-1], n)
     for rows in states:
         sigma = _sigma(rows, n)
-        excess, lanes = _packed_excess(sigma, target, n)
+        excess, lanes = packed_excess(rows, states[-1], n)
         assert unpack(excess, m * n, lanes) == [u - v for u, v in
                                                 zip(sigma, target)]
         for quad in _moves(rows):
-            child_sigma = _sigma(_flip(rows, *quad), n)
-            child = [u - v for u, v in zip(child_sigma, target)]
+            child_rows = _flip(rows, *quad)
+            child = [u - v for u, v in zip(_sigma(child_rows, n), target)]
             got = _lowered(excess, lanes, *quad)
             if min(child) < 0:
                 assert got is None
-                assert _packed_excess(child_sigma, target, n) is None
+                assert packed_excess(child_rows, states[-1], n) is None
             else:
                 assert unpack(got, m * n, lanes) == child
+
+
+def brute_inversions(a):
+    ones = list(a.ones())
+    return sum(1 for x, (i, j) in enumerate(ones) for i2, j2 in ones[x + 1:]
+               if i2 > i and j2 < j)
+
+
+def assert_table_equals_recount(a):
+    """The order table of a against the slow path: every lane (guard bit
+    included) is the cumulative_sums entry, nu the brute count, and the
+    total the sum of the lanes."""
+    table = _order_table(a)
+    assert table.width == a.count_ones().bit_length() + 1
+    lanes = _lanes(a.m, a.n, table.width)
+    entries = unpack(table.sigma, a.m * a.n, lanes)
+    assert entries == list(cumulative_sums(a).flat())
+    assert table.total == sum(entries)
+    assert table.nu == brute_inversions(a) == inversion_count(a)
+
+
+def test_order_table_on_every_a52_member(poset_52):
+    for a in poset_52.members:
+        assert_table_equals_recount(a)
+
+
+@given(st.integers(1, 7).flatmap(lambda m: st.integers(1, 7).flatmap(
+    lambda n: st.lists(st.integers(0, (1 << n) - 1), min_size=m,
+                       max_size=m).map(lambda rows: BinaryMatrix(
+                           m, n, tuple(rows))))))
+@settings(max_examples=300)
+def test_order_table_on_random_shapes(a):
+    assert_table_equals_recount(a)
+
+
+@pytest.mark.parametrize("m", [31, 32, 33, 64, 65, 100])
+def test_order_table_past_one_block(m):
+    # the rows are joined 32 at a time
+    rng = random.Random(m)
+    for n in (1, 3):
+        assert_table_equals_recount(BinaryMatrix(
+            m, n, tuple(rng.getrandbits(n) for _ in range(m))))
+
+
+@pytest.mark.parametrize("m, n", [(1, 1), (1, 5), (4, 1), (3, 7), (7, 7),
+                                  (33, 2), (65, 1)])
+def test_guards_are_the_lane_masks(m, n):
+    for w in (1, 4, 9):
+        lane = (1 << w) - 1
+        high, edge = _guards(m, n, w)
+        assert high == sum(1 << k * w + w - 1 for k in range(m * n))
+        assert edge == sum(lane << (i * n + j) * w for i in range(m)
+                           for j in range(n) if i == m - 1 or j == n - 1)
+        assert _lanes(m, n, w).high == high
+
+
+def test_order_queries_on_large_extremes(memory_cap):
+    # each table is 1500 x 1500 lanes of 13 bits, about 3.7 MB, and so is
+    # each guard mask; the lane sums the searches build would be 2.7 GB
+    p, q = build_extremes(1500)
+    assert (inversion_count(p), inversion_count(q)) == \
+        extremal_inversions(1500)
+    verdict = bruhat_verdict(p, q)
+    assert verdict.leq and not verdict.geq
+    assert bruhat_leq(p, q) and not bruhat_leq(q, p)
+
+
+def test_order_table_lanes_wider_than_a_byte():
+    states = build_chain(70).matrices()
+    for a in states[::len(states) // 8]:
+        assert _order_table(a).width == 9
+        assert_table_equals_recount(a)
+
+
+def test_order_table_is_kept():
+    a = BinaryMatrix.from_rows(["110", "101", "011"])
+    table = _order_table(a)
+    assert _order_table(a) is table
+    assert bruhat_verdict(a, a).equal
+    assert _order_table(a) is table
+
+
+def test_order_table_slot_is_invisible():
+    rows = ["1100", "1010", "0101", "0011"]
+    queried, fresh = (BinaryMatrix.from_rows(rows) for _ in range(2))
+    assert bruhat_leq(queried, queried)
+    assert queried._table is not None and fresh._table is None
+    assert queried == fresh and hash(queried) == hash(fresh)
+    assert repr(queried) == repr(fresh)
+    assert pickle.dumps(queried) == pickle.dumps(fresh)
+    loaded = pickle.loads(pickle.dumps(queried))
+    assert loaded == fresh and loaded._table is None
+    replaced = dataclasses.replace(queried)
+    assert replaced == fresh and replaced._table is None
+    # a replaced matrix computes its own table, not the original's
+    moved = dataclasses.replace(queried, bits=(12, 10, 5, 3))
+    assert_table_equals_recount(moved)
+    assert inversion_count(moved) != inversion_count(queried)
 
 
 @given(st.integers(1, 7).flatmap(lambda n: st.lists(
@@ -293,8 +422,7 @@ def test_lanes_wider_than_a_byte():
     # 140 ones, so sigma's top entry needs 8 bits and a lane 9
     states = build_chain(70).matrices()
     a, c = states[100], states[103]
-    _, lanes = _packed_excess(_sigma(a.bits, a.n), _sigma(c.bits, c.n), a.n)
-    assert lane_width(lanes) == 9
+    assert _order_table(a).width == _order_table(c).width == 9
     assert secondary_bruhat_leq(a, c)
     assert not secondary_bruhat_leq(c, a)
     out = tight_chain_search(a, c)
