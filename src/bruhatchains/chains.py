@@ -426,20 +426,26 @@ def chain_to_json(chain: Chain) -> str:
 def chain_from_json_dict(data: dict) -> Chain:
     """The chain in its JSON form.  Bad data raises MalformedChain naming
     the field: ``start``, ``splices``, ``splices[k]``, ``steps`` or
-    ``steps[k]``."""
+    ``steps[k]``.  Each splice's ``at`` is a JSON integer naming a
+    ``null`` step, and no step is named twice."""
     field = "start"
     try:
         start = BinaryMatrix.from_json_dict(data["start"])
         field, splices = "splices", {}
         for k, s in enumerate(data.get("splices", [])):
             field = f"splices[{k}]"
-            splices[s["at"]] = BinaryMatrix.from_json_dict(s["matrix"])
+            at = s["at"]
+            if type(at) is not int:
+                raise ValueError("at must be an integer")
+            if at in splices:
+                raise ValueError(f"step {at} is spliced twice")
+            splices[at] = k, BinaryMatrix.from_json_dict(s["matrix"])
         field = "steps"
         steps: list[Step] = []
         for k, quad in enumerate(data["steps"]):
             field = f"steps[{k}]"
             if quad is None:
-                steps.append(BruhatStep(splices[k]))
+                steps.append(BruhatStep(splices.pop(k)[1]))
                 continue
             i, i2, j, j2 = quad
             if not all(type(v) is int for v in (i, i2, j, j2)):
@@ -449,6 +455,9 @@ def chain_from_json_dict(data: dict) -> Chain:
         raise MalformedChain(f"{field}: missing key {exc}") from exc
     except (TypeError, ValueError) as exc:
         raise MalformedChain(f"{field}: {exc}") from exc
+    if splices:  # a splice no null step took
+        at, (k, _) = next(iter(splices.items()))
+        raise MalformedChain(f"splices[{k}]: step {at} is not a null step")
     return Chain(start, tuple(steps))
 
 

@@ -164,8 +164,9 @@ def interchange_arcs(keys: np.ndarray, rank: np.ndarray, m: int, n: int
 
 
 def sigma_table(keys: np.ndarray, m: int, n: int) -> np.ndarray:
-    """Every key's partial-sum table, one row each in the layout of
-    ``matrices._sigma``: the cells, summed down and then across."""
+    """Every key's partial-sum table, one row each, entry k*n + l counting
+    the ones in rows 0..k and columns 0..l as the recount ``sigma`` of
+    ``tests/reference.py`` does: the cells, summed down and then across."""
     shifts = np.arange(m * n - 1, -1, -1, dtype=np.uint64)
     cells = ((keys[:, None] >> shifts) & _ONE).astype(np.int8)
     cells = cells.reshape(len(keys), m, n).cumsum(axis=1, dtype=np.int8)

@@ -16,6 +16,8 @@ from itertools import accumulate
 from operator import or_
 from typing import Iterator, NamedTuple, Sequence
 
+import numpy as np
+
 from .errors import IndexOutOfRange, PatternMismatch, SizeMismatch
 
 # The two cell characters; a row's text holds no other.
@@ -248,27 +250,15 @@ F3 = BinaryMatrix.from_rows(["110", "101", "011"])
 F3R = BinaryMatrix.from_rows(["011", "101", "110"])
 
 
-def _sigma(rows: Sequence[int], n: int) -> list[int]:
-    """Flat partial-sum table of the rows: entry k*n + l counts the ones in
-    rows 0..k and columns 0..l, the prefix sums of the column counts of
-    rows 0..k.  The last row holds the cumulative column sums, the last
-    column the cumulative row sums."""
-    cols = [0] * n
-    out: list[int] = []
-    for b in rows:
-        while b:
-            low = b & -b
-            cols[low.bit_length() - 1] += 1
-            b ^= low
-        out.extend(accumulate(cols))
-    return out
-
-
 def cumulative_sums(a: BinaryMatrix) -> CumulativeTable:
-    """Table of leading-submatrix one-counts, computed in O(mn)."""
-    flat = _sigma(a.bits, a.n)
-    return CumulativeTable(a.m, a.n, tuple(
-        tuple(flat[k:k + a.n]) for k in range(0, len(flat), a.n)))
+    """Table of leading-submatrix one-counts, read off the order table: a
+    lane's B bytes weighted by 1, 256, 256**2, ..."""
+    table = _order_table(a)
+    size = table.width // 8
+    raw = table.sigma.to_bytes(a.m * a.n * size, "little")
+    lanes = np.frombuffer(raw, np.uint8).reshape(a.m, a.n, size)
+    values = lanes @ (1 << np.arange(0, 8 * size, 8))
+    return CumulativeTable(a.m, a.n, tuple(map(tuple, values.tolist())))
 
 
 def inversion_count(a: BinaryMatrix) -> int:
@@ -347,29 +337,19 @@ def _flip(rows: tuple[int, ...], i: int, i2: int, j: int, j2: int
     return tuple(out)
 
 
-def _join(parts: list[int], stride: int) -> int:
-    """The OR of parts[k] << k*stride over every k, joined in pairs, so
-    each of about log2(len(parts)) rounds shifts the whole result once:
-    O(size * log) bit work, where a shift per part would be quadratic."""
-    while len(parts) > 1:
-        if len(parts) % 2:
-            parts.append(0)
-        parts = [lo | hi << stride for lo, hi in zip(parts[::2], parts[1::2])]
-        stride *= 2
-    return parts[0] if parts else 0
-
-
 @lru_cache(maxsize=8)
 def _guards(m: int, n: int, w: int) -> tuple[int, int]:
-    """The masks of an m x n table packed into w-bit lanes, entry k*n + l
-    in bits (k*n + l)*w and up: the guard bit, the top bit, of every lane;
-    and every bit of the last row's and the last column's lanes.  Each is
-    the size of one table."""
-    span, lane = n * w, (1 << w) - 1
-    row = (1 << span) - 1
-    high = _join([row // lane << w - 1] * m, span)
-    edge = _join([lane << span - w] * m, span) | row << (m - 1) * span
-    return high, edge
+    """The masks of an m x n table in lanes of w/8 bytes, little-endian,
+    entry k*n + l in bits (k*n + l)*w and up: the guard bit, the top bit,
+    of every lane; and every bit of the last row's and the last column's
+    lanes.  Each is a byte pattern repeated over the table, the size of
+    one table."""
+    size = w // 8
+    high = bytes(size - 1) + b"\x80"
+    last = b"\xff" * size
+    edge = (bytes((n - 1) * size) + last) * (m - 1) + last * n
+    return (int.from_bytes(high * (m * n), "little"),
+            int.from_bytes(edge, "little"))
 
 
 class _Lanes(NamedTuple):
@@ -398,8 +378,8 @@ def _lanes(m: int, n: int, w: int) -> _Lanes:
 class _OrderTable(NamedTuple):
     """What every order query reads of a matrix: its partial-sum table
     packed into w-bit lanes as ``_guards`` lays them out, with each guard
-    bit clear; w; the sum of the table's entries; and the inversion
-    count."""
+    bit clear; w, a multiple of 8; the sum of the table's entries; and the
+    inversion count."""
 
     sigma: int
     width: int
@@ -411,45 +391,37 @@ def _order_table(a: BinaryMatrix) -> _OrderTable:
     """The order table of a, computed by the first call and kept in a's
     slot for every later one.
 
-    w is one more than the bit length of the number of ones, the top entry
-    of sigma, which bounds every entry: the extra bit is each lane's guard
-    bit.  The table is built a row at a time.  The column counts of rows
-    0..k sit one to a lane, and one multiply by a 1 in every lane of a row
-    makes lane l the sum of lanes 0..l: row k of sigma, whose entries sum
-    to the column counts weighted by n - l.  The rows are joined in blocks
-    (``_join``), so the build is not quadratic in m.  A one at (i, j) sits
-    below and left of the ones in rows 0..i-1 and columns j+1..n-1, which
-    number sigma(i-1, n-1) - sigma(i-1, j)."""
+    A lane is the fewest whole bytes that hold the number of ones, the top
+    entry of sigma and so a bound on every entry, with the top bit clear:
+    that bit is the lane's guard bit.  Row i of sigma is kept as an int of
+    n lanes: each one at (i, j) adds a 1 to lanes j..n-1 of row i - 1, and
+    the finished row is appended as little-endian bytes, so one
+    int.from_bytes reads the whole table.  A row's ones are taken from the
+    right, so lane j still holds sigma(i-1, j) when the one at (i, j)
+    reads it: that one sits below and left of the ones in rows 0..i-1 and
+    columns j+1..n-1, which number sigma(i-1, n-1) - sigma(i-1, j).  It
+    adds 1 to the (m-i)(n-j) entries of sigma at and past (i, j)."""
     table = a._table
     if table is not None:
         return table
-    n = a.n
-    w = a.count_ones().bit_length() + 1
-    span, lane = n * w, (1 << w) - 1
-    row = (1 << span) - 1
-    prefix = row // lane      # a 1 in every lane of a row
-    cols = sums = 0           # column counts so far; sums: row i-1 of sigma
-    total = nu = above = weighted = 0
-    parts, block = [], 0      # sigma in blocks of 32 rows, joined at the end
+    m, n = a.m, a.n
+    size = (a.count_ones().bit_length() + 8) // 8
+    w = 8 * size
+    lane = (1 << w) - 1
+    ones = int.from_bytes((b"\x01" + bytes(size - 1)) * n, "little")
+    sigma = bytearray()
+    row = above = total = nu = 0  # row: row i-1 of sigma; above: its ones
     for i, b in enumerate(a.bits):
         count = b.bit_count()
-        nu += count * above
-        above += count
         while b:
-            low = b & -b
-            b ^= low
-            j = low.bit_length() - 1
-            nu -= sums >> j * w & lane
-            weighted += n - j
-            cols += 1 << j * w
-        total += weighted
-        sums = cols * prefix & row
-        block |= sums << (i & 31) * span
-        if i & 31 == 31:
-            parts.append(block)
-            block = 0
-    parts.append(block)
-    table = _OrderTable(_join(parts, 32 * span), w, total, nu)
+            j = b.bit_length() - 1
+            b ^= 1 << j
+            nu += above - (row >> j * w & lane)
+            total += (m - i) * (n - j)
+            row += ones >> j * w << j * w
+        above += count
+        sigma += row.to_bytes(n * size, "little")
+    table = _OrderTable(int.from_bytes(sigma, "little"), w, total, nu)
     object.__setattr__(a, "_table", table)
     return table
 

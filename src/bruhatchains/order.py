@@ -14,7 +14,6 @@ from .matrices import (
     _dominates,
     _flip,
     _guards,
-    _increment,
     _lanes,
     _lowered,
     _moves,
@@ -80,33 +79,30 @@ def secondary_bruhat_leq(a: BinaryMatrix, c: BinaryMatrix,
     """True iff c is reachable from a by ItoL interchanges only.
 
     Best-first search guided by the total excess of the partial-sum table
-    over that of c.  States that stop dominating c, or whose inversion
-    count reaches that of c without being c, are pruned: interchanges only
-    lower partial sums and strictly raise the inversion count, so such
-    states can never reach c.
+    over that of c.  States that stop dominating c are pruned:
+    interchanges only lower partial sums, so such states can never reach
+    c.
 
-    A state is its rows, its excess table sigma(x) - sigma(c) packed into
-    lanes of one int, and its inversion count, each updated by the move
-    rather than recounted: the rows by two XORs, the table by lowering one
-    block (which also says whether c is still dominated), and the count by
-    the interchange increment, computed only for a child that still
-    dominates c.  The start's values come from the order tables of a and
-    c.  States expand in (total excess, rows) order, and more than
-    node_budget expansions raise SearchBudgetExceeded.
+    A state is its rows and its excess table sigma(x) - sigma(c) packed
+    into lanes of one int, each updated by the move rather than
+    recounted: the rows by two XORs, the table by lowering one block,
+    which also says whether c is still dominated.  The start's table comes
+    from the order tables of a and c.  States expand in (total excess,
+    rows) order, and more than node_budget expansions raise
+    SearchBudgetExceeded.
     """
     ta, tc, high = _require_same_class(a, c)
     if a == c:
         return True
-    nu_c = tc.nu
-    if ta.nu >= nu_c or not _dominates(ta.sigma, tc.sigma, high):
+    if not _dominates(ta.sigma, tc.sigma, high):
         return False
     lanes = _lanes(a.m, a.n, ta.width)
     target = c.bits
     visited = {a.bits}
-    heap = [(ta.total - tc.total, a.bits, ta.sigma - tc.sigma, ta.nu)]
+    heap = [(ta.total - tc.total, a.bits, ta.sigma - tc.sigma)]
     expanded = 0
     while heap:
-        total, rows, excess, nu = heapq.heappop(heap)
+        total, rows, excess = heapq.heappop(heap)
         expanded += 1
         if expanded > node_budget:
             raise SearchBudgetExceeded(
@@ -119,13 +115,9 @@ def secondary_bruhat_leq(a: BinaryMatrix, c: BinaryMatrix,
                 continue
             visited.add(y)
             lowered = _lowered(excess, lanes, i, i2, j, j2)
-            if lowered is None:
-                continue
-            nu_y = nu + _increment(rows, i, i2, j, j2)
-            if nu_y >= nu_c:
-                continue
-            heapq.heappush(
-                heap, (total - (i2 - i) * (j2 - j), y, lowered, nu_y))
+            if lowered is not None:
+                heapq.heappush(
+                    heap, (total - (i2 - i) * (j2 - j), y, lowered))
     return False
 
 

@@ -18,8 +18,8 @@ from .matrices import (
     _flip,
     _lanes,
     _lowered,
-    _sigma,
     _tight_moves,
+    cumulative_sums,
     inversion_count,
 )
 from .order import DEFAULT_NODE_BUDGET, _require_same_class
@@ -195,12 +195,11 @@ def monotonicity_check(poset: ClassPoset) -> MonotonicityReport:
 
 def certificate(a: BinaryMatrix, c: BinaryMatrix) -> dict:
     """Self-contained JSON-ready certificate for a monotonicity violation."""
-    sa, sc = _sigma(a.bits, a.n), _sigma(c.bits, c.n)
     return {
         "first": a.to_json_dict(),
         "second": c.to_json_dict(),
-        "sigma_first": [sa[k:k + a.n] for k in range(0, len(sa), a.n)],
-        "sigma_second": [sc[k:k + c.n] for k in range(0, len(sc), c.n)],
+        "sigma_first": [list(row) for row in cumulative_sums(a).values],
+        "sigma_second": [list(row) for row in cumulative_sums(c).values],
         "nu_first": inversion_count(a),
         "nu_second": inversion_count(c),
         "violated": "first strictly precedes second in the Bruhat order "

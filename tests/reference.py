@@ -1,7 +1,8 @@
-"""Reference enumerator for the tests: row-by-row backtracking over
-BinaryMatrix values, independent of the packed engine."""
+"""References for the tests: a row-by-row backtracking enumerator over
+BinaryMatrix values, independent of the packed engine, and a partial-sum
+recount independent of the order tables."""
 
-from itertools import combinations
+from itertools import accumulate, combinations
 
 from bruhatchains import BinaryMatrix, InfeasibleMargins, MarginPair
 
@@ -37,4 +38,20 @@ def backtrack_class(margins: MarginPair) -> list[BinaryMatrix]:
     backtrack(0)
     if not out:
         raise InfeasibleMargins("no matrix realizes these margins")
+    return out
+
+
+def sigma(rows, n: int) -> list[int]:
+    """Flat partial-sum table of the rows: entry k*n + l counts the ones in
+    rows 0..k and columns 0..l, the prefix sums of the column counts of
+    rows 0..k.  The last row holds the cumulative column sums, the last
+    column the cumulative row sums."""
+    cols = [0] * n
+    out: list[int] = []
+    for b in rows:
+        while b:
+            low = b & -b
+            cols[low.bit_length() - 1] += 1
+            b ^= low
+        out.extend(accumulate(cols))
     return out

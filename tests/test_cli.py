@@ -555,6 +555,7 @@ def test_chain_too_large_refused_before_building(runner, memory_cap):
 
 
 _START = {"m": 2, "n": 2, "rows": ["10", "01"]}
+_L2 = {"m": 2, "n": 2, "rows": ["01", "10"]}
 
 
 @pytest.mark.parametrize("chain, field", [
@@ -572,6 +573,22 @@ _START = {"m": 2, "n": 2, "rows": ["10", "01"]}
      "splices[0]"),
     ({"start": _START, "steps": [None],
       "splices": [{"at": 0, "matrix": _START}, {"at": [0], "matrix": _START}]},
+     "splices[1]"),
+    # at is a JSON integer, not 0.0 or true, naming a null step once
+    ({"start": _START, "steps": [None],
+      "splices": [{"at": 0.0, "matrix": _L2}]}, "splices[0]"),
+    ({"start": _START, "steps": [None],
+      "splices": [{"at": True, "matrix": _L2}]}, "splices[0]"),
+    ({"start": _START, "steps": [[0, 1, 0, 1]],
+      "splices": [{"at": 0, "matrix": _L2}]}, "splices[0]"),
+    ({"start": _START, "steps": [None],
+      "splices": [{"at": 0, "matrix": _L2}, {"at": 1, "matrix": _L2}]},
+     "splices[1]"),
+    ({"start": _START, "steps": [None],
+      "splices": [{"at": -1, "matrix": _L2}, {"at": 0, "matrix": _L2}]},
+     "splices[0]"),
+    ({"start": _START, "steps": [None],
+      "splices": [{"at": 0, "matrix": _L2}, {"at": 0, "matrix": _L2}]},
      "splices[1]"),
 ])
 def test_malformed_chain_names_the_field(runner, chain, field):

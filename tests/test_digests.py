@@ -1,0 +1,158 @@
+"""Outputs pinned by digest: the sigma, compare, tight, monotone and chain
+verify results, monotonicity certificates and cumulative_sums tables, on
+seeded inputs.  A digest is the SHA-256 of the outputs as sorted-key
+JSON, so a change in any verdict, count, witness, table or error message
+changes it."""
+
+import hashlib
+import json
+import random
+
+import pytest
+from click.testing import CliRunner
+
+from bruhatchains import (
+    BinaryMatrix,
+    MarginPair,
+    build_chain,
+    chain_to_json,
+    chain_to_text,
+    cumulative_sums,
+    enumerate_class,
+    inversion_count,
+    random_interchange_walk,
+)
+from bruhatchains.cli import main
+from bruhatchains.search import certificate
+
+
+def digest(outputs) -> str:
+    return hashlib.sha256(
+        json.dumps(outputs, sort_keys=True).encode()).hexdigest()
+
+
+def random_matrix(rng, size=9):
+    m, n = rng.randint(1, size), rng.randint(1, size)
+    return BinaryMatrix(m, n, tuple(rng.getrandbits(n) for _ in range(m)))
+
+
+def same_class_pairs(seed, count):
+    """Pairs of a random matrix of at most 9 x 9 and a random interchange
+    walk from it, so both share a class, and the pair reversed."""
+    rng = random.Random(seed)
+    pairs = []
+    for _ in range(count):
+        a = random_matrix(rng)
+        c = random_interchange_walk(a, rng.randint(0, 6), rng)
+        pairs += [(a, c), (c, a)]
+    return pairs
+
+
+def chain_pairs(n, seed, count):
+    """Pairs of states of the order-n chain, the earlier first."""
+    states = build_chain(n).matrices()
+    rng = random.Random(seed)
+    return [tuple(states[k] for k in sorted(rng.sample(range(len(states)), 2)))
+            for _ in range(count)]
+
+
+def member_pairs(n, seed, count):
+    members = list(enumerate_class(MarginPair.uniform(n, 2)))
+    rng = random.Random(seed)
+    return [(rng.choice(members), rng.choice(members)) for _ in range(count)]
+
+
+def run(args, stdin=None):
+    """The exit code and the envelope's result, or the exit code and the
+    error line when the command fails."""
+    result = CliRunner().invoke(main, args, input=stdin)
+    if result.exit_code == 0:
+        return [0, json.loads(result.stdout)["result"]]
+    assert result.output.startswith("error: ")
+    return [result.exit_code, result.output]
+
+
+def run_pair(tmp_path, command, a, c, *options):
+    first, second = tmp_path / "first.txt", tmp_path / "second.txt"
+    first.write_text(a.to_text() + "\n")
+    second.write_text(c.to_text() + "\n")
+    return run([command, str(first), str(second), "--json", *options])
+
+
+def cumulative_sums_outputs(tmp_path):
+    rng = random.Random(12)
+    return [cumulative_sums(random_matrix(rng)).values for _ in range(400)]
+
+
+def sigma_outputs(tmp_path):
+    rng = random.Random(13)
+    return [run(["sigma", "-", "--json"], random_matrix(rng).to_text())
+            for _ in range(40)]
+
+
+def compare_outputs(tmp_path):
+    pairs = member_pairs(4, 14, 30) + member_pairs(5, 15, 30) \
+        + same_class_pairs(16, 30) + chain_pairs(8, 21, 10)
+    return [run_pair(tmp_path, "compare", a, c, "--budget", budget)
+            for a, c in pairs for budget in ("3", "1000")]
+
+
+def tight_outputs(tmp_path):
+    pairs = member_pairs(5, 17, 30) + same_class_pairs(18, 30) \
+        + chain_pairs(8, 22, 10)
+    # the start first: the search refuses a start of more inversions
+    pairs = [sorted(pair, key=inversion_count) for pair in pairs]
+    return [run_pair(tmp_path, "tight", a, c, "--budget", budget)
+            for a, c in pairs for budget in ("5", "1000")]
+
+
+def monotone_outputs(tmp_path):
+    classes = [["--n", "4"], ["--n", "4", "--k", "1"],
+               ["--margins", "2,1,1/1,2,1"], ["--margins", "3,2,1/2,2,2"],
+               ["--margins", "2,2,1,1/3,1,1,1"]]
+    return [run(["monotone", *spec, "--json"]) for spec in classes]
+
+
+def certificate_outputs(tmp_path):
+    return [certificate(a, c) for a, c in
+            member_pairs(4, 19, 20) + same_class_pairs(20, 20)]
+
+
+def chain_verify_outputs(tmp_path):
+    outputs = []
+    for n in range(4, 10):
+        chain = build_chain(n)
+        text = chain_to_json(chain)
+        data = json.loads(text)
+        # the same chain with one interchange step moved by a column
+        k = next(k for k, s in enumerate(data["steps"]) if s is not None)
+        data["steps"][k][3] = (data["steps"][k][3] + 1) % n
+        outputs += [run(["chain", "verify", "-", "--json"], text),
+                    run(["chain", "verify", "-", "--json"], json.dumps(data))]
+        if chain.mode == "interchange":
+            outputs.append(run(["chain", "verify", "-", "--json"],
+                               chain_to_text(chain)))
+    return outputs
+
+
+PINNED = {
+    cumulative_sums_outputs:
+        "8ad481ac33d0bccdff1d50a9db14ae5e6c95c6c5a65c5680f87c6495ea93cc49",
+    sigma_outputs:
+        "48aa190312abd2b2e539b0b956c48d5e3eb18f9ca1d5166912437a3ee8baa87c",
+    compare_outputs:
+        "0976c7180da2b6000cd9399951906999f623d6094e8762d66e82518ad64c366e",
+    tight_outputs:
+        "a31961f110acdac3ff5afda163a8de3b2159caf4474cbb25e812322fa4bd6d34",
+    monotone_outputs:
+        "fbaf9e5116ac0273b8cfe19d169dda8d66c688f3276bcdcafc198dda853b009f",
+    certificate_outputs:
+        "ceb14db226c87b6ca1422ab2ec09c2b2b404968aac198ac11f38e7f8552e77e9",
+    chain_verify_outputs:
+        "12c59754960193427f1578b54b41c95c85ffe36ba644d22ea2156ed5877a76e3",
+}
+
+
+@pytest.mark.parametrize("outputs", PINNED, ids=lambda f: f.__name__)
+def test_outputs_match_their_pinned_digest(outputs, tmp_path):
+    assert digest(outputs(tmp_path)) == PINNED[outputs]

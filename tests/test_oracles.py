@@ -1,13 +1,15 @@
 """The order oracles on incremental state, cross-checked against the object
 path: the secondary-order search and the tight DFS as they were written
-over BinaryMatrix values, recomputing the partial-sum table and the
-inversion count of every state.  The packed order table each matrix keeps
-is cross-checked against the same recounts."""
+over BinaryMatrix values, recomputing the partial-sum table (the
+independent recount of tests/reference.py) and the inversion count of
+every state.  The packed order table each matrix keeps is cross-checked
+against the same recount and a brute inversion count."""
 
 import dataclasses
 import heapq
 import pickle
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +20,7 @@ from bruhatchains import (
     Chain,
     Direction,
     MarginMismatch,
+    OrderVerdict,
     SearchBudgetExceeded,
     apply_interchange,
     build_chain,
@@ -42,9 +45,9 @@ from bruhatchains.matrices import (
     _lowered,
     _moves,
     _order_table,
-    _sigma,
     _tight_moves,
 )
+from reference import sigma
 
 
 def reference_secondary(a, c):
@@ -54,12 +57,12 @@ def reference_secondary(a, c):
         raise MarginMismatch("matrices are not in the same class")
     if a == c:
         return True, 0
-    sc = cumulative_sums(c).flat()
+    sc = sigma(c.bits, c.n)
     nu_c = inversion_count(c)
 
     def admissible_excess(x):
         excess = 0
-        for u, v in zip(cumulative_sums(x).flat(), sc):
+        for u, v in zip(sigma(x.bits, x.n), sc):
             if u < v:
                 return None
             excess += u - v
@@ -97,10 +100,10 @@ def reference_tight(a, c, budget=10**6):
         raise MarginMismatch("endpoints are not in the same class")
     if inversion_count(a) > inversion_count(c):
         raise ValueError("start has more inversions than the target")
-    sc = cumulative_sums(c).flat()
+    sc = sigma(c.bits, c.n)
 
     def dominates(x):
-        return all(u >= v for u, v in zip(cumulative_sums(x).flat(), sc))
+        return all(u >= v for u, v in zip(sigma(x.bits, x.n), sc))
 
     if not dominates(a):
         return False, None, 0, False
@@ -196,10 +199,13 @@ TALL = BinaryMatrix.from_rows(["11", "01", "10"])
     # same dimensions and lane width (4 and 5 ones), more ones in c
     (BinaryMatrix.from_rows(["110", "011"]),
      BinaryMatrix.from_rows(["111", "011"])),
-    # 2 ones against 4: the lane widths differ
+    # 2 ones against 4 in lanes of one byte: the edge lanes differ
     (BinaryMatrix.from_rows(["100", "010"]), WIDE),
-    # read in 1-bit lanes, the 2-bit table of c shows no edge difference
+    # no ones against one, in lanes of one byte
     (BinaryMatrix.from_rows(["00"]), BinaryMatrix.from_rows(["01"])),
+    # 127 ones against 128: the lane widths differ, one byte against two
+    (BinaryMatrix(8, 16, ((1 << 16) - 1,) * 7 + ((1 << 15) - 1,)),
+     BinaryMatrix(8, 16, ((1 << 16) - 1,) * 8)),
 ])
 def test_class_mismatch_raises(a, c):
     with pytest.raises(MarginMismatch):
@@ -227,6 +233,15 @@ def walks(draw):
         quads.append(moves[pick % len(moves)])
         states.append(_flip(states[-1], *quads[-1]))
     return n, states, quads
+
+
+def byte_lane_width(ones):
+    """The width of a lane that holds ones: the fewest whole bytes whose
+    top bit stays clear."""
+    w = 8
+    while ones >= 1 << w - 1:
+        w += 8
+    return w
 
 
 def lane_width(lanes):
@@ -265,16 +280,16 @@ def test_incremental_state_equals_recount(walk):
     n, states, quads = walk
     m = len(states[0])
     start = BinaryMatrix(m, n, states[0])
-    end = _sigma(states[-1], n)
+    end = sigma(states[-1], n)
     excess, lanes = packed_excess(states[0], states[-1], n)
     # the top entry of sigma, the number of ones, fits below the guard bit
-    assert lane_width(lanes) == end[-1].bit_length() + 1
+    assert lane_width(lanes) == byte_lane_width(end[-1])
     nu = inversion_count(start)
     for rows, quad in zip(states, quads):
         nu += _increment(rows, *quad)
         excess = _lowered(excess, lanes, *quad)
         x = BinaryMatrix(m, n, _flip(rows, *quad))
-        recount = cumulative_sums(x).flat()
+        recount = sigma(x.bits, n)
         assert unpack(excess, m * n, lanes) == [u - v for u, v in
                                                 zip(recount, end)]
         assert nu == inversion_count(x)
@@ -288,15 +303,14 @@ def test_lowered_refuses_exactly_the_non_dominating(walk):
     # the move keeps domination of the end iff _lowered returns a table
     n, states, _ = walk
     m = len(states[0])
-    target = _sigma(states[-1], n)
+    target = sigma(states[-1], n)
     for rows in states:
-        sigma = _sigma(rows, n)
         excess, lanes = packed_excess(rows, states[-1], n)
         assert unpack(excess, m * n, lanes) == [u - v for u, v in
-                                                zip(sigma, target)]
+                                                zip(sigma(rows, n), target)]
         for quad in _moves(rows):
             child_rows = _flip(rows, *quad)
-            child = [u - v for u, v in zip(_sigma(child_rows, n), target)]
+            child = [u - v for u, v in zip(sigma(child_rows, n), target)]
             got = _lowered(excess, lanes, *quad)
             if min(child) < 0:
                 assert got is None
@@ -313,15 +327,60 @@ def brute_inversions(a):
 
 def assert_table_equals_recount(a):
     """The order table of a against the slow path: every lane (guard bit
-    included) is the cumulative_sums entry, nu the brute count, and the
-    total the sum of the lanes."""
+    included) is the recounted entry, nu the brute count, and the total
+    the sum of the lanes; cumulative_sums reads the same entries back."""
     table = _order_table(a)
-    assert table.width == a.count_ones().bit_length() + 1
+    assert table.width == byte_lane_width(a.count_ones())
     lanes = _lanes(a.m, a.n, table.width)
     entries = unpack(table.sigma, a.m * a.n, lanes)
-    assert entries == list(cumulative_sums(a).flat())
+    assert entries == sigma(a.bits, a.n) == list(cumulative_sums(a).flat())
     assert table.total == sum(entries)
     assert table.nu == brute_inversions(a) == inversion_count(a)
+
+
+def inversions_by_columns(a):
+    """The inversion count as column counts give it: each one pairs with
+    the ones of earlier rows in later columns.  Linear in the ones per one,
+    where brute_inversions is quadratic in the ones."""
+    above = [0] * a.n
+    nu = 0
+    for b in a.bits:
+        cols = [j for j in range(a.n) if b >> j & 1]
+        nu += sum(sum(above[j + 1:]) for j in cols)
+        for j in cols:
+            above[j] += 1
+    return nu
+
+
+@pytest.mark.parametrize("ones, side, width", [
+    (127, 16, 8), (128, 16, 16), (32767, 256, 16), (32768, 256, 24)])
+def test_order_tables_at_the_lane_boundaries(ones, side, width):
+    # the corner entry, the number of ones, is the largest lane value: the
+    # most a lane of that width holds below its guard bit, or one more
+    rng = random.Random(ones)
+    cells = set(rng.sample(range(side * side), ones))
+    a = BinaryMatrix(side, side, tuple(
+        sum(1 << j for j in range(side) if i * side + j in cells)
+        for i in range(side)))
+    table = _order_table(a)
+    assert table.width == width == byte_lane_width(ones)
+    # the lanes, guard bits included, read back as the recount
+    recount = sigma(a.bits, side)
+    assert table.sigma & _guards(side, side, width)[0] == 0
+    assert list(cumulative_sums(a).flat()) == recount
+    assert recount[-1] == ones and table.total == sum(recount)
+    assert table.nu == inversions_by_columns(a)
+    if ones < 1000:
+        assert table.nu == brute_inversions(a)
+    up = BinaryMatrix(side, side, _flip(a.bits, *next(_moves(a.bits))))
+    down = BinaryMatrix(side, side, _flip(
+        a.bits, *next(_moves(a.bits, Direction.LtoI))))
+    for x, y in product((a, up, down), repeat=2):
+        sx, sy = sigma(x.bits, side), sigma(y.bits, side)
+        assert bruhat_verdict(x, y) == OrderVerdict(
+            all(u >= v for u, v in zip(sx, sy)),
+            all(u <= v for u, v in zip(sx, sy)))
+    assert bruhat_verdict(down, up) == OrderVerdict(True, False)
 
 
 def test_order_table_on_every_a52_member(poset_52):
@@ -340,7 +399,7 @@ def test_order_table_on_random_shapes(a):
 
 @pytest.mark.parametrize("m", [31, 32, 33, 64, 65, 100])
 def test_order_table_past_one_block(m):
-    # the rows are joined 32 at a time
+    # tall tables: many rows of one or three lanes
     rng = random.Random(m)
     for n in (1, 3):
         assert_table_equals_recount(BinaryMatrix(
@@ -350,7 +409,7 @@ def test_order_table_past_one_block(m):
 @pytest.mark.parametrize("m, n", [(1, 1), (1, 5), (4, 1), (3, 7), (7, 7),
                                   (33, 2), (65, 1)])
 def test_guards_are_the_lane_masks(m, n):
-    for w in (1, 4, 9):
+    for w in (8, 16, 24):
         lane = (1 << w) - 1
         high, edge = _guards(m, n, w)
         assert high == sum(1 << k * w + w - 1 for k in range(m * n))
@@ -360,8 +419,8 @@ def test_guards_are_the_lane_masks(m, n):
 
 
 def test_order_queries_on_large_extremes(memory_cap):
-    # each table is 1500 x 1500 lanes of 13 bits, about 3.7 MB, and so is
-    # each guard mask; the lane sums the searches build would be 2.7 GB
+    # each table is 1500 x 1500 lanes of 2 bytes, 4.5 MB, and so is each
+    # guard mask; the lane sums the searches build would be 3.4 GB
     p, q = build_extremes(1500)
     assert (inversion_count(p), inversion_count(q)) == \
         extremal_inversions(1500)
@@ -373,7 +432,7 @@ def test_order_queries_on_large_extremes(memory_cap):
 def test_order_table_lanes_wider_than_a_byte():
     states = build_chain(70).matrices()
     for a in states[::len(states) // 8]:
-        assert _order_table(a).width == 9
+        assert _order_table(a).width == 16
         assert_table_equals_recount(a)
 
 
@@ -419,10 +478,10 @@ def test_tight_moves_on_every_a52_member(poset_52):
 
 
 def test_lanes_wider_than_a_byte():
-    # 140 ones, so sigma's top entry needs 8 bits and a lane 9
+    # 140 ones, past 127, so a lane takes two bytes
     states = build_chain(70).matrices()
     a, c = states[100], states[103]
-    assert _order_table(a).width == _order_table(c).width == 9
+    assert _order_table(a).width == _order_table(c).width == 16
     assert secondary_bruhat_leq(a, c)
     assert not secondary_bruhat_leq(c, a)
     out = tight_chain_search(a, c)
