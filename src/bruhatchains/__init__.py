@@ -43,6 +43,7 @@ from .errors import (
     PatternMismatch,
     SearchBudgetExceeded,
     SizeMismatch,
+    StartAboveTarget,
     UnsupportedOrder,
 )
 from .matrices import (

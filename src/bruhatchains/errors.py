@@ -30,6 +30,12 @@ class SearchBudgetExceeded(BruhatError):
     """A reachability search hit its node limit before resolving."""
 
 
+class StartAboveTarget(BruhatError, ValueError):
+    """A tight chain search starts with more inversions than its target
+    has, so no chain that raises the count can join them.  A ValueError
+    too, as a bad argument."""
+
+
 class UnsupportedOrder(BruhatError):
     """The matrix order n is outside the operation's domain."""
 

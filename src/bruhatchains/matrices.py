@@ -317,6 +317,8 @@ def _tight_moves(rows: Sequence[int]) -> Iterator[tuple[int, int, int, int]]:
                 if high & bot and not between & ((high << 1) - low):
                     yield i, i2, low.bit_length() - 1, high.bit_length() - 1
             between |= bi2
+            if not bi & ~between:
+                break   # every one of row i has a one below it: no later i2
 
 
 def find_interchanges(a: BinaryMatrix,
@@ -335,6 +337,92 @@ def _flip(rows: tuple[int, ...], i: int, i2: int, j: int, j2: int
     out[i] ^= flip
     out[i2] ^= flip
     return tuple(out)
+
+
+# The most bytes the child memo (``_ChildMemo``) charges before it starts
+# over.  Every A(5,2) state's two entries together charge about 2.1 MB.
+MAX_MEMO_BYTES = 1 << 23
+
+# What the child memo charges, from tracemalloc on A(5,2): per entry, its
+# dict slot and three tuple heads; per child, its slots in the two tuples;
+# per tuple newly interned, 8 bytes an item, its head, its intern slot and
+# room for the two row ints a flip makes (A(5,2)'s rows are cached small
+# ints); per state marked seen, a hash in a set.
+_ENTRY_BYTES = 192
+_SLOT_BYTES = 16
+_NEW_BYTES = 160
+_SEEN_BYTES = 100
+
+
+class _ChildMemo:
+    """The children of the states the order searches expand, shared by
+    every query: ``expand(rows, generate)`` gives (child rows, move) for
+    each move of ``generate(rows)``, ``_moves`` or ``_tight_moves``, in
+    its order.
+
+    A state's first expansion by a generator is generated lazily and only
+    marks the state seen, by its hash, so a search that visits each state
+    once stores nothing.  The second builds an entry, the child rows and
+    the moves as two parallel tuples with every rows tuple and move
+    interned, and later ones read it.  Each entry and mark is charged
+    before it is kept; when that would take the charge past
+    MAX_MEMO_BYTES the memo is cleared first, and an entry that alone
+    passes it is not stored.  Only the moves are kept: what a search
+    tracks per query (visited and dead states, excess tables) stays with
+    the search."""
+
+    def __init__(self) -> None:
+        self.clear()
+
+    def clear(self) -> None:
+        self.entries: dict = {_moves: {}, _tight_moves: {}}
+        self.seen: dict = {_moves: set(), _tight_moves: set()}
+        self.interned: dict = {}   # rows and moves alike: equal tuples
+        self.charged = 0
+
+    def _charge(self, cost: int, alone: int) -> bool:
+        """Charge cost bytes; or, when that would pass the bound, clear the
+        memo and charge alone, the cost in an empty memo.  False, with
+        nothing charged or cleared, when alone passes the bound too."""
+        if self.charged + cost > MAX_MEMO_BYTES:
+            if alone > MAX_MEMO_BYTES:
+                return False
+            self.clear()
+            cost = alone
+        self.charged += cost
+        return True
+
+    def expand(self, rows: tuple[int, ...], generate) -> Iterator[tuple]:
+        entry = self.entries[generate].get(rows)
+        if entry is not None:
+            return zip(*entry)
+        key = hash(rows)
+        if key not in self.seen[generate]:
+            if self._charge(_SEEN_BYTES, _SEEN_BYTES):
+                self.seen[generate].add(key)
+            return ((_flip(rows, *move), move) for move in generate(rows))
+        moves = tuple(generate(rows))
+        children = tuple(_flip(rows, *move) for move in moves)
+        tuples = (rows, *children, *moves)
+        new = [t for t in tuples if t not in self.interned]
+        if self._charge(_entry_bytes(len(moves), new),
+                        _entry_bytes(len(moves), tuples)):
+            intern = self.interned.setdefault
+            children = tuple(intern(y, y) for y in children)
+            moves = tuple(intern(move, move) for move in moves)
+            self.entries[generate][intern(rows, rows)] = children, moves
+        return zip(children, moves)
+
+
+def _entry_bytes(count: int, new: Sequence[tuple]) -> int:
+    """The charge of an entry of count children that interns the tuples
+    new."""
+    return (_ENTRY_BYTES + _SLOT_BYTES * count
+            + sum(_NEW_BYTES + 8 * len(t) for t in new))
+
+
+_CHILD_MEMO = _ChildMemo()
+_expand = _CHILD_MEMO.expand
 
 
 @lru_cache(maxsize=8)

@@ -12,7 +12,7 @@ from .matrices import (
     J2,
     BinaryMatrix,
     _dominates,
-    _flip,
+    _expand,
     _guards,
     _lanes,
     _lowered,
@@ -87,9 +87,10 @@ def secondary_bruhat_leq(a: BinaryMatrix, c: BinaryMatrix,
     into lanes of one int, each updated by the move rather than
     recounted: the rows by two XORs, the table by lowering one block,
     which also says whether c is still dominated.  The start's table comes
-    from the order tables of a and c.  States expand in (total excess,
-    rows) order, and more than node_budget expansions raise
-    SearchBudgetExceeded.
+    from the order tables of a and c, and a state's children and moves
+    from the child memo the searches share (``matrices._ChildMemo``).
+    States expand in (total excess, rows) order, and more than
+    node_budget expansions raise SearchBudgetExceeded.
     """
     ta, tc, high = _require_same_class(a, c)
     if a == c:
@@ -107,8 +108,7 @@ def secondary_bruhat_leq(a: BinaryMatrix, c: BinaryMatrix,
         if expanded > node_budget:
             raise SearchBudgetExceeded(
                 f"secondary order search exceeded {node_budget} nodes")
-        for i, i2, j, j2 in _moves(rows):
-            y = _flip(rows, i, i2, j, j2)
+        for y, (i, i2, j, j2) in _expand(rows, _moves):
             if y == target:
                 return True
             if y in visited:

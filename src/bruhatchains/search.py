@@ -11,11 +11,12 @@ import numpy as np
 
 from .chains import BruhatStep, Chain
 from .enumeration import ClassPoset
+from .errors import StartAboveTarget
 from .matrices import (
     BinaryMatrix,
     Interchange,
     _dominates,
-    _flip,
+    _expand,
     _lanes,
     _lowered,
     _tight_moves,
@@ -126,13 +127,16 @@ def tight_chain_search(a: BinaryMatrix, c: BinaryMatrix,
     into lanes of one int, both updated by the move: the rows by two XORs,
     the table by lowering one block, which also says whether c is still
     dominated.  Its inversion count needs no tracking, since every step
-    adds exactly one.  Moves are tried in (i, i2, j, j2) order, and the
-    search gives up, with budget_hit set, on expanding more than budget
-    states.  The path is an explicit stack, so a chain may be longer than
-    the recursion limit."""
+    adds exactly one.  A state's children and moves come from the child
+    memo the searches share (``matrices._ChildMemo``), and a start with
+    more inversions than the target raises StartAboveTarget.  Moves are
+    tried in (i, i2, j, j2) order, and the search gives up, with
+    budget_hit set, on expanding more than budget states.  The path is an
+    explicit stack, so a chain may be longer than the recursion limit."""
     ta, tc, high = _require_same_class(a, c)
     if ta.nu > tc.nu:
-        raise ValueError("start has more inversions than the target")
+        raise StartAboveTarget(
+            f"start has more inversions than the target ({ta.nu} > {tc.nu})")
     if not _dominates(ta.sigma, tc.sigma, high):
         return SearchOutcome(False, None, 0, False)
 
@@ -142,8 +146,7 @@ def tight_chain_search(a: BinaryMatrix, c: BinaryMatrix,
     dead: set[tuple[int, ...]] = set()
 
     def children(rows: tuple[int, ...], excess: int):
-        for move in _tight_moves(rows):
-            y = _flip(rows, *move)
+        for y, move in _expand(rows, _tight_moves):
             if y in dead:
                 continue
             lowered = _lowered(excess, lanes, *move)

@@ -217,6 +217,19 @@ def test_tight(runner, tmp_path):
     assert data["length"] == 16
 
 
+@pytest.mark.parametrize("as_json", [[], ["--json"]])
+def test_tight_start_above_target_is_a_domain_error(runner, tmp_path,
+                                                    as_json):
+    # nu 6 at the start against nu 2 at the target: no raising chain
+    src = tmp_path / "from.txt"
+    dst = tmp_path / "to.txt"
+    src.write_text("1100\n0011\n1100\n0011\n")
+    dst.write_text(P4_TEXT)
+    result = runner.invoke(main, ["tight", str(src), str(dst), *as_json])
+    _one_error_line(result)
+    assert "more inversions than the target (6 > 2)" in result.output
+
+
 def test_monotone(runner):
     result = runner.invoke(main, ["monotone", "--margins", "2,2,1/2,2,1"])
     assert result.exit_code == 0

@@ -477,6 +477,14 @@ def test_tight_moves_on_every_a52_member(poset_52):
             mv for mv in _moves(a.bits) if _increment(a.bits, *mv) == 1]
 
 
+def test_tight_moves_on_every_state_of_a_maximum_chain():
+    # 30 x 30 states from P_30 to Q_30, where the scan of each row i stops
+    # once the rows below it cover its ones
+    for a in build_chain(30).matrices():
+        assert list(_tight_moves(a.bits)) == [
+            mv for mv in _moves(a.bits) if _increment(a.bits, *mv) == 1]
+
+
 def test_lanes_wider_than_a_byte():
     # 140 ones, past 127, so a lane takes two bytes
     states = build_chain(70).matrices()
