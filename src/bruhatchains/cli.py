@@ -145,7 +145,9 @@ def sigma(matrix: str, as_json: bool) -> None:
 @click.argument("first")
 @click.argument("second")
 @click.option("--budget", type=click.IntRange(min=1),
-              default=order.DEFAULT_NODE_BUDGET, show_default=True)
+              default=order.DEFAULT_NODE_BUDGET, show_default=True,
+              help="Most states each secondary order search (a depth-first "
+                   "search over ItoL interchanges) expands before it fails.")
 @click.option("--json", "as_json", is_flag=True)
 def compare(first: str, second: str, budget: int, as_json: bool) -> None:
     """Bruhat and secondary Bruhat verdicts for a pair."""

@@ -22,8 +22,9 @@ class InfeasibleMargins(BruhatError):
 
 
 class ClassTooLarge(BruhatError):
-    """The class would need an array over the byte limit
-    (``engine.MAX_ARRAY_BYTES``), or more cells than a packed key holds."""
+    """The class would need an array, or an order search a path, over the
+    byte limit (``engine.MAX_ARRAY_BYTES``), or more cells than a packed
+    key holds."""
 
 
 class SearchBudgetExceeded(BruhatError):

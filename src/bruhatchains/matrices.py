@@ -368,7 +368,7 @@ class _ChildMemo:
     before it is kept; when that would take the charge past
     MAX_MEMO_BYTES the memo is cleared first, and an entry that alone
     passes it is not stored.  Only the moves are kept: what a search
-    tracks per query (visited and dead states, excess tables) stays with
+    tracks per query (dead states, excess tables, its path) stays with
     the search."""
 
     def __init__(self) -> None:
@@ -466,12 +466,10 @@ def _lanes(m: int, n: int, w: int) -> _Lanes:
 class _OrderTable(NamedTuple):
     """What every order query reads of a matrix: its partial-sum table
     packed into w-bit lanes as ``_guards`` lays them out, with each guard
-    bit clear; w, a multiple of 8; the sum of the table's entries; and the
-    inversion count."""
+    bit clear; w, a multiple of 8; and the inversion count."""
 
     sigma: int
     width: int
-    total: int
     nu: int
 
 
@@ -487,29 +485,27 @@ def _order_table(a: BinaryMatrix) -> _OrderTable:
     int.from_bytes reads the whole table.  A row's ones are taken from the
     right, so lane j still holds sigma(i-1, j) when the one at (i, j)
     reads it: that one sits below and left of the ones in rows 0..i-1 and
-    columns j+1..n-1, which number sigma(i-1, n-1) - sigma(i-1, j).  It
-    adds 1 to the (m-i)(n-j) entries of sigma at and past (i, j)."""
+    columns j+1..n-1, which number sigma(i-1, n-1) - sigma(i-1, j)."""
     table = a._table
     if table is not None:
         return table
-    m, n = a.m, a.n
+    n = a.n
     size = (a.count_ones().bit_length() + 8) // 8
     w = 8 * size
     lane = (1 << w) - 1
     ones = int.from_bytes((b"\x01" + bytes(size - 1)) * n, "little")
     sigma = bytearray()
-    row = above = total = nu = 0  # row: row i-1 of sigma; above: its ones
+    row = above = nu = 0  # row: row i-1 of sigma; above: its ones
     for i, b in enumerate(a.bits):
         count = b.bit_count()
         while b:
             j = b.bit_length() - 1
             b ^= 1 << j
             nu += above - (row >> j * w & lane)
-            total += (m - i) * (n - j)
             row += ones >> j * w << j * w
         above += count
         sigma += row.to_bytes(n * size, "little")
-    table = _OrderTable(int.from_bytes(sigma, "little"), w, total, nu)
+    table = _OrderTable(int.from_bytes(sigma, "little"), w, nu)
     object.__setattr__(a, "_table", table)
     return table
 

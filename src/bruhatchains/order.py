@@ -3,10 +3,16 @@ minimal/maximal tests for classes where every row and column sums to 2."""
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
+from typing import Iterator
 
-from .errors import MarginMismatch, NotInClass, SearchBudgetExceeded
+from . import engine
+from .errors import (
+    ClassTooLarge,
+    MarginMismatch,
+    NotInClass,
+    SearchBudgetExceeded,
+)
 from .matrices import (
     F3,
     J2,
@@ -74,51 +80,90 @@ def bruhat_less(a: BinaryMatrix, c: BinaryMatrix) -> bool:
     return a != c and bruhat_leq(a, c)
 
 
-def secondary_bruhat_leq(a: BinaryMatrix, c: BinaryMatrix,
-                         node_budget: int = DEFAULT_NODE_BUDGET) -> bool:
-    """True iff c is reachable from a by ItoL interchanges only.
+# What a search holds beside the child memo, charged against
+# engine.MAX_ARRAY_BYTES before each level is pushed: per level of the
+# path, its packed excess table and the frames and tuples that walk its
+# children; per state expanded, which the dead set may keep, its rows
+# tuple (8 bytes a row), two new row ints and a set slot.
+_LEVEL_BYTES = 600
+_STATE_BYTES = 200
 
-    Best-first search guided by the total excess of the partial-sum table
-    over that of c.  States that stop dominating c are pruned:
-    interchanges only lower partial sums, so such states can never reach
-    c.
 
-    A state is its rows and its excess table sigma(x) - sigma(c) packed
-    into lanes of one int, each updated by the move rather than
-    recounted: the rows by two XORs, the table by lowering one block,
-    which also says whether c is still dominated.  The start's table comes
-    from the order tables of a and c, and a state's children and moves
-    from the child memo the searches share (``matrices._ChildMemo``).
-    States expand in (total excess, rows) order, and more than
-    node_budget expansions raise SearchBudgetExceeded.
-    """
-    ta, tc, high = _require_same_class(a, c)
-    if a == c:
-        return True
+def _search(a: BinaryMatrix, c: BinaryMatrix, tables, generate,
+            budget: int) -> tuple[list[tuple[int, ...]] | None, int]:
+    """Depth-first search from a to c over the moves of generate,
+    ``_moves`` or ``_tight_moves``; tables are _require_same_class(a, c).
+    Gives the moves of the chain found, or None, and the states expanded,
+    which pass budget only when the search gave up.
+
+    Every ItoL move raises the inversion count, so a state whose children
+    are exhausted is dead for the rest of the query, and the search is
+    complete.  A state is its rows and its excess table sigma(x) - sigma(c)
+    in packed lanes, both updated by the move: two XORs, and ``_lowered``,
+    which prunes the states that stop dominating c.  Children come from
+    the shared child memo in (i, i2, j, j2) order.  The path is an explicit
+    stack, so a chain may be longer than the recursion limit.  Before a
+    level is pushed, the bytes of the path's tables and the expanded
+    states' rows are checked against engine.MAX_ARRAY_BYTES."""
+    ta, tc, high = tables
     if not _dominates(ta.sigma, tc.sigma, high):
-        return False
+        return None, 0
     lanes = _lanes(a.m, a.n, ta.width)
     target = c.bits
-    visited = {a.bits}
-    heap = [(ta.total - tc.total, a.bits, ta.sigma - tc.sigma)]
-    expanded = 0
-    while heap:
-        total, rows, excess = heapq.heappop(heap)
-        expanded += 1
-        if expanded > node_budget:
-            raise SearchBudgetExceeded(
-                f"secondary order search exceeded {node_budget} nodes")
-        for y, (i, i2, j, j2) in _expand(rows, _moves):
-            if y == target:
-                return True
-            if y in visited:
+    dead: set[tuple[int, ...]] = set()
+    table = a.m * a.n * ta.width // 8 + _LEVEL_BYTES
+    level = table + 8 * a.m + _STATE_BYTES
+    limit = engine.MAX_ARRAY_BYTES
+
+    def children(rows: tuple[int, ...], excess: int):
+        for y, move in _expand(rows, generate):
+            if y in dead:
                 continue
-            visited.add(y)
-            lowered = _lowered(excess, lanes, i, i2, j, j2)
+            lowered = _lowered(excess, lanes, *move)
             if lowered is not None:
-                heapq.heappush(
-                    heap, (total - (i2 - i) * (j2 - j), y, lowered))
-    return False
+                yield move, y, lowered
+
+    explored = held = 0
+    path: list[tuple[int, int, int, int]] = []
+    # the states on the path, each with its children not yet tried
+    stack: list[tuple[tuple[int, ...], Iterator]] = []
+    rows, excess = a.bits, ta.sigma - tc.sigma
+    while True:
+        if rows == target:
+            return path, explored
+        explored += 1
+        if explored > budget:
+            return None, explored
+        held += level
+        if held > limit:
+            raise ClassTooLarge(
+                f"the search would hold {held} bytes at depth "
+                f"{len(path)}, over the {limit}-byte limit")
+        stack.append((rows, children(rows, excess)))
+        step = next(stack[-1][1], None)
+        while step is None:
+            done, _ = stack.pop()
+            held -= table
+            if not stack:
+                return None, explored
+            dead.add(done)
+            path.pop()
+            step = next(stack[-1][1], None)
+        move, rows, excess = step
+        path.append(move)
+
+
+def secondary_bruhat_leq(a: BinaryMatrix, c: BinaryMatrix,
+                         node_budget: int = DEFAULT_NODE_BUDGET) -> bool:
+    """True iff c is reachable from a by ItoL interchanges only: the
+    depth-first search ``_search`` over every ItoL move.  More than
+    node_budget expansions raise SearchBudgetExceeded."""
+    path, expanded = _search(a, c, _require_same_class(a, c), _moves,
+                             node_budget)
+    if expanded > node_budget:
+        raise SearchBudgetExceeded(
+            f"secondary order search exceeded {node_budget} nodes")
+    return path is not None
 
 
 def is_minimal_An2(a: BinaryMatrix) -> bool:

@@ -5,7 +5,7 @@ chain lengths."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
@@ -15,15 +15,11 @@ from .errors import StartAboveTarget
 from .matrices import (
     BinaryMatrix,
     Interchange,
-    _dominates,
-    _expand,
-    _lanes,
-    _lowered,
     _tight_moves,
     cumulative_sums,
     inversion_count,
 )
-from .order import DEFAULT_NODE_BUDGET, _require_same_class
+from .order import DEFAULT_NODE_BUDGET, _require_same_class, _search
 
 
 @dataclass
@@ -115,67 +111,25 @@ def longest_chain_between(poset: ClassPoset, start_idx: int,
 
 def tight_chain_search(a: BinaryMatrix, c: BinaryMatrix,
                        budget: int = DEFAULT_NODE_BUDGET) -> SearchOutcome:
-    """Depth-first search for an interchange chain from a to c whose
-    inversion count rises by exactly one per step.
+    """Search for an interchange chain from a to c whose inversion count
+    rises by exactly one per step: the depth-first search
+    ``order._search`` over the increment-one moves (``_tight_moves``).
 
     Restricting moves to increment-one interchanges loses no witnesses:
-    every step of a tight chain has increment exactly one.  States that
-    stop dominating the target's partial-sum table are dead.  Dead states
-    are memoized.
-
-    A state is its rows and its excess table sigma(x) - sigma(c) packed
-    into lanes of one int, both updated by the move: the rows by two XORs,
-    the table by lowering one block, which also says whether c is still
-    dominated.  Its inversion count needs no tracking, since every step
-    adds exactly one.  A state's children and moves come from the child
-    memo the searches share (``matrices._ChildMemo``), and a start with
-    more inversions than the target raises StartAboveTarget.  Moves are
-    tried in (i, i2, j, j2) order, and the search gives up, with
-    budget_hit set, on expanding more than budget states.  The path is an
-    explicit stack, so a chain may be longer than the recursion limit."""
-    ta, tc, high = _require_same_class(a, c)
+    every step of a tight chain has increment exactly one.  A start with
+    more inversions than the target raises StartAboveTarget.  The search
+    gives up, with budget_hit set, on expanding more than budget
+    states."""
+    tables = _require_same_class(a, c)
+    ta, tc, _ = tables
     if ta.nu > tc.nu:
         raise StartAboveTarget(
             f"start has more inversions than the target ({ta.nu} > {tc.nu})")
-    if not _dominates(ta.sigma, tc.sigma, high):
-        return SearchOutcome(False, None, 0, False)
-
-    lanes = _lanes(a.m, a.n, ta.width)
-    excess = ta.sigma - tc.sigma
-    target = c.bits
-    dead: set[tuple[int, ...]] = set()
-
-    def children(rows: tuple[int, ...], excess: int):
-        for y, move in _expand(rows, _tight_moves):
-            if y in dead:
-                continue
-            lowered = _lowered(excess, lanes, *move)
-            if lowered is not None:
-                yield move, y, lowered
-
-    explored = 0
-    path: list[tuple[int, int, int, int]] = []
-    # the states on the path, each with its children not yet tried
-    stack: list[tuple[tuple[int, ...], Iterator]] = []
-    rows = a.bits
-    while True:
-        if rows == target:
-            witness = Chain(a, tuple(Interchange(*move) for move in path))
-            return SearchOutcome(True, witness, explored, False)
-        explored += 1
-        if explored > budget:
-            return SearchOutcome(False, None, explored, True)
-        stack.append((rows, children(rows, excess)))
-        step = next(stack[-1][1], None)
-        while step is None:
-            done, _ = stack.pop()
-            if not stack:
-                return SearchOutcome(False, None, explored, False)
-            dead.add(done)
-            path.pop()
-            step = next(stack[-1][1], None)
-        move, rows, excess = step
-        path.append(move)
+    path, explored = _search(a, c, tables, _tight_moves, budget)
+    if path is None:
+        return SearchOutcome(False, None, explored, explored > budget)
+    witness = Chain(a, tuple(Interchange(*move) for move in path))
+    return SearchOutcome(True, witness, explored, False)
 
 
 def monotonicity_check(poset: ClassPoset) -> MonotonicityReport:

@@ -261,6 +261,19 @@ def test_malformed_matrix_exit_code(runner, text):
     assert len(result.output.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("command", ["compare", "tight"])
+def test_search_past_the_byte_limit_is_a_domain_error(runner, tmp_path,
+                                                      monkeypatch, command):
+    p30, q30 = build_extremes(30)
+    src, dst = tmp_path / "p30.txt", tmp_path / "q30.txt"
+    src.write_text(p30.to_text())
+    dst.write_text(q30.to_text())
+    monkeypatch.setattr(engine, "MAX_ARRAY_BYTES", 100_000)
+    result = runner.invoke(main, [command, str(src), str(dst)])
+    _one_error_line(result)
+    assert "100000-byte limit" in result.output
+
+
 def _one_error_line(result):
     assert result.exit_code == 1
     assert isinstance(result.exception, SystemExit)

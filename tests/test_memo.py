@@ -230,6 +230,20 @@ def test_a63_cover_that_no_interchange_gives(clean_memo):
     assert a.bits in clean_memo.entries[_tight_moves]
 
 
+# One LtoI step below COVER_LOW: the secondary search reaches COVER_HIGH
+# only after backing out of a branch, and meets a state of that branch
+# again, so its dead set saves one expansion (8, against 9 without it).
+BELOW_COVER = BinaryMatrix.from_rows(
+    ["101010", "010110", "110100", "000111", "101001", "011001"])
+
+
+def test_secondary_search_skips_dead_states(clean_memo):
+    assert reference_secondary(BELOW_COVER, COVER_HIGH) == (True, 8)
+    assert secondary_bruhat_leq(BELOW_COVER, COVER_HIGH, node_budget=8)
+    with pytest.raises(SearchBudgetExceeded):
+        secondary_bruhat_leq(BELOW_COVER, COVER_HIGH, node_budget=7)
+
+
 def test_a63_cover_has_nothing_strictly_between():
     # the sigma tables of the whole class in byte lanes, scanned against
     # both ends: x lies in [a, c] iff sigma(a) >= sigma(x) >= sigma(c)

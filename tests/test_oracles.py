@@ -1,14 +1,15 @@
 """The order oracles on incremental state, cross-checked against the object
-path: the secondary-order search and the tight DFS as they were written
-over BinaryMatrix values, recomputing the partial-sum table (the
-independent recount of tests/reference.py) and the inversion count of
-every state.  The packed order table each matrix keeps is cross-checked
-against the same recount and a brute inversion count."""
+path: the two depth-first searches, over every ItoL move and over the
+increment-one moves, as they were written over BinaryMatrix values,
+recomputing the partial-sum table (the independent recount of
+tests/reference.py) of every state and the increment of every move.  The
+packed order table each matrix keeps is cross-checked against the same
+recount and a brute inversion count."""
 
 import dataclasses
-import heapq
 import pickle
 import random
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 from bruhatchains import (
     BinaryMatrix,
     Chain,
+    ClassTooLarge,
     Direction,
     MarginMismatch,
     OrderVerdict,
@@ -28,6 +30,7 @@ from bruhatchains import (
     bruhat_verdict,
     build_extremes,
     cumulative_sums,
+    engine,
     extremal_inversions,
     find_interchanges,
     interchange_increment,
@@ -37,6 +40,7 @@ from bruhatchains import (
     verify_chain,
 )
 from bruhatchains.matrices import (
+    _CHILD_MEMO,
     _dominates,
     _flip,
     _guards,
@@ -51,46 +55,36 @@ from reference import sigma
 
 
 def reference_secondary(a, c):
-    """Best-first ItoL search from a to c: the verdict and the number of
+    """Depth-first ItoL search from a to c, with memoized dead states and
+    moves tried in (i, i2, j, j2) order: the verdict and the number of
     states expanded, which is the smallest node budget that succeeds."""
     if a.m != c.m or a.n != c.n or a.margins() != c.margins():
         raise MarginMismatch("matrices are not in the same class")
-    if a == c:
-        return True, 0
     sc = sigma(c.bits, c.n)
-    nu_c = inversion_count(c)
 
-    def admissible_excess(x):
-        excess = 0
-        for u, v in zip(sigma(x.bits, x.n), sc):
-            if u < v:
-                return None
-            excess += u - v
-        return excess
+    def dominates(x):
+        return all(u >= v for u, v in zip(sigma(x.bits, x.n), sc))
 
-    start_excess = admissible_excess(a)
-    if start_excess is None or inversion_count(a) >= nu_c:
+    if not dominates(a):
         return False, 0
-    visited = {a}
-    heap = [(start_excess, a.bits, a)]
+    dead = set()
     expanded = 0
-    while heap:
-        _, _, x = heapq.heappop(heap)
+
+    def dfs(x):
+        nonlocal expanded
+        if x == c:
+            return True
         expanded += 1
         for move in find_interchanges(x, Direction.ItoL):
             y = apply_interchange(x, move)
-            if y == c:
-                return True, expanded
-            if y in visited:
+            if y in dead or not dominates(y):
                 continue
-            visited.add(y)
-            if inversion_count(y) >= nu_c:
-                continue
-            excess = admissible_excess(y)
-            if excess is None:
-                continue
-            heapq.heappush(heap, (excess, y.bits, y))
-    return False, expanded
+            if dfs(y):
+                return True
+            dead.add(y)
+        return False
+
+    return dfs(a), expanded
 
 
 def reference_tight(a, c, budget=10**6):
@@ -186,6 +180,36 @@ def test_p4_q4_budget():
     assert secondary_bruhat_leq(p4, q4, node_budget=expanded)
     with pytest.raises(SearchBudgetExceeded):
         secondary_bruhat_leq(p4, q4, node_budget=expanded - 1)
+
+
+def test_searches_refuse_past_the_byte_limit(monkeypatch):
+    # P_30 -> Q_30 holds 900 one-byte lanes a level, over 1,600 levels
+    # deep for the tight search: far past a limit of 100,000 bytes
+    p30, q30 = build_extremes(30)
+    monkeypatch.setattr(engine, "MAX_ARRAY_BYTES", 100_000)
+    with pytest.raises(ClassTooLarge, match=r"hold \d+ bytes .* over the "
+                                            r"100000-byte limit"):
+        secondary_bruhat_leq(p30, q30)
+    with pytest.raises(ClassTooLarge, match="100000-byte limit"):
+        tight_chain_search(p30, q30, 5000)
+
+
+def test_secondary_search_holds_one_path():
+    # a best-first search held the excess table of every state it queued:
+    # 25 MB under tracemalloc from P_30, 644 MB of RSS from P_60
+    p30, q30 = build_extremes(30)
+    _CHILD_MEMO.clear()
+    tracemalloc.start()
+    try:
+        assert secondary_bruhat_leq(p30, q30)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        _CHILD_MEMO.clear()
+    assert peak < 4 << 20
+    # and the byte limit admits P_60
+    assert secondary_bruhat_leq(*build_extremes(60))
+    _CHILD_MEMO.clear()
 
 
 WIDE = BinaryMatrix.from_rows(["110", "011"])
@@ -327,14 +351,13 @@ def brute_inversions(a):
 
 def assert_table_equals_recount(a):
     """The order table of a against the slow path: every lane (guard bit
-    included) is the recounted entry, nu the brute count, and the total
-    the sum of the lanes; cumulative_sums reads the same entries back."""
+    included) is the recounted entry and nu the brute count;
+    cumulative_sums reads the same entries back."""
     table = _order_table(a)
     assert table.width == byte_lane_width(a.count_ones())
     lanes = _lanes(a.m, a.n, table.width)
     entries = unpack(table.sigma, a.m * a.n, lanes)
     assert entries == sigma(a.bits, a.n) == list(cumulative_sums(a).flat())
-    assert table.total == sum(entries)
     assert table.nu == brute_inversions(a) == inversion_count(a)
 
 
@@ -368,7 +391,7 @@ def test_order_tables_at_the_lane_boundaries(ones, side, width):
     recount = sigma(a.bits, side)
     assert table.sigma & _guards(side, side, width)[0] == 0
     assert list(cumulative_sums(a).flat()) == recount
-    assert recount[-1] == ones and table.total == sum(recount)
+    assert recount[-1] == ones
     assert table.nu == inversions_by_columns(a)
     if ones < 1000:
         assert table.nu == brute_inversions(a)
