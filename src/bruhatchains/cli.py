@@ -27,7 +27,7 @@ import click
 import numpy as np
 
 from . import chains, enumeration, matrices, order, search
-from .errors import BruhatError
+from .errors import BruhatError, SearchBudgetExceeded
 from .matrices import BinaryMatrix, MarginPair, _ascii_int
 
 
@@ -150,15 +150,16 @@ def sigma(matrix: str, as_json: bool) -> None:
                    "search over ItoL interchanges) expands before it fails.")
 @click.option("--json", "as_json", is_flag=True)
 def compare(first: str, second: str, budget: int, as_json: bool) -> None:
-    """Bruhat and secondary Bruhat verdicts for a pair."""
+    """Bruhat and secondary Bruhat verdicts for a pair.  A secondary
+    search past the budget is an error that names its direction."""
     a, c = _read_matrix(first), _read_matrix(second)
     verdict = order.bruhat_verdict(a, c)
-    result = {
-        "bruhat_leq": verdict.leq,
-        "bruhat_geq": verdict.geq,
-        "secondary_leq": order.secondary_bruhat_leq(a, c, budget),
-        "secondary_geq": order.secondary_bruhat_leq(c, a, budget),
-    }
+    result = {"bruhat_leq": verdict.leq, "bruhat_geq": verdict.geq}
+    for key, x, y in (("secondary_leq", a, c), ("secondary_geq", c, a)):
+        try:
+            result[key] = order.secondary_bruhat_leq(x, y, budget)
+        except SearchBudgetExceeded as exc:
+            raise SearchBudgetExceeded(f"{key}: {exc}") from exc
     plain = "\n".join(f"{k}: {str(v).lower()}" for k, v in result.items())
     _emit("compare", result, as_json, plain)
 

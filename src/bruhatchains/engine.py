@@ -31,6 +31,9 @@ MAX_ARRAY_BYTES = 1 << 29
 # refused at its row 8.
 MAX_COUNT_SPLITS = 1 << 22
 
+# The most cells a packed key holds: one uint64 bit each.
+MAX_CELLS = 64
+
 _ONE = np.uint64(1)
 
 
@@ -52,9 +55,10 @@ def _check_budget(count: int, per_item: int, what: str) -> None:
 
 def check_cells(margins: MarginPair) -> None:
     m, n = margins.m, margins.n
-    if m * n > 64:
+    if m * n > MAX_CELLS:
         raise ClassTooLarge(
-            f"a {m}x{n} class has {m * n} cells; packed keys hold 64")
+            f"a {m}x{n} class has {m * n} cells; packed keys hold "
+            f"{MAX_CELLS}")
 
 
 def check_margins(margins: MarginPair) -> None:

@@ -267,22 +267,17 @@ def inversion_count(a: BinaryMatrix) -> int:
     return _order_table(a).nu
 
 
-def _moves(rows: Sequence[int], direction: Direction = Direction.ItoL
-           ) -> Iterator[tuple[int, int, int, int]]:
-    """Every (i, i2, j, j2) whose 2x2 submatrix holds the source pattern of
-    the direction, in lexicographic order: rows and columns are walked in
+def _moves(rows: Sequence[int]) -> Iterator[tuple[int, int, int, int]]:
+    """Every (i, i2, j, j2) whose 2x2 submatrix holds the ItoL source
+    pattern, in lexicographic order: rows and columns are walked in
     ascending order, so no sort is needed."""
     m = len(rows)
     for i in range(m - 1):
         bi = rows[i]
         for i2 in range(i + 1, m):
             bi2 = rows[i2]
-            top = bi & ~bi2   # columns with a one in row i only
-            bot = bi2 & ~bi   # columns with a one in row i2 only
-            if direction is Direction.ItoL:
-                left, right = top, bot
-            else:
-                left, right = bot, top
+            left = bi & ~bi2    # columns with a one in row i only
+            right = bi2 & ~bi   # columns with a one in row i2 only
             while left:
                 low = left & -left
                 left ^= low
@@ -324,9 +319,15 @@ def _tight_moves(rows: Sequence[int]) -> Iterator[tuple[int, int, int, int]]:
 def find_interchanges(a: BinaryMatrix,
                       direction: Direction = Direction.ItoL) -> list[Interchange]:
     """All positions whose 2x2 submatrix matches the source pattern of the
-    requested direction, sorted lexicographically by (i, i2, j, j2)."""
-    return [Interchange(i, i2, j, j2, direction)
-            for i, i2, j, j2 in _moves(a.bits, direction)]
+    requested direction, sorted lexicographically by (i, i2, j, j2).  An
+    LtoI pattern at rows i < i2 is an ItoL pattern of the rows reversed,
+    at rows m-1-i2 < m-1-i."""
+    if direction is Direction.ItoL:
+        return [Interchange(*move) for move in _moves(a.bits)]
+    last = a.m - 1
+    moves = sorted((last - p2, last - p, j, j2)
+                   for p, p2, j, j2 in _moves(a.bits[::-1]))
+    return [Interchange(*move, direction) for move in moves]
 
 
 def _flip(rows: tuple[int, ...], i: int, i2: int, j: int, j2: int
@@ -340,78 +341,66 @@ def _flip(rows: tuple[int, ...], i: int, i2: int, j: int, j2: int
 
 
 # The most bytes the child memo (``_ChildMemo``) charges before it starts
-# over.  Every A(5,2) state's two entries together charge about 2.1 MB.
+# over.  Every A(5,2) state's two entries together charge about 1.7 MB;
+# the largest entry a state of at most 64 cells can make, every
+# (i, i2, j, j2) of a 16 x 4 matrix a move, charges 357,600 bytes.
 MAX_MEMO_BYTES = 1 << 23
 
 # What the child memo charges, from tracemalloc on A(5,2): per entry, its
 # dict slot and three tuple heads; per child, its slots in the two tuples;
 # per tuple newly interned, 8 bytes an item, its head, its intern slot and
 # room for the two row ints a flip makes (A(5,2)'s rows are cached small
-# ints); per state marked seen, a hash in a set.
+# ints).
 _ENTRY_BYTES = 192
 _SLOT_BYTES = 16
 _NEW_BYTES = 160
-_SEEN_BYTES = 100
+
+
+def _children(rows: tuple[int, ...], generate) -> Iterator[tuple]:
+    """(child rows, move) for each move of ``generate(rows)``, in its
+    order, generated lazily and kept nowhere."""
+    return ((_flip(rows, *move), move) for move in generate(rows))
 
 
 class _ChildMemo:
-    """The children of the states the order searches expand, shared by
-    every query: ``expand(rows, generate)`` gives (child rows, move) for
-    each move of ``generate(rows)``, ``_moves`` or ``_tight_moves``, in
-    its order.
+    """The children of the small states the order searches expand, shared
+    by every query: ``expand(rows, generate)`` gives what ``_children``
+    does, for ``generate`` ``_moves`` or ``_tight_moves``.
 
-    A state's first expansion by a generator is generated lazily and only
-    marks the state seen, by its hash, so a search that visits each state
-    once stores nothing.  The second builds an entry, the child rows and
-    the moves as two parallel tuples with every rows tuple and move
-    interned, and later ones read it.  Each entry and mark is charged
-    before it is kept; when that would take the charge past
-    MAX_MEMO_BYTES the memo is cleared first, and an entry that alone
-    passes it is not stored.  Only the moves are kept: what a search
-    tracks per query (dead states, excess tables, its path) stays with
-    the search."""
+    A state's first expansion by a generator stores an entry, the child
+    rows and the moves as two parallel tuples with every rows tuple and
+    move interned, and later ones read it.  Each entry is charged before
+    it is kept; when that would take the charge past MAX_MEMO_BYTES the
+    memo is cleared first.  ``order._search`` sends only states of at most
+    ``engine.MAX_CELLS`` cells here, whose largest entry charges far less
+    than the bound.  Only the moves are kept: what a search tracks per
+    query (dead states, excess tables, its path) stays with the search."""
 
     def __init__(self) -> None:
         self.clear()
 
     def clear(self) -> None:
         self.entries: dict = {_moves: {}, _tight_moves: {}}
-        self.seen: dict = {_moves: set(), _tight_moves: set()}
         self.interned: dict = {}   # rows and moves alike: equal tuples
         self.charged = 0
 
-    def _charge(self, cost: int, alone: int) -> bool:
-        """Charge cost bytes; or, when that would pass the bound, clear the
-        memo and charge alone, the cost in an empty memo.  False, with
-        nothing charged or cleared, when alone passes the bound too."""
-        if self.charged + cost > MAX_MEMO_BYTES:
-            if alone > MAX_MEMO_BYTES:
-                return False
-            self.clear()
-            cost = alone
-        self.charged += cost
-        return True
-
     def expand(self, rows: tuple[int, ...], generate) -> Iterator[tuple]:
         entry = self.entries[generate].get(rows)
-        if entry is not None:
-            return zip(*entry)
-        key = hash(rows)
-        if key not in self.seen[generate]:
-            if self._charge(_SEEN_BYTES, _SEEN_BYTES):
-                self.seen[generate].add(key)
-            return ((_flip(rows, *move), move) for move in generate(rows))
-        moves = tuple(generate(rows))
-        children = tuple(_flip(rows, *move) for move in moves)
-        tuples = (rows, *children, *moves)
-        new = [t for t in tuples if t not in self.interned]
-        if self._charge(_entry_bytes(len(moves), new),
-                        _entry_bytes(len(moves), tuples)):
+        if entry is None:
+            moves = tuple(generate(rows))
+            children = tuple(_flip(rows, *move) for move in moves)
+            tuples = (rows, *children, *moves)
+            cost = _entry_bytes(len(moves), [t for t in tuples
+                                             if t not in self.interned])
+            if self.charged + cost > MAX_MEMO_BYTES:
+                self.clear()
+                cost = _entry_bytes(len(moves), tuples)
+            self.charged += cost
             intern = self.interned.setdefault
-            children = tuple(intern(y, y) for y in children)
-            moves = tuple(intern(move, move) for move in moves)
-            self.entries[generate][intern(rows, rows)] = children, moves
-        return zip(children, moves)
+            entry = (tuple(intern(y, y) for y in children),
+                     tuple(intern(move, move) for move in moves))
+            self.entries[generate][intern(rows, rows)] = entry
+        return zip(*entry)
 
 
 def _entry_bytes(count: int, new: Sequence[tuple]) -> int:
@@ -422,7 +411,6 @@ def _entry_bytes(count: int, new: Sequence[tuple]) -> int:
 
 
 _CHILD_MEMO = _ChildMemo()
-_expand = _CHILD_MEMO.expand
 
 
 @lru_cache(maxsize=8)

@@ -16,9 +16,10 @@ from .errors import (
 from .matrices import (
     F3,
     J2,
+    _CHILD_MEMO,
     BinaryMatrix,
+    _children,
     _dominates,
-    _expand,
     _guards,
     _lanes,
     _lowered,
@@ -100,11 +101,15 @@ def _search(a: BinaryMatrix, c: BinaryMatrix, tables, generate,
     are exhausted is dead for the rest of the query, and the search is
     complete.  A state is its rows and its excess table sigma(x) - sigma(c)
     in packed lanes, both updated by the move: two XORs, and ``_lowered``,
-    which prunes the states that stop dominating c.  Children come from
-    the shared child memo in (i, i2, j, j2) order.  The path is an explicit
-    stack, so a chain may be longer than the recursion limit.  Before a
-    level is pushed, the bytes of the path's tables and the expanded
-    states' rows are checked against engine.MAX_ARRAY_BYTES."""
+    which prunes the states that stop dominating c.  Children come in
+    (i, i2, j, j2) order: from the shared child memo for a matrix of at
+    most engine.MAX_CELLS cells, the small classes whose states the
+    exhaustive oracles meet again and again; lazily and unstored for a
+    larger one, whose search expands each state about once.  The path is
+    an explicit stack of each level's rows, excess and child iterator, so
+    a chain may be longer than the recursion limit.  Before a level is
+    pushed, the bytes of the path's tables and the expanded states' rows
+    are checked against engine.MAX_ARRAY_BYTES."""
     ta, tc, high = tables
     if not _dominates(ta.sigma, tc.sigma, high):
         return None, 0
@@ -114,23 +119,15 @@ def _search(a: BinaryMatrix, c: BinaryMatrix, tables, generate,
     table = a.m * a.n * ta.width // 8 + _LEVEL_BYTES
     level = table + 8 * a.m + _STATE_BYTES
     limit = engine.MAX_ARRAY_BYTES
-
-    def children(rows: tuple[int, ...], excess: int):
-        for y, move in _expand(rows, generate):
-            if y in dead:
-                continue
-            lowered = _lowered(excess, lanes, *move)
-            if lowered is not None:
-                yield move, y, lowered
+    expand = (_CHILD_MEMO.expand if a.m * a.n <= engine.MAX_CELLS
+              else _children)
 
     explored = held = 0
     path: list[tuple[int, int, int, int]] = []
     # the states on the path, each with its children not yet tried
-    stack: list[tuple[tuple[int, ...], Iterator]] = []
+    stack: list[tuple[tuple[int, ...], int, Iterator]] = []
     rows, excess = a.bits, ta.sigma - tc.sigma
-    while True:
-        if rows == target:
-            return path, explored
+    while rows != target:
         explored += 1
         if explored > budget:
             return None, explored
@@ -139,18 +136,26 @@ def _search(a: BinaryMatrix, c: BinaryMatrix, tables, generate,
             raise ClassTooLarge(
                 f"the search would hold {held} bytes at depth "
                 f"{len(path)}, over the {limit}-byte limit")
-        stack.append((rows, children(rows, excess)))
-        step = next(stack[-1][1], None)
-        while step is None:
-            done, _ = stack.pop()
-            held -= table
-            if not stack:
-                return None, explored
-            dead.add(done)
-            path.pop()
-            step = next(stack[-1][1], None)
-        move, rows, excess = step
+        stack.append((rows, excess, expand(rows, generate)))
+        while True:
+            rows, excess, children = stack[-1]
+            for child, move in children:
+                if child not in dead:
+                    lowered = _lowered(excess, lanes, *move)
+                    if lowered is not None:
+                        break
+            else:   # every child tried: the state is dead
+                stack.pop()
+                if not stack:
+                    return None, explored
+                held -= table
+                dead.add(rows)
+                path.pop()
+                continue
+            break
         path.append(move)
+        rows, excess = child, lowered
+    return path, explored
 
 
 def secondary_bruhat_leq(a: BinaryMatrix, c: BinaryMatrix,

@@ -436,6 +436,19 @@ def test_compare_budget_exhausted_is_a_domain_error(runner, p4_q4):
     assert "exceeded 1 nodes" in result.output
 
 
+@pytest.mark.parametrize("forward, key", [(True, "secondary_leq"),
+                                          (False, "secondary_geq")])
+def test_compare_budget_error_names_its_direction(runner, p4_q4, forward,
+                                                  key):
+    # P_4 -> Q_4 needs more than one expansion; Q_4 -> P_4 needs none,
+    # as Q_4 does not dominate P_4
+    args = p4_q4 if forward else p4_q4[::-1]
+    result = runner.invoke(main, ["compare", *args, "--budget", "1"])
+    assert result.exit_code == 1
+    assert result.output == (
+        f"error: {key}: secondary order search exceeded 1 nodes\n")
+
+
 def test_tight_plain_reports_budget_hit(runner, p4_q4):
     result = runner.invoke(main, ["tight", *p4_q4])
     lines = dict(ln.split(": ") for ln in result.output.splitlines())

@@ -141,7 +141,7 @@ PINNED = {
     sigma_outputs:
         "48aa190312abd2b2e539b0b956c48d5e3eb18f9ca1d5166912437a3ee8baa87c",
     compare_outputs:
-        "c3936bb52b640ea657f873dbb5c60df27ade70deec6071b6e428842a4a1a63a2",
+        "f7e95e5183cbeb8cb33567e4302c21d311f032babf9240cf3b7e948ae1730164",
     tight_outputs:
         "a31961f110acdac3ff5afda163a8de3b2159caf4474cbb25e812322fa4bd6d34",
     monotone_outputs:

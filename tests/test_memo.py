@@ -1,6 +1,8 @@
 """The child memo both order searches share: the searches give the same
 verdicts, expansion counts and witnesses with the memo cold, warm, and
-reset mid-search, and the memo keeps to its admission and byte rules."""
+reset mid-search, and the memo keeps to its admission and byte rules: a
+state of at most 64 cells is stored on its first expansion, a larger one
+never."""
 
 import random
 
@@ -21,7 +23,6 @@ from bruhatchains import (
 from bruhatchains import matrices
 from bruhatchains.matrices import (
     _CHILD_MEMO,
-    _expand,
     _flip,
     _moves,
     _tight_moves,
@@ -98,14 +99,12 @@ def test_searches_match_reference_with_a_cold_memo(pairs_with_references,
                                                    clean_memo):
     for a, c, want in pairs_with_references:
         assert_outcomes(a, c, want, cold=True)
-        assert not clean_memo.entries[_moves]
-        assert not clean_memo.entries[_tight_moves]
 
 
 def test_searches_match_reference_with_a_warm_memo(pairs_with_references,
                                                    clean_memo):
-    # the first pass stores every state expanded twice; the second reads
-    # nearly all of its expansions from stored entries
+    # the first pass stores every state it expands; the second reads all
+    # of its expansions from stored entries
     for _ in range(2):
         for a, c, want in pairs_with_references:
             assert_outcomes(a, c, want, cold=False)
@@ -137,35 +136,34 @@ def test_searches_match_reference_when_the_memo_resets(
     assert resets > 100 and stored > 0
 
 
-def test_first_expansion_is_lazy_and_not_stored(clean_memo):
-    rows = build_extremes(6)[0].bits
+def test_first_expansion_stores_a_small_state(clean_memo):
+    rows = build_extremes(8)[0].bits   # 64 cells, the most stored
     want = [(_flip(rows, *move), move) for move in _moves(rows)]
-    assert list(_expand(rows, _moves)) == want
-    assert rows not in clean_memo.entries[_moves]
-    assert hash(rows) in clean_memo.seen[_moves]
-    assert not clean_memo.seen[_tight_moves]
-    # the second expansion stores the entry: two parallel tuples whose
-    # child rows are interned, and the third reads the same objects
-    assert list(_expand(rows, _moves)) == want
+    assert list(clean_memo.expand(rows, _moves)) == want
+    # the entry: two parallel tuples whose child rows are interned, and
+    # the next expansion reads the same objects
     children, moves = clean_memo.entries[_moves][rows]
     assert list(zip(children, moves)) == want
     assert all(clean_memo.interned[y] is y for y in children)
-    again = list(_expand(rows, _moves))
+    charged = clean_memo.charged
+    again = list(clean_memo.expand(rows, _moves))
     assert all(x[0] is y for x, y in zip(again, children))
-    # the tight generator keeps its own marks and entries
-    tight_want = [(_flip(rows, *move), move) for move in _tight_moves(rows)]
-    assert list(_expand(rows, _tight_moves)) == tight_want
+    assert clean_memo.charged == charged
+    # the tight generator keeps its own entries
     assert rows not in clean_memo.entries[_tight_moves]
+    tight_want = [(_flip(rows, *move), move) for move in _tight_moves(rows)]
+    assert list(clean_memo.expand(rows, _tight_moves)) == tight_want
+    assert rows in clean_memo.entries[_tight_moves]
 
 
 def test_one_shot_searches_store_nothing(clean_memo):
-    # every state of one search is expanded once
+    # P_12 has 144 cells: its states never reach the memo
     p, q = build_extremes(12)
     assert secondary_bruhat_leq(p, q)
     assert tight_chain_search(p, q).found
     assert not clean_memo.entries[_moves]
     assert not clean_memo.entries[_tight_moves]
-    assert clean_memo.seen[_moves] and clean_memo.seen[_tight_moves]
+    assert clean_memo.charged == 0
 
 
 def test_charge_stays_under_the_bound_on_large_searches(clean_memo):
@@ -173,39 +171,54 @@ def test_charge_stays_under_the_bound_on_large_searches(clean_memo):
     for _ in range(2):
         out = tight_chain_search(p, q, 5000)
         assert out.found and not out.budget_hit
-        assert clean_memo.charged <= matrices.MAX_MEMO_BYTES
         assert secondary_bruhat_leq(p, q)
-        assert clean_memo.charged <= matrices.MAX_MEMO_BYTES
-    assert clean_memo.entries[_tight_moves]
+    assert not clean_memo.entries[_moves]
+    assert not clean_memo.entries[_tight_moves]
+    assert clean_memo.charged == 0
 
 
-def test_an_entry_past_the_bound_is_not_stored(clean_memo, monkeypatch):
-    # the P_12 entry holds 240 children, far past 1,000 bytes alone
-    rows = build_extremes(12)[0].bits
-    monkeypatch.setattr(matrices, "MAX_MEMO_BYTES", 1000)
-    want = list(_expand(rows, _moves))
+def test_large_searches_keep_the_small_entries(poset_52, clean_memo):
+    # A(5,2) pairs warm the memo; P_30 searches then leave it as it was
+    rng = random.Random(3052)
+    for _ in range(200):
+        a, c = rng.choice(poset_52.members), rng.choice(poset_52.members)
+        secondary_bruhat_leq(a, c)
+        if inversion_count(a) <= inversion_count(c):
+            tight_chain_search(a, c)
+    entries = {g: dict(clean_memo.entries[g]) for g in (_moves, _tight_moves)}
     charged = clean_memo.charged
-    assert list(_expand(rows, _moves)) == want
-    assert not clean_memo.entries[_moves] and not clean_memo.interned
+    assert entries[_moves] and entries[_tight_moves]
+    p, q = build_extremes(30)
+    assert tight_chain_search(p, q, 5000).found
+    assert secondary_bruhat_leq(p, q)
+    assert {g: clean_memo.entries[g] for g in entries} == entries
     assert clean_memo.charged == charged
-    assert hash(rows) in clean_memo.seen[_moves]
+
+
+def test_the_largest_small_entry_fits_under_the_bound():
+    # every (i, i2, j, j2) a move of an m x n state, m * n <= 64: the
+    # entry interns its rows, one child per move and every move
+    largest = 0
+    for m in range(1, 65):
+        for n in range(1, 64 // m + 1):
+            count = m * (m - 1) // 2 * (n * (n - 1) // 2)
+            tuples = [(0,) * m] * (1 + count) + [(0,) * 4] * count
+            largest = max(largest, matrices._entry_bytes(count, tuples))
+    # a 16 x 4 state: 720 moves, each child a rows tuple of 16 items
+    assert largest == 357_600 < matrices.MAX_MEMO_BYTES
 
 
 def test_the_next_entry_past_the_bound_clears_the_memo(clean_memo,
                                                        monkeypatch):
-    states = build_extremes(12)[0].bits, build_extremes(12)[1].bits
+    states = build_extremes(8)[0].bits, build_extremes(8)[1].bits
     for rows in states:
-        _expand(rows, _moves)
-        _expand(rows, _moves)
+        clean_memo.expand(rows, _moves)
     assert set(clean_memo.entries[_moves]) == set(states)
-    # room for the charge so far and one mark, not one more entry
-    monkeypatch.setattr(matrices, "MAX_MEMO_BYTES",
-                        clean_memo.charged + matrices._SEEN_BYTES)
+    # room for the charge so far, not one more entry
+    monkeypatch.setattr(matrices, "MAX_MEMO_BYTES", clean_memo.charged)
     child = next(iter(clean_memo.entries[_moves][states[0]][0]))
-    _expand(child, _moves)   # a mark fits
-    _expand(child, _moves)   # its entry does not: the memo starts over
+    clean_memo.expand(child, _moves)   # the memo starts over
     assert list(clean_memo.entries[_moves]) == [child]
-    assert not clean_memo.seen[_moves]
     assert clean_memo.charged <= matrices.MAX_MEMO_BYTES
 
 
@@ -221,7 +234,7 @@ def test_a63_cover_that_no_interchange_gives(clean_memo):
     assert a.margins() == c.margins() == MarginPair.uniform(6, 3)
     assert (inversion_count(a), inversion_count(c)) == (54, 62)
     assert bruhat_less(a, c)
-    # cold, then marked seen, then read from a stored entry
+    # cold, then read from the stored entries
     for _ in range(3):
         assert not secondary_bruhat_leq(a, c)
         out = tight_chain_search(a, c)

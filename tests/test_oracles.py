@@ -396,8 +396,10 @@ def test_order_tables_at_the_lane_boundaries(ones, side, width):
     if ones < 1000:
         assert table.nu == brute_inversions(a)
     up = BinaryMatrix(side, side, _flip(a.bits, *next(_moves(a.bits))))
+    # an LtoI move of a: an ItoL move of its rows reversed
+    p, p2, j, j2 = next(_moves(a.bits[::-1]))
     down = BinaryMatrix(side, side, _flip(
-        a.bits, *next(_moves(a.bits, Direction.LtoI))))
+        a.bits, side - 1 - p2, side - 1 - p, j, j2))
     for x, y in product((a, up, down), repeat=2):
         sx, sy = sigma(x.bits, side), sigma(y.bits, side)
         assert bruhat_verdict(x, y) == OrderVerdict(
