@@ -57,7 +57,6 @@ from .matrices import (
     Direction,
     Interchange,
     MarginPair,
-    all_pair_count,
     apply_interchange,
     canonical_key,
     cumulative_sums,
@@ -66,16 +65,13 @@ from .matrices import (
     find_interchanges,
     interchange_increment,
     inversion_count,
-    random_interchange_walk,
     reverse_columns,
-    submatrix,
 )
 from .order import (
     OrderVerdict,
     bruhat_leq,
     bruhat_less,
     bruhat_verdict,
-    duality_check,
     is_maximal_An2,
     is_minimal_An2,
     secondary_bruhat_leq,

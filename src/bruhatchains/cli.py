@@ -146,8 +146,8 @@ def sigma(matrix: str, as_json: bool) -> None:
 @click.argument("second")
 @click.option("--budget", type=click.IntRange(min=1),
               default=order.DEFAULT_NODE_BUDGET, show_default=True,
-              help="Most states each secondary order search (a depth-first "
-                   "search over ItoL interchanges) expands before it fails.")
+              help="Most states each secondary order search expands before "
+                   "it fails; a class with a table answers with no search.")
 @click.option("--json", "as_json", is_flag=True)
 def compare(first: str, second: str, budget: int, as_json: bool) -> None:
     """Bruhat and secondary Bruhat verdicts for a pair.  A secondary

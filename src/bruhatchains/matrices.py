@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 from itertools import accumulate
+from math import comb
 from operator import or_
 from typing import Iterator, NamedTuple, Sequence
 
@@ -316,12 +317,23 @@ def _tight_moves(rows: Sequence[int]) -> Iterator[tuple[int, int, int, int]]:
                 break   # every one of row i has a one below it: no later i2
 
 
+# What find_interchanges holds per move, from tracemalloc: an Interchange
+# and its list slot (122 bytes), and for LtoI the sorted quads beside it.
+_MOVE_BYTES = 256
+
+
 def find_interchanges(a: BinaryMatrix,
                       direction: Direction = Direction.ItoL) -> list[Interchange]:
     """All positions whose 2x2 submatrix matches the source pattern of the
     requested direction, sorted lexicographically by (i, i2, j, j2).  An
     LtoI pattern at rows i < i2 is an ItoL pattern of the rows reversed,
-    at rows m-1-i2 < m-1-i."""
+    at rows m-1-i2 < m-1-i.  A list that could pass
+    ``engine.MAX_ARRAY_BYTES`` raises ClassTooLarge before it is built:
+    each move takes two ones, so there are at most C(ones, 2)."""
+    from . import engine   # engine imports this module
+    engine._check_budget(min(comb(a.m, 2) * comb(a.n, 2),
+                             comb(a.count_ones(), 2)), _MOVE_BYTES,
+                         "the interchange list")
     if direction is Direction.ItoL:
         return [Interchange(*move) for move in _moves(a.bits)]
     last = a.m - 1
@@ -340,77 +352,10 @@ def _flip(rows: tuple[int, ...], i: int, i2: int, j: int, j2: int
     return tuple(out)
 
 
-# The most bytes the child memo (``_ChildMemo``) charges before it starts
-# over.  Every A(5,2) state's two entries together charge about 1.7 MB;
-# the largest entry a state of at most 64 cells can make, every
-# (i, i2, j, j2) of a 16 x 4 matrix a move, charges 357,600 bytes.
-MAX_MEMO_BYTES = 1 << 23
-
-# What the child memo charges, from tracemalloc on A(5,2): per entry, its
-# dict slot and three tuple heads; per child, its slots in the two tuples;
-# per tuple newly interned, 8 bytes an item, its head, its intern slot and
-# room for the two row ints a flip makes (A(5,2)'s rows are cached small
-# ints).
-_ENTRY_BYTES = 192
-_SLOT_BYTES = 16
-_NEW_BYTES = 160
-
-
 def _children(rows: tuple[int, ...], generate) -> Iterator[tuple]:
     """(child rows, move) for each move of ``generate(rows)``, in its
     order, generated lazily and kept nowhere."""
     return ((_flip(rows, *move), move) for move in generate(rows))
-
-
-class _ChildMemo:
-    """The children of the small states the order searches expand, shared
-    by every query: ``expand(rows, generate)`` gives what ``_children``
-    does, for ``generate`` ``_moves`` or ``_tight_moves``.
-
-    A state's first expansion by a generator stores an entry, the child
-    rows and the moves as two parallel tuples with every rows tuple and
-    move interned, and later ones read it.  Each entry is charged before
-    it is kept; when that would take the charge past MAX_MEMO_BYTES the
-    memo is cleared first.  ``order._search`` sends only states of at most
-    ``engine.MAX_CELLS`` cells here, whose largest entry charges far less
-    than the bound.  Only the moves are kept: what a search tracks per
-    query (dead states, excess tables, its path) stays with the search."""
-
-    def __init__(self) -> None:
-        self.clear()
-
-    def clear(self) -> None:
-        self.entries: dict = {_moves: {}, _tight_moves: {}}
-        self.interned: dict = {}   # rows and moves alike: equal tuples
-        self.charged = 0
-
-    def expand(self, rows: tuple[int, ...], generate) -> Iterator[tuple]:
-        entry = self.entries[generate].get(rows)
-        if entry is None:
-            moves = tuple(generate(rows))
-            children = tuple(_flip(rows, *move) for move in moves)
-            tuples = (rows, *children, *moves)
-            cost = _entry_bytes(len(moves), [t for t in tuples
-                                             if t not in self.interned])
-            if self.charged + cost > MAX_MEMO_BYTES:
-                self.clear()
-                cost = _entry_bytes(len(moves), tuples)
-            self.charged += cost
-            intern = self.interned.setdefault
-            entry = (tuple(intern(y, y) for y in children),
-                     tuple(intern(move, move) for move in moves))
-            self.entries[generate][intern(rows, rows)] = entry
-        return zip(*entry)
-
-
-def _entry_bytes(count: int, new: Sequence[tuple]) -> int:
-    """The charge of an entry of count children that interns the tuples
-    new."""
-    return (_ENTRY_BYTES + _SLOT_BYTES * count
-            + sum(_NEW_BYTES + 8 * len(t) for t in new))
-
-
-_CHILD_MEMO = _ChildMemo()
 
 
 @lru_cache(maxsize=8)
@@ -591,20 +536,6 @@ def _check_indices(idx: Sequence[int], bound: int, what: str) -> None:
         raise ValueError(f"{what} indices must be strictly increasing")
 
 
-def submatrix(a: BinaryMatrix, row_idx: Sequence[int],
-              col_idx: Sequence[int]) -> BinaryMatrix:
-    """The submatrix at the given strictly increasing row/column indices."""
-    _check_indices(row_idx, a.m, "row")
-    _check_indices(col_idx, a.n, "column")
-    bits = []
-    for i in row_idx:
-        mask = 0
-        for jj, j in enumerate(col_idx):
-            mask |= ((a.bits[i] >> j) & 1) << jj
-        bits.append(mask)
-    return BinaryMatrix(len(row_idx), len(col_idx), tuple(bits))
-
-
 def embed(host: BinaryMatrix, row_idx: Sequence[int], col_idx: Sequence[int],
           sub: BinaryMatrix) -> BinaryMatrix:
     """Overwrite the addressed submatrix of host with sub; everything else
@@ -651,26 +582,3 @@ def canonical_key(a: BinaryMatrix) -> bytes:
     payload = 1 << cells | pack(a)
     return (a.m.to_bytes(2, "big") + a.n.to_bytes(2, "big")
             + payload.to_bytes(cells // 8 + 1, "big"))
-
-
-def all_pair_count(a: BinaryMatrix) -> int:
-    """Pairs of ones sharing neither row nor column.  Each such pair is an
-    inversion in exactly one of a and its column reversal."""
-    ones = a.count_ones()
-    total = ones * (ones - 1) // 2
-    same_row = sum(r * (r - 1) // 2 for r in a.row_sums())
-    same_col = sum(c * (c - 1) // 2 for c in a.col_sums())
-    return total - same_row - same_col
-
-
-def random_interchange_walk(a: BinaryMatrix, steps: int, rng) -> BinaryMatrix:
-    """Apply the given number of uniformly chosen interchanges (either
-    direction).  Stays inside the class of a; used for sampling members."""
-    cur = a
-    for _ in range(steps):
-        moves = find_interchanges(cur, Direction.ItoL) \
-            + find_interchanges(cur, Direction.LtoI)
-        if not moves:
-            break
-        cur = apply_interchange(cur, rng.choice(moves))
-    return cur

@@ -4,9 +4,12 @@ minimal/maximal tests for classes where every row and column sums to 2."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from functools import reduce
+from operator import or_
+from typing import Iterator, NamedTuple
 
 from . import engine
+from .enumeration import build_interchange_dag, count_class
 from .errors import (
     ClassTooLarge,
     MarginMismatch,
@@ -16,16 +19,20 @@ from .errors import (
 from .matrices import (
     F3,
     J2,
-    _CHILD_MEMO,
+    _MOVE_BYTES,
     BinaryMatrix,
+    Interchange,
+    MarginPair,
     _children,
     _dominates,
+    _flip,
     _guards,
     _lanes,
     _lowered,
     _moves,
     _order_table,
     _OrderTable,
+    _tight_moves,
     reverse_columns,
 )
 
@@ -81,35 +88,33 @@ def bruhat_less(a: BinaryMatrix, c: BinaryMatrix) -> bool:
     return a != c and bruhat_leq(a, c)
 
 
-# What a search holds beside the child memo, charged against
-# engine.MAX_ARRAY_BYTES before each level is pushed: per level of the
-# path, its packed excess table and the frames and tuples that walk its
-# children; per state expanded, which the dead set may keep, its rows
-# tuple (8 bytes a row), two new row ints and a set slot.
+# What a search holds, charged against engine.MAX_ARRAY_BYTES before
+# each level is pushed: per level of the path, its packed excess table
+# and the frames and tuples that walk its children; per state expanded,
+# which the dead set may keep, its rows tuple (8 bytes a row), two new
+# row ints and a set slot.
 _LEVEL_BYTES = 600
 _STATE_BYTES = 200
 
 
 def _search(a: BinaryMatrix, c: BinaryMatrix, tables, generate,
-            budget: int) -> tuple[list[tuple[int, ...]] | None, int]:
+            budget: int) -> tuple[list[Interchange] | None, int]:
     """Depth-first search from a to c over the moves of generate,
     ``_moves`` or ``_tight_moves``; tables are _require_same_class(a, c).
-    Gives the moves of the chain found, or None, and the states expanded,
-    which pass budget only when the search gave up.
+    Gives the steps of the chain found, or None, and the states expanded,
+    which pass budget only when the search gave up.  It answers classes
+    with no table (``_class_table``), and is the tests' oracle for tables.
 
     Every ItoL move raises the inversion count, so a state whose children
     are exhausted is dead for the rest of the query, and the search is
     complete.  A state is its rows and its excess table sigma(x) - sigma(c)
     in packed lanes, both updated by the move: two XORs, and ``_lowered``,
-    which prunes the states that stop dominating c.  Children come in
-    (i, i2, j, j2) order: from the shared child memo for a matrix of at
-    most engine.MAX_CELLS cells, the small classes whose states the
-    exhaustive oracles meet again and again; lazily and unstored for a
-    larger one, whose search expands each state about once.  The path is
-    an explicit stack of each level's rows, excess and child iterator, so
-    a chain may be longer than the recursion limit.  Before a level is
-    pushed, the bytes of the path's tables and the expanded states' rows
-    are checked against engine.MAX_ARRAY_BYTES."""
+    which prunes the states that stop dominating c.  Children come lazily,
+    in (i, i2, j, j2) order.  The path is an explicit stack of each
+    level's rows, excess and child iterator, so a chain may be longer than
+    the recursion limit.  Before a level is pushed, the bytes of the
+    path's tables and the expanded states' rows are checked against
+    engine.MAX_ARRAY_BYTES."""
     ta, tc, high = tables
     if not _dominates(ta.sigma, tc.sigma, high):
         return None, 0
@@ -119,8 +124,6 @@ def _search(a: BinaryMatrix, c: BinaryMatrix, tables, generate,
     table = a.m * a.n * ta.width // 8 + _LEVEL_BYTES
     level = table + 8 * a.m + _STATE_BYTES
     limit = engine.MAX_ARRAY_BYTES
-    expand = (_CHILD_MEMO.expand if a.m * a.n <= engine.MAX_CELLS
-              else _children)
 
     explored = held = 0
     path: list[tuple[int, int, int, int]] = []
@@ -136,7 +139,7 @@ def _search(a: BinaryMatrix, c: BinaryMatrix, tables, generate,
             raise ClassTooLarge(
                 f"the search would hold {held} bytes at depth "
                 f"{len(path)}, over the {limit}-byte limit")
-        stack.append((rows, excess, expand(rows, generate)))
+        stack.append((rows, excess, _children(rows, generate)))
         while True:
             rows, excess, children = stack[-1]
             for child, move in children:
@@ -155,16 +158,111 @@ def _search(a: BinaryMatrix, c: BinaryMatrix, tables, generate,
             break
         path.append(move)
         rows, excess = child, lowered
-    return path, explored
+    return [Interchange(*move) for move in path], explored
+
+
+# The most bytes the class tables hold together: A(5,2)'s charges 2.5 MB,
+# and the bitsets alone of a class of over 5,792 members pass it.
+MAX_TABLE_BYTES = 1 << 23
+
+# A table's charge, from tracemalloc (tests/test_memo.py checks it): per
+# member, its index entry, list slots, arc tuple, bitset heads and rows;
+# per tight arc, its (target, move) pair; per move, its Interchange.
+_MEMBER_BYTES = 400
+_ARC_BYTES = 72
+
+
+def _table_charge(m: int, size: int, arcs: int, moves: int) -> int:
+    return (size * (_MEMBER_BYTES + 8 * m + 8 * ((size + 29) // 30))
+            + arcs * _ARC_BYTES + moves * _MOVE_BYTES)
+
+
+class _ClassTable(NamedTuple):
+    """Both orders on a class sorted by inversion count: ``index`` maps
+    rows to members, bit w of ``up[v]`` (``tight[v]``) is set iff w is
+    reachable from v by (increment-one) ItoL interchanges, and ``arcs[v]``
+    lists v's increment-one (target, Interchange) pairs in order."""
+
+    index: dict[tuple[int, ...], int]
+    up: list[int]
+    tight: list[int]
+    arcs: list[tuple[tuple[int, Interchange], ...]]
+    charge: int
+
+    def tight_path(self, a: BinaryMatrix, c: BinaryMatrix
+                   ) -> tuple[list[Interchange] | None, int]:
+        """The chain ``_search`` finds over ``_tight_moves`` and its length,
+        or (None, 0): at each state, the first arc whose target reaches c."""
+        v, goal = self.index[a.bits], self.index[c.bits]
+        if not self.tight[v] >> goal & 1:
+            return None, 0
+        path = []
+        while v != goal:
+            for v, move in self.arcs[v]:
+                if self.tight[v] >> goal & 1:
+                    break
+            path.append(move)
+        return path, len(path)
+
+
+def _build_table(margins: MarginPair) -> _ClassTable | None:
+    """The table of a class, or None past ``engine.MAX_CELLS`` cells or
+    MAX_TABLE_BYTES: ``count_class`` sizes members and bitsets before
+    anything is built, and the arcs are charged before the bitsets.  An
+    arc raises the inversion count, so one reverse pass fills both."""
+    try:
+        engine.check_cells(margins)
+        size = count_class(margins)
+    except ClassTooLarge:
+        return None
+    if _table_charge(margins.m, size, 0, 0) > MAX_TABLE_BYTES:
+        return None
+    dag = build_interchange_dag(margins)
+    index = {a.bits: v for v, a in enumerate(dag.members)}
+    made: dict[tuple[int, int, int, int], Interchange] = {}
+    arcs = [tuple((index[_flip(bits, *q)],
+                   made.get(q) or made.setdefault(q, Interchange(*q)))
+                  for q in _tight_moves(bits)) for bits in index]
+    charge = _table_charge(margins.m, size, sum(map(len, arcs)), len(made))
+    if charge > MAX_TABLE_BYTES:
+        return None
+    indptr, targets = dag.indptr.tolist(), dag.targets.tolist()
+    up, tight = [0] * size, [0] * size
+    for v in reversed(range(size)):
+        up[v] = reduce(or_, map(up.__getitem__,
+                                targets[indptr[v]:indptr[v + 1]]), 1 << v)
+        tight[v] = reduce(or_, (tight[w] for w, _ in arcs[v]), 1 << v)
+    return _ClassTable(index, up, tight, arcs, charge)
+
+
+# Each class's table, or None, by shape and edge lanes (margins).
+_TABLES: dict[tuple[int, int, int], _ClassTable | None] = {}
+
+
+def _class_table(a: BinaryMatrix, ta: _OrderTable) -> _ClassTable | None:
+    """The table of a's class, built by its first query and kept; one that
+    would take the kept tables past MAX_TABLE_BYTES clears them first."""
+    key = (a.m, a.n, ta.sigma & _guards(a.m, a.n, ta.width)[1])
+    if key not in _TABLES:
+        table = _build_table(a.margins())
+        if table is not None and table.charge + sum(
+                t.charge for t in _TABLES.values() if t) > MAX_TABLE_BYTES:
+            _TABLES.clear()
+        _TABLES[key] = table
+    return _TABLES[key]
 
 
 def secondary_bruhat_leq(a: BinaryMatrix, c: BinaryMatrix,
                          node_budget: int = DEFAULT_NODE_BUDGET) -> bool:
-    """True iff c is reachable from a by ItoL interchanges only: the
-    depth-first search ``_search`` over every ItoL move.  More than
-    node_budget expansions raise SearchBudgetExceeded."""
-    path, expanded = _search(a, c, _require_same_class(a, c), _moves,
-                             node_budget)
+    """True iff c is reachable from a by ItoL interchanges only: one bit
+    test for a class with a table (``_class_table``), which ignores
+    node_budget; else ``_search`` over every ItoL move, which raises
+    SearchBudgetExceeded past node_budget expansions."""
+    tables = _require_same_class(a, c)
+    table = _class_table(a, tables[0])
+    if table is not None:
+        return bool(table.up[table.index[a.bits]] >> table.index[c.bits] & 1)
+    path, expanded = _search(a, c, tables, _moves, node_budget)
     if expanded > node_budget:
         raise SearchBudgetExceeded(
             f"secondary order search exceeded {node_budget} nodes")
@@ -192,9 +290,3 @@ def is_maximal_An2(a: BinaryMatrix) -> bool:
     """Maximal iff the column reversal (same class) is minimal."""
     return is_minimal_An2(reverse_columns(a))
 
-
-def duality_check(a: BinaryMatrix, c: BinaryMatrix) -> bool:
-    """Property hook: precedence of (a, c) must equal precedence of the
-    column-reversed pair in the opposite direction."""
-    return bruhat_leq(a, c) == bruhat_leq(reverse_columns(c),
-                                          reverse_columns(a))

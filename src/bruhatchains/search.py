@@ -14,12 +14,16 @@ from .enumeration import ClassPoset
 from .errors import StartAboveTarget
 from .matrices import (
     BinaryMatrix,
-    Interchange,
     _tight_moves,
     cumulative_sums,
     inversion_count,
 )
-from .order import DEFAULT_NODE_BUDGET, _require_same_class, _search
+from .order import (
+    DEFAULT_NODE_BUDGET,
+    _class_table,
+    _require_same_class,
+    _search,
+)
 
 
 @dataclass
@@ -111,25 +115,24 @@ def longest_chain_between(poset: ClassPoset, start_idx: int,
 
 def tight_chain_search(a: BinaryMatrix, c: BinaryMatrix,
                        budget: int = DEFAULT_NODE_BUDGET) -> SearchOutcome:
-    """Search for an interchange chain from a to c whose inversion count
-    rises by exactly one per step: the depth-first search
-    ``order._search`` over the increment-one moves (``_tight_moves``).
-
-    Restricting moves to increment-one interchanges loses no witnesses:
-    every step of a tight chain has increment exactly one.  A start with
-    more inversions than the target raises StartAboveTarget.  The search
-    gives up, with budget_hit set, on expanding more than budget
-    states."""
+    """An interchange chain from a to c whose inversion count rises by one
+    per step; a start above the target raises StartAboveTarget.  A class
+    with a table (``order._class_table``) ignores budget and gives the
+    witness ``order._search`` finds, ``explored`` its length (0 for none).
+    Else ``order._search`` runs over the increment-one moves (every step
+    of a tight chain has one), ``explored`` counts its expansions, and
+    past budget it gives up, with budget_hit set."""
     tables = _require_same_class(a, c)
     ta, tc, _ = tables
     if ta.nu > tc.nu:
         raise StartAboveTarget(
             f"start has more inversions than the target ({ta.nu} > {tc.nu})")
-    path, explored = _search(a, c, tables, _tight_moves, budget)
+    table = _class_table(a, ta)
+    path, explored = (table.tight_path(a, c) if table is not None
+                      else _search(a, c, tables, _tight_moves, budget))
     if path is None:
         return SearchOutcome(False, None, explored, explored > budget)
-    witness = Chain(a, tuple(Interchange(*move) for move in path))
-    return SearchOutcome(True, witness, explored, False)
+    return SearchOutcome(True, Chain(a, tuple(path)), explored, False)
 
 
 def monotonicity_check(poset: ClassPoset) -> MonotonicityReport:

@@ -1,10 +1,20 @@
 """References for the tests: a row-by-row backtracking enumerator over
-BinaryMatrix values, independent of the packed engine, and a partial-sum
-recount independent of the order tables."""
+BinaryMatrix values, independent of the packed engine, a partial-sum
+recount independent of the order tables, and helpers only the tests
+call."""
 
 from itertools import accumulate, combinations
 
-from bruhatchains import BinaryMatrix, InfeasibleMargins, MarginPair
+from bruhatchains import (
+    BinaryMatrix,
+    Direction,
+    InfeasibleMargins,
+    MarginPair,
+    apply_interchange,
+    bruhat_leq,
+    find_interchanges,
+    reverse_columns,
+)
 
 
 def backtrack_class(margins: MarginPair) -> list[BinaryMatrix]:
@@ -55,3 +65,42 @@ def sigma(rows, n: int) -> list[int]:
             b ^= low
         out.extend(accumulate(cols))
     return out
+
+
+# Helpers only the tests call.
+
+def duality_check(a: BinaryMatrix, c: BinaryMatrix) -> bool:
+    """Precedence of (a, c) must equal precedence of the column-reversed
+    pair in the opposite direction."""
+    return bruhat_leq(a, c) == bruhat_leq(reverse_columns(c),
+                                          reverse_columns(a))
+
+
+def all_pair_count(a: BinaryMatrix) -> int:
+    """Pairs of ones sharing neither row nor column.  Each such pair is an
+    inversion in exactly one of a and its column reversal."""
+    ones = a.count_ones()
+    total = ones * (ones - 1) // 2
+    same_row = sum(r * (r - 1) // 2 for r in a.row_sums())
+    same_col = sum(c * (c - 1) // 2 for c in a.col_sums())
+    return total - same_row - same_col
+
+
+def submatrix(a: BinaryMatrix, row_idx, col_idx) -> BinaryMatrix:
+    """The submatrix at the given strictly increasing row/column indices."""
+    bits = [sum(((a.bits[i] >> j) & 1) << jj for jj, j in enumerate(col_idx))
+            for i in row_idx]
+    return BinaryMatrix(len(row_idx), len(col_idx), tuple(bits))
+
+
+def random_interchange_walk(a: BinaryMatrix, steps: int, rng) -> BinaryMatrix:
+    """Apply the given number of uniformly chosen interchanges (either
+    direction).  Stays inside the class of a; used for sampling members."""
+    cur = a
+    for _ in range(steps):
+        moves = find_interchanges(cur, Direction.ItoL) \
+            + find_interchanges(cur, Direction.LtoI)
+        if not moves:
+            break
+        cur = apply_interchange(cur, rng.choice(moves))
+    return cur

@@ -38,11 +38,11 @@ from bruhatchains import (
     tabulated_chains_5,
     inversion_count,
     reverse_columns,
-    submatrix,
     tight_chain_search,
     verify_chain,
     z_matrix,
 )
+from reference import submatrix
 
 
 def antidiagonal_q(n: int) -> BinaryMatrix:

@@ -430,35 +430,61 @@ def test_non_positive_budget_is_a_usage_error(runner, p4_q4, command, budget):
     assert "--budget" in result.output
 
 
-def test_compare_budget_exhausted_is_a_domain_error(runner, p4_q4):
-    result = runner.invoke(main, ["compare", *p4_q4, "--budget", "1"])
+@pytest.fixture
+def p6_q6(tmp_path):
+    """P_6 and Q_6: A(6,2) is too large for a class table, so its queries
+    search and count their expansions against the budget."""
+    src, dst = tmp_path / "p6.txt", tmp_path / "q6.txt"
+    for path, mat in zip((src, dst), build_extremes(6)):
+        path.write_text(mat.to_text())
+    return str(src), str(dst)
+
+
+def test_compare_budget_exhausted_is_a_domain_error(runner, p6_q6):
+    result = runner.invoke(main, ["compare", *p6_q6, "--budget", "1"])
     assert result.exit_code == 1
     assert "exceeded 1 nodes" in result.output
 
 
 @pytest.mark.parametrize("forward, key", [(True, "secondary_leq"),
                                           (False, "secondary_geq")])
-def test_compare_budget_error_names_its_direction(runner, p4_q4, forward,
+def test_compare_budget_error_names_its_direction(runner, p6_q6, forward,
                                                   key):
-    # P_4 -> Q_4 needs more than one expansion; Q_4 -> P_4 needs none,
-    # as Q_4 does not dominate P_4
-    args = p4_q4 if forward else p4_q4[::-1]
+    # P_6 -> Q_6 needs more than one expansion; Q_6 -> P_6 needs none,
+    # as Q_6 does not dominate P_6
+    args = p6_q6 if forward else p6_q6[::-1]
     result = runner.invoke(main, ["compare", *args, "--budget", "1"])
     assert result.exit_code == 1
     assert result.output == (
         f"error: {key}: secondary order search exceeded 1 nodes\n")
 
 
-def test_tight_plain_reports_budget_hit(runner, p4_q4):
-    result = runner.invoke(main, ["tight", *p4_q4])
+def test_tight_plain_reports_budget_hit(runner, p6_q6):
+    result = runner.invoke(main, ["tight", *p6_q6])
     lines = dict(ln.split(": ") for ln in result.output.splitlines())
     assert result.exit_code == 0
     assert (lines["found"], lines["budget_hit"]) == ("true", "false")
-    result = runner.invoke(main, ["tight", *p4_q4, "--budget", "3"])
+    result = runner.invoke(main, ["tight", *p6_q6, "--budget", "3"])
     lines = dict(ln.split(": ") for ln in result.output.splitlines())
     assert result.exit_code == 0
     assert (lines["found"], lines["budget_hit"]) == ("false", "true")
     assert lines["explored"] == "4"
+
+
+def test_table_answers_ignore_the_budget(runner, p4_q4):
+    # A(4,2) has a class table: a query expands nothing, so --budget 1
+    # cannot run out
+    result = runner.invoke(main, ["compare", *p4_q4, "--budget", "1",
+                                  "--json"])
+    assert result.exit_code == 0
+    verdicts = json.loads(result.output)["result"]
+    assert (verdicts["secondary_leq"], verdicts["secondary_geq"]) \
+        == (True, False)
+    result = runner.invoke(main, ["tight", *p4_q4, "--budget", "1"])
+    lines = dict(ln.split(": ") for ln in result.output.splitlines())
+    assert result.exit_code == 0
+    assert (lines["found"], lines["budget_hit"], lines["explored"],
+            lines["length"]) == ("true", "false", "16", "16")
 
 
 def test_tight_default_budget_is_the_order_default(runner, p4_q4,

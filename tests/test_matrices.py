@@ -14,25 +14,28 @@ from bruhatchains import (
     J2,
     L2,
     BinaryMatrix,
+    ClassTooLarge,
     Direction,
     IndexOutOfRange,
     Interchange,
     PatternMismatch,
     SizeMismatch,
-    all_pair_count,
     apply_interchange,
     build_chain,
+    build_extremes,
     canonical_key,
     cumulative_sums,
     direct_sum,
     embed,
+    engine,
     find_interchanges,
     interchange_increment,
     inversion_count,
-    random_interchange_walk,
     reverse_columns,
-    submatrix,
 )
+from bruhatchains import matrices
+from bruhatchains.matrices import _moves
+from reference import all_pair_count, random_interchange_walk, submatrix
 
 # the illustrated 4x5 matrix with nine inversions
 ILLUSTRATED = BinaryMatrix.from_rows(["11101", "10000", "01001", "00110"])
@@ -182,6 +185,31 @@ class TestFindInterchanges:
             quads = [t.quad() for t in find_interchanges(a)]
             assert quads == sorted(quads)
 
+    @pytest.mark.parametrize("a, most", [
+        # 60 ones: at most C(60,2) = 1,770 moves, not C(30,2)^2
+        (build_extremes(30)[0], 1770),
+        # all ones, 4 x 4: at most C(4,2)^2 = 36 moves, not C(16,2)
+        (BinaryMatrix(4, 4, (15,) * 4), 36),
+    ])
+    def test_refused_past_the_byte_limit(self, monkeypatch, a, most):
+        # the largest list the matrix could give is charged before any
+        # of it is built
+        want = [find_interchanges(a, direction) for direction in Direction]
+        limit = most * matrices._MOVE_BYTES
+        monkeypatch.setattr(engine, "MAX_ARRAY_BYTES", limit - 1)
+        for direction in Direction:
+            with pytest.raises(ClassTooLarge, match="interchange list"):
+                find_interchanges(a, direction)
+        monkeypatch.setattr(engine, "MAX_ARRAY_BYTES", limit)
+        assert [find_interchanges(a, direction)
+                for direction in Direction] == want
+
+    def test_sparse_wide_states_fit(self):
+        # a 100 x 100 state of 200 ones charges C(200,2) moves, 5 MB,
+        # where C(100,2)^2 moves would pass the limit
+        p100 = build_extremes(100)[0]
+        assert len(find_interchanges(p100)) == len(list(_moves(p100.bits)))
+
 
 class TestApplyInterchange:
     def test_roundtrip_patterns(self):
@@ -232,8 +260,6 @@ class TestInterchangeIncrement:
         assert interchange_increment(p4, Interchange(1, 2, 1, 2)) == 1
 
     def test_random_all_two_members(self):
-        from bruhatchains import build_extremes
-
         rng = random.Random(11)
         cur, _ = build_extremes(6)
         cur = random_interchange_walk(cur, 40, rng)

@@ -1,16 +1,19 @@
-"""The child memo both order searches share: the searches give the same
-verdicts, expansion counts and witnesses with the memo cold, warm, and
-reset mid-search, and the memo keeps to its admission and byte rules: a
-state of at most 64 cells is stored on its first expansion, a larger one
-never."""
+"""The class tables behind the order queries, a memo of one table per
+class: on every class that has one, the table gives the verdicts, found
+flags and witnesses of the depth-first search it replaces, and the
+memo keeps to its rules: a class of at most 64 cells whose charge fits
+MAX_TABLE_BYTES gets a table on its first query, and keeps it until a
+new table would pass the bound."""
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from bruhatchains import (
     BinaryMatrix,
+    Chain,
     MarginPair,
     SearchBudgetExceeded,
     build_extremes,
@@ -20,206 +23,215 @@ from bruhatchains import (
     secondary_bruhat_leq,
     tight_chain_search,
 )
-from bruhatchains import matrices
-from bruhatchains.matrices import (
-    _CHILD_MEMO,
-    _flip,
-    _moves,
-    _tight_moves,
-)
+from bruhatchains import matrices, order
+from bruhatchains.matrices import _moves, _order_table, _tight_moves
+from bruhatchains.order import _class_table, _require_same_class, _search
 from reference import sigma
 from test_oracles import reference_secondary, reference_tight
 
 
-def reference_outcomes(a, c):
-    """What the references give on (a, c): the secondary verdict and its
-    expansions, and the tight outcome at the full budget and at half the
-    states it explores (None where the search refuses the pair)."""
-    verdict, expanded = reference_secondary(a, c)
-    if inversion_count(a) > inversion_count(c):
-        return verdict, expanded, None, None
-    full = reference_tight(a, c)
-    half = reference_tight(a, c, full[2] // 2) if full[2] > 1 else None
-    return verdict, expanded, full, half
-
-
-def tight(a, c, budget=10**6):
-    out = tight_chain_search(a, c, budget)
-    return out.found, out.witness, out.explored, out.budget_hit
-
-
-def assert_outcomes(a, c, want, cold):
-    """The searches on (a, c) against the reference outcomes; cold clears
-    the memo before every search."""
-    verdict, expanded, full, half = want
-
-    def fresh():
-        if cold:
-            _CHILD_MEMO.clear()
-
-    fresh()
-    assert secondary_bruhat_leq(a, c) == verdict
-    if expanded:
-        fresh()
-        assert secondary_bruhat_leq(a, c, node_budget=expanded) == verdict
-        fresh()
-        with pytest.raises(SearchBudgetExceeded):
-            secondary_bruhat_leq(a, c, node_budget=expanded - 1)
-    if full is None:
-        fresh()
-        with pytest.raises(ValueError):
-            tight_chain_search(a, c)
-        return
-    fresh()
-    assert tight(a, c) == full
-    if half is not None:
-        fresh()
-        assert tight(a, c, full[2] // 2) == half
-
-
-@pytest.fixture(scope="module")
-def pairs_with_references(poset_42, poset_52):
-    """Every ordered A(4,2) pair and 2,000 seeded A(5,2) pairs, each with
-    its reference outcomes."""
-    pairs = [(a, c) for a in poset_42.members for c in poset_42.members]
-    rng = random.Random(2052)
-    pairs += [(rng.choice(poset_52.members), rng.choice(poset_52.members))
-              for _ in range(2000)]
-    return [(a, c, reference_outcomes(a, c)) for a, c in pairs]
-
-
 @pytest.fixture
-def clean_memo():
-    _CHILD_MEMO.clear()
-    yield _CHILD_MEMO
-    _CHILD_MEMO.clear()
+def tables():
+    """The kept tables, empty before and after the test."""
+    order._TABLES.clear()
+    yield order._TABLES
+    order._TABLES.clear()
 
 
-def test_searches_match_reference_with_a_cold_memo(pairs_with_references,
-                                                   clean_memo):
-    for a, c, want in pairs_with_references:
-        assert_outcomes(a, c, want, cold=True)
+def table_of(a):
+    return _class_table(a, _order_table(a))
 
 
-def test_searches_match_reference_with_a_warm_memo(pairs_with_references,
-                                                   clean_memo):
-    # the first pass stores every state it expands; the second reads all
-    # of its expansions from stored entries
+def assert_routes_agree(a, c):
+    """The table's answers on (a, c) against ``order._search``, the route
+    of a class with no table: the secondary verdict, and the tight
+    search's found flag and witness."""
+    assert table_of(a) is not None
+    path, _ = _search(a, c, _require_same_class(a, c), _moves, 10**6)
+    assert secondary_bruhat_leq(a, c) == (path is not None)
+    if inversion_count(a) > inversion_count(c):
+        return
+    path, _ = _search(a, c, _require_same_class(a, c), _tight_moves, 10**6)
+    out = tight_chain_search(a, c)
+    assert out.found == (path is not None) and not out.budget_hit
+    assert out.witness == (None if path is None else Chain(a, tuple(path)))
+    assert out.explored == len(path or ())
+
+
+def test_table_matches_the_search_on_every_pair(poset_221, poset_42):
+    for poset in (poset_221, poset_42):
+        for a in poset.members:
+            for c in poset.members:
+                assert_routes_agree(a, c)
+
+
+def test_table_matches_the_search_on_seeded_a52_pairs(poset_52):
+    rng = random.Random(5252)
+    members = poset_52.members
+    for _ in range(20_000):
+        assert_routes_agree(rng.choice(members), rng.choice(members))
+
+
+def test_table_matches_the_search_on_criterion_9_classes(small_posets):
+    rng = random.Random(9)
+    for poset in rng.sample(small_posets, 200):
+        members = poset.members
+        for _ in range(20):
+            assert_routes_agree(rng.choice(members), rng.choice(members))
+
+
+def test_a52_table_is_the_comparability_matrix(poset_52):
+    table = table_of(poset_52.members[0])
+    size = len(poset_52)
+    # the table and the poset list the class in the same order
+    assert [table.index[a.bits] for a in poset_52.members] == \
+        list(range(size))
+    up = np.array([np.unpackbits(np.frombuffer(
+        bits.to_bytes(size // 8 + 1, "little"), np.uint8),
+        bitorder="little")[:size] for bits in table.up], dtype=bool)
+    assert (up == poset_52.leq).all()
+
+
+def test_first_query_builds_the_class_table(tables):
+    p, q = build_extremes(5)
+    assert not tables
+    assert tight_chain_search(p, q).found
+    (table,) = tables.values()
+    assert len(table.index) == 2040
+    # later queries on the class read the same table
+    assert secondary_bruhat_leq(p, q) and not secondary_bruhat_leq(q, p)
+    assert list(tables.values()) == [table] and table_of(q) is table
+
+
+def held_by_the_package(snapshot) -> int:
+    """The bytes still held that the package's own code allocated: not
+    numpy's or the interpreter's caches."""
+    package = tracemalloc.Filter(True, order.__file__.replace("order.py",
+                                                              "*"))
+    return sum(stat.size for stat in
+               snapshot.filter_traces([package]).statistics("filename"))
+
+
+def test_the_charge_covers_what_a_table_holds():
+    for margins in (MarginPair((2, 2, 1), (2, 2, 1)),
+                    MarginPair((2, 1, 1, 0), (1, 1, 1, 1)),
+                    MarginPair.uniform(4, 2), MarginPair.uniform(5, 2)):
+        order._build_table(margins)   # fill the package's caches first
+        tracemalloc.start()
+        try:
+            table = order._build_table(margins)
+            held = held_by_the_package(tracemalloc.take_snapshot())
+        finally:
+            tracemalloc.stop()
+        assert held <= table.charge
+    # on the class the bound is sized for, the charge is not far over
+    assert table.charge < 1.5 * held
+
+
+def test_classes_past_the_gate_get_no_table(tables, monkeypatch):
+    counted = []
+    count_class = order.count_class
+
+    def counting(margins):
+        counted.append(margins)
+        return count_class(margins)
+
+    def no_build(margins):
+        raise AssertionError("a refused class was enumerated")
+
+    monkeypatch.setattr(order, "count_class", counting)
+    monkeypatch.setattr(order, "build_interchange_dag", no_build)
+    # A(6,2): 67,950 members, refused by its count alone
+    p, q = build_extremes(6)
     for _ in range(2):
-        for a, c, want in pairs_with_references:
-            assert_outcomes(a, c, want, cold=False)
-    assert len(clean_memo.entries[_moves]) > 1000
-    assert len(clean_memo.entries[_tight_moves]) > 1000
-    assert clean_memo.charged <= matrices.MAX_MEMO_BYTES
+        assert secondary_bruhat_leq(p, q)
+        assert tight_chain_search(p, q).found
+    assert counted == [MarginPair.uniform(6, 2)]
+    # 81 cells: refused before it is counted
+    p9, q9 = build_extremes(9)
+    assert secondary_bruhat_leq(p9, q9)
+    assert counted == [MarginPair.uniform(6, 2)]
+    assert list(tables.values()) == [None, None]
 
 
-def test_searches_match_reference_when_the_memo_resets(
-        pairs_with_references, clean_memo, monkeypatch):
-    # a bound of a few entries: the memo clears itself inside most
-    # searches that expand more than a handful of states
-    monkeypatch.setattr(matrices, "MAX_MEMO_BYTES", 20_000)
-    resets = 0
-    clear = matrices._ChildMemo.clear
-
-    def counting_clear(self):
-        nonlocal resets
-        resets += 1
-        clear(self)
-
-    monkeypatch.setattr(matrices._ChildMemo, "clear", counting_clear)
-    stored = 0
-    for _ in range(2):
-        for a, c, want in pairs_with_references:
-            assert_outcomes(a, c, want, cold=False)
-            stored = max(stored, len(clean_memo.entries[_moves]))
-            assert clean_memo.charged <= 20_000
-    assert resets > 100 and stored > 0
+def test_a_class_whose_arcs_pass_the_bound_gets_no_table(tables,
+                                                         monkeypatch):
+    # room for A(4,2)'s members and bitsets, none for its 168 tight arcs
+    monkeypatch.setattr(order, "MAX_TABLE_BYTES",
+                        order._table_charge(4, 90, 0, 0))
+    p, q = build_extremes(4)
+    assert table_of(p) is None
+    assert secondary_bruhat_leq(p, q)
+    with pytest.raises(SearchBudgetExceeded):
+        secondary_bruhat_leq(p, q, node_budget=1)
 
 
-def test_first_expansion_stores_a_small_state(clean_memo):
-    rows = build_extremes(8)[0].bits   # 64 cells, the most stored
-    want = [(_flip(rows, *move), move) for move in _moves(rows)]
-    assert list(clean_memo.expand(rows, _moves)) == want
-    # the entry: two parallel tuples whose child rows are interned, and
-    # the next expansion reads the same objects
-    children, moves = clean_memo.entries[_moves][rows]
-    assert list(zip(children, moves)) == want
-    assert all(clean_memo.interned[y] is y for y in children)
-    charged = clean_memo.charged
-    again = list(clean_memo.expand(rows, _moves))
-    assert all(x[0] is y for x, y in zip(again, children))
-    assert clean_memo.charged == charged
-    # the tight generator keeps its own entries
-    assert rows not in clean_memo.entries[_tight_moves]
-    tight_want = [(_flip(rows, *move), move) for move in _tight_moves(rows)]
-    assert list(clean_memo.expand(rows, _tight_moves)) == tight_want
-    assert rows in clean_memo.entries[_tight_moves]
-
-
-def test_one_shot_searches_store_nothing(clean_memo):
-    # P_12 has 144 cells: its states never reach the memo
+def test_one_shot_searches_store_nothing(tables):
+    # P_12 has 144 cells: its class gets no table
     p, q = build_extremes(12)
     assert secondary_bruhat_leq(p, q)
     assert tight_chain_search(p, q).found
-    assert not clean_memo.entries[_moves]
-    assert not clean_memo.entries[_tight_moves]
-    assert clean_memo.charged == 0
+    assert list(tables.values()) == [None]
 
 
-def test_charge_stays_under_the_bound_on_large_searches(clean_memo):
+def test_charge_stays_under_the_bound_on_large_searches(tables):
     p, q = build_extremes(30)
     for _ in range(2):
         out = tight_chain_search(p, q, 5000)
         assert out.found and not out.budget_hit
         assert secondary_bruhat_leq(p, q)
-    assert not clean_memo.entries[_moves]
-    assert not clean_memo.entries[_tight_moves]
-    assert clean_memo.charged == 0
+    assert list(tables.values()) == [None]
 
 
-def test_large_searches_keep_the_small_entries(poset_52, clean_memo):
-    # A(5,2) pairs warm the memo; P_30 searches then leave it as it was
-    rng = random.Random(3052)
-    for _ in range(200):
-        a, c = rng.choice(poset_52.members), rng.choice(poset_52.members)
-        secondary_bruhat_leq(a, c)
-        if inversion_count(a) <= inversion_count(c):
-            tight_chain_search(a, c)
-    entries = {g: dict(clean_memo.entries[g]) for g in (_moves, _tight_moves)}
-    charged = clean_memo.charged
-    assert entries[_moves] and entries[_tight_moves]
+def test_searches_match_reference_when_the_memo_resets(
+        poset_42, poset_221, tables, monkeypatch):
+    # room for one small table at a time: queries that alternate between
+    # two classes clear the kept tables and build them again each time
+    monkeypatch.setattr(order, "MAX_TABLE_BYTES",
+                        table_of(poset_42.members[0]).charge + 1000)
+    tables.clear()
+    rng = random.Random(4221)
+    builds = 0
+    build = order._build_table
+
+    def counting_build(margins):
+        nonlocal builds
+        builds += 1
+        return build(margins)
+
+    monkeypatch.setattr(order, "_build_table", counting_build)
+    for _ in range(100):
+        for poset in (poset_42, poset_221):
+            a, c = rng.choice(poset.members), rng.choice(poset.members)
+            assert secondary_bruhat_leq(a, c) == reference_secondary(a, c)[0]
+            if inversion_count(a) <= inversion_count(c):
+                out = tight_chain_search(a, c)
+                assert (out.found, out.witness) == reference_tight(a, c)[:2]
+            assert len(tables) == 1
+    assert builds == 200
+
+
+def test_large_searches_keep_the_small_entries(poset_52, tables):
+    # an A(5,2) table is kept; P_30 searches then leave it as it was
+    a, c = poset_52.members[0], poset_52.members[-1]
+    assert secondary_bruhat_leq(a, c)
+    kept = dict(tables)
     p, q = build_extremes(30)
     assert tight_chain_search(p, q, 5000).found
     assert secondary_bruhat_leq(p, q)
-    assert {g: clean_memo.entries[g] for g in entries} == entries
-    assert clean_memo.charged == charged
+    assert all(tables[key] is table for key, table in kept.items())
 
 
-def test_the_largest_small_entry_fits_under_the_bound():
-    # every (i, i2, j, j2) a move of an m x n state, m * n <= 64: the
-    # entry interns its rows, one child per move and every move
-    largest = 0
-    for m in range(1, 65):
-        for n in range(1, 64 // m + 1):
-            count = m * (m - 1) // 2 * (n * (n - 1) // 2)
-            tuples = [(0,) * m] * (1 + count) + [(0,) * 4] * count
-            largest = max(largest, matrices._entry_bytes(count, tuples))
-    # a 16 x 4 state: 720 moves, each child a rows tuple of 16 items
-    assert largest == 357_600 < matrices.MAX_MEMO_BYTES
-
-
-def test_the_next_entry_past_the_bound_clears_the_memo(clean_memo,
-                                                       monkeypatch):
-    states = build_extremes(8)[0].bits, build_extremes(8)[1].bits
-    for rows in states:
-        clean_memo.expand(rows, _moves)
-    assert set(clean_memo.entries[_moves]) == set(states)
-    # room for the charge so far, not one more entry
-    monkeypatch.setattr(matrices, "MAX_MEMO_BYTES", clean_memo.charged)
-    child = next(iter(clean_memo.entries[_moves][states[0]][0]))
-    clean_memo.expand(child, _moves)   # the memo starts over
-    assert list(clean_memo.entries[_moves]) == [child]
-    assert clean_memo.charged <= matrices.MAX_MEMO_BYTES
+def test_the_next_table_past_the_bound_clears_the_cache(poset_42, poset_221,
+                                                        tables, monkeypatch):
+    a42, a221 = poset_42.members[0], poset_221.members[0]
+    small = table_of(a42).charge
+    # room for the A(4,2) table, not for one more beside it
+    monkeypatch.setattr(order, "MAX_TABLE_BYTES", small + 1000)
+    assert table_of(a42) is not None and len(tables) == 1
+    table = table_of(a221)
+    assert table is not None and list(tables.values()) == [table]
+    assert table.charge <= order.MAX_TABLE_BYTES
 
 
 # A non-interchange cover of A(6,3): c is a with rows 0..3 reversed.
@@ -229,18 +241,16 @@ COVER_HIGH = BinaryMatrix.from_rows(
     ["000111", "110100", "110010", "001110", "101001", "011001"])
 
 
-def test_a63_cover_that_no_interchange_gives(clean_memo):
+def test_a63_cover_that_no_interchange_gives(tables):
     a, c = COVER_LOW, COVER_HIGH
     assert a.margins() == c.margins() == MarginPair.uniform(6, 3)
     assert (inversion_count(a), inversion_count(c)) == (54, 62)
     assert bruhat_less(a, c)
-    # cold, then read from the stored entries
-    for _ in range(3):
-        assert not secondary_bruhat_leq(a, c)
-        out = tight_chain_search(a, c)
-        assert not out.found and not out.budget_hit
-    assert a.bits in clean_memo.entries[_moves]
-    assert a.bits in clean_memo.entries[_tight_moves]
+    # A(6,3) has 297,200 members and no table: both queries search
+    assert not secondary_bruhat_leq(a, c)
+    out = tight_chain_search(a, c)
+    assert not out.found and not out.budget_hit
+    assert list(tables.values()) == [None]
 
 
 # One LtoI step below COVER_LOW: the secondary search reaches COVER_HIGH
@@ -250,7 +260,7 @@ BELOW_COVER = BinaryMatrix.from_rows(
     ["101010", "010110", "110100", "000111", "101001", "011001"])
 
 
-def test_secondary_search_skips_dead_states(clean_memo):
+def test_secondary_search_skips_dead_states():
     assert reference_secondary(BELOW_COVER, COVER_HIGH) == (True, 8)
     assert secondary_bruhat_leq(BELOW_COVER, COVER_HIGH, node_budget=8)
     with pytest.raises(SearchBudgetExceeded):

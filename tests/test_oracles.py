@@ -40,7 +40,6 @@ from bruhatchains import (
     verify_chain,
 )
 from bruhatchains.matrices import (
-    _CHILD_MEMO,
     _dominates,
     _flip,
     _guards,
@@ -50,6 +49,11 @@ from bruhatchains.matrices import (
     _moves,
     _order_table,
     _tight_moves,
+)
+from bruhatchains.order import (
+    DEFAULT_NODE_BUDGET,
+    _require_same_class,
+    _search,
 )
 from reference import sigma
 
@@ -134,25 +138,38 @@ def reference_tight(a, c, budget=10**6):
     return found, witness, explored, budget_hit
 
 
+def searched(a, c, generate, budget=DEFAULT_NODE_BUDGET):
+    """``order._search`` on (a, c) over the moves of generate, the route of
+    a class with no table: (found, witness, explored, budget_hit)."""
+    path, explored = _search(a, c, _require_same_class(a, c), generate,
+                             budget)
+    witness = None if path is None else Chain(a, tuple(path))
+    return path is not None, witness, explored, explored > budget
+
+
 def assert_same_searches(a, c):
+    """Both routes against the references: the search expands the same
+    states, and the table gives the same verdicts and witnesses."""
     verdict, expanded = reference_secondary(a, c)
     assert secondary_bruhat_leq(a, c) == verdict
+    found, _, explored, _ = searched(a, c, _moves)
+    assert (found, explored) == (verdict, expanded)
     if expanded:
         # the same states expand: the budget that just suffices, and one less
-        assert secondary_bruhat_leq(a, c, node_budget=expanded) == verdict
-        with pytest.raises(SearchBudgetExceeded):
-            secondary_bruhat_leq(a, c, node_budget=expanded - 1)
+        assert not searched(a, c, _moves, expanded)[3]
+        assert searched(a, c, _moves, expanded - 1)[3]
     if inversion_count(a) > inversion_count(c):
         with pytest.raises(ValueError):
             tight_chain_search(a, c)
         return
     want = reference_tight(a, c)
+    assert searched(a, c, _tight_moves) == want
     out = tight_chain_search(a, c)
-    assert (out.found, out.witness, out.explored, out.budget_hit) == want
+    assert (out.found, out.witness, out.budget_hit) == (*want[:2], False)
+    assert out.explored == (out.witness.length if out.found else 0)
     if want[2] > 1:
         budget = want[2] // 2
-        out = tight_chain_search(a, c, budget)
-        assert (out.found, out.witness, out.explored, out.budget_hit) \
+        assert searched(a, c, _tight_moves, budget) \
             == reference_tight(a, c, budget)
 
 
@@ -172,14 +189,18 @@ def test_searches_match_reference_on_seeded_a52_pairs(poset_52):
 
 
 def test_p4_q4_budget():
+    # A(6,2) has no table, so its searches count their expansions; the
+    # P_4 -> Q_4 query is answered from the A(4,2) table whatever the budget
     p4, q4 = build_extremes(4)
+    assert secondary_bruhat_leq(p4, q4, node_budget=1)
+    p6, q6 = build_extremes(6)
     with pytest.raises(SearchBudgetExceeded):
-        secondary_bruhat_leq(p4, q4, node_budget=1)
-    verdict, expanded = reference_secondary(p4, q4)
+        secondary_bruhat_leq(p6, q6, node_budget=1)
+    verdict, expanded = reference_secondary(p6, q6)
     assert verdict and expanded > 1
-    assert secondary_bruhat_leq(p4, q4, node_budget=expanded)
+    assert secondary_bruhat_leq(p6, q6, node_budget=expanded)
     with pytest.raises(SearchBudgetExceeded):
-        secondary_bruhat_leq(p4, q4, node_budget=expanded - 1)
+        secondary_bruhat_leq(p6, q6, node_budget=expanded - 1)
 
 
 def test_searches_refuse_past_the_byte_limit(monkeypatch):
@@ -198,18 +219,15 @@ def test_secondary_search_holds_one_path():
     # a best-first search held the excess table of every state it queued:
     # 25 MB under tracemalloc from P_30, 644 MB of RSS from P_60
     p30, q30 = build_extremes(30)
-    _CHILD_MEMO.clear()
     tracemalloc.start()
     try:
         assert secondary_bruhat_leq(p30, q30)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-        _CHILD_MEMO.clear()
     assert peak < 4 << 20
     # and the byte limit admits P_60
     assert secondary_bruhat_leq(*build_extremes(60))
-    _CHILD_MEMO.clear()
 
 
 WIDE = BinaryMatrix.from_rows(["110", "011"])

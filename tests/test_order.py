@@ -19,7 +19,6 @@ from bruhatchains import (
     bruhat_verdict,
     build_extremes,
     direct_sum,
-    duality_check,
     enumerate_class,
     inversion_count,
     is_maximal_An2,
@@ -27,6 +26,7 @@ from bruhatchains import (
     reverse_columns,
     secondary_bruhat_leq,
 )
+from reference import duality_check
 
 INCOMP_A = BinaryMatrix.from_rows(["1001", "1100", "0110", "0011"])
 INCOMP_C = BinaryMatrix.from_rows(["0110", "1100", "1001", "0011"])
