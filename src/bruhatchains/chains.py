@@ -123,11 +123,15 @@ def _replay(rows: list[int], width: int,
 
 @dataclass(frozen=True)
 class ChainReport:
-    """Outcome of replaying a chain."""
+    """Outcome of replaying a chain.  ``failing_reason`` says why
+    ``failing_step`` is invalid: ``pattern_mismatch``, ``ltoi_step``,
+    ``not_strict_ascent`` (a jump) or ``other_class`` (a jump into
+    another class); both are None on a valid chain."""
 
     length: int
     valid: bool
     failing_step: int | None
+    failing_reason: str | None
     endpoints_ok: bool
     tight: bool
     nu_profile: tuple[int, ...]
@@ -139,14 +143,15 @@ def verify_chain(chain: Chain,
     """Replay a chain, validating every step by its kind.
 
     Interchange steps must address a valid ItoL pattern; jump steps must be
-    a strict Bruhat ascent.  An invalid step is reported by index rather
-    than raised; only structurally malformed data raises.  The inversion
-    count advances by the increment formula on interchange steps and is
-    recounted in full on every jump target and on the final state."""
+    a strict Bruhat ascent.  An invalid step is reported by index and
+    reason rather than raised; only structurally malformed data raises.
+    The inversion count advances by the increment formula on interchange
+    steps and is recounted in full on every jump target and on the final
+    state."""
     rows = list(chain.start.bits)
     nu = inversion_count(chain.start)
     nu_profile = [nu]
-    failing = None
+    failing = reason = None
     try:
         for step in _replay(rows, chain.start.n, chain.steps):
             if isinstance(step, Interchange):
@@ -154,8 +159,17 @@ def verify_chain(chain: Chain,
             else:
                 nu = inversion_count(chain._state(rows))
             nu_profile.append(nu)
-    except (PatternMismatch, MarginMismatch):
+    except MarginMismatch:
+        failing, reason = len(nu_profile) - 1, "other_class"
+    except PatternMismatch:
         failing = len(nu_profile) - 1
+        step = chain.steps[failing]
+        if isinstance(step, BruhatStep):
+            reason = "not_strict_ascent"
+        elif step.direction is not Direction.ItoL:
+            reason = "ltoi_step"
+        else:
+            reason = "pattern_mismatch"
     end = chain._state(rows)
     if inversion_count(end) != nu:
         raise RuntimeError("inversion increments disagree with a full "
@@ -167,8 +181,8 @@ def verify_chain(chain: Chain,
         endpoints_ok = False
     if valid and expected_end is not None and end != expected_end:
         endpoints_ok = False
-    return ChainReport(len(chain.steps), valid, failing, endpoints_ok,
-                       tight, tuple(nu_profile))
+    return ChainReport(len(chain.steps), valid, failing, reason,
+                       endpoints_ok, tight, tuple(nu_profile))
 
 
 # --- distinguished matrices ---------------------------------------------

@@ -253,13 +253,15 @@ def chain_verify(chain_file: str, as_json: bool) -> None:
         "length": report.length,
         "valid": report.valid,
         "failing_step": report.failing_step,
+        "failing_reason": report.failing_reason,
         "tight": report.tight,
         "nu_profile": list(report.nu_profile),
     }
     plain = (f"length: {report.length}\nvalid: {str(report.valid).lower()}\n"
              f"tight: {str(report.tight).lower()}")
     if report.failing_step is not None:
-        plain += f"\nfailing_step: {report.failing_step}"
+        plain += (f"\nfailing_step: {report.failing_step}"
+                  f"\nfailing_reason: {report.failing_reason}")
     _emit("chain verify", result, as_json, plain)
 
 

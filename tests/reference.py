@@ -1,7 +1,7 @@
 """References for the tests: a row-by-row backtracking enumerator over
 BinaryMatrix values, independent of the packed engine, a partial-sum
-recount independent of the order tables, and helpers only the tests
-call."""
+recount independent of the order tables, a pair-by-pair poset built on
+that recount, and helpers only the tests call."""
 
 from itertools import accumulate, combinations
 
@@ -65,6 +65,28 @@ def sigma(rows, n: int) -> list[int]:
             b ^= low
         out.extend(accumulate(cols))
     return out
+
+
+def poset_by_pairs(members) -> tuple[list[list[bool]], list[int], list[int]]:
+    """Comparability and covers of the members, in their order: a <= c
+    when every entry of ``sigma(a)`` is at least the one of ``sigma(c)``,
+    and c covers a when a < c and no member lies strictly between them.
+    Returns the comparability rows and the covers as CSR lists, each
+    member's targets ascending."""
+    tables = [sigma(a.bits, a.n) for a in members]
+    leq = [[all(x >= y for x, y in zip(ta, tc)) for tc in tables]
+           for ta in tables]
+    size = len(members)
+    above = [sum(1 << c for c in range(size) if leq[a][c] and c != a)
+             for a in range(size)]
+    below = [sum(1 << a for a in range(size) if leq[a][c] and a != c)
+             for c in range(size)]
+    indptr, targets = [0], []
+    for a in range(size):
+        targets += [c for c in range(size)
+                    if above[a] >> c & 1 and not above[a] & below[c]]
+        indptr.append(len(targets))
+    return leq, indptr, targets
 
 
 # Helpers only the tests call.

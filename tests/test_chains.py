@@ -316,12 +316,28 @@ class TestVerifyChain:
         bad = Chain(p4, (Interchange(0, 1, 0, 1, Direction.ItoL),))
         rep = verify_chain(bad)
         assert not rep.valid and rep.failing_step == 0
+        assert rep.failing_reason == "pattern_mismatch"
+
+    def test_ltoi_step(self):
+        # the first step of the base chain, as a valid LtoI move backwards
+        p4, _ = build_extremes(4)
+        first = base_chain_4().steps[0]
+        back = Interchange(*first.quad(), Direction.LtoI)
+        rep = verify_chain(Chain(p4, (first, back)))
+        assert not rep.valid and rep.failing_step == 1
+        assert rep.failing_reason == "ltoi_step"
 
     def test_bad_bruhat_step(self):
         p4, q4 = build_extremes(4)
         down = Chain(q4, (BruhatStep(p4),))
         rep = verify_chain(down)
         assert not rep.valid and rep.failing_step == 0
+        assert rep.failing_reason == "not_strict_ascent"
+
+    def test_valid_chain_has_no_reason(self):
+        rep = verify_chain(base_chain_4())
+        assert rep.valid and rep.failing_step is None
+        assert rep.failing_reason is None
 
     @pytest.mark.parametrize(
         "chain", [build_chain(n) for n in range(4, 15)] + [chain_y_to_q5()],
@@ -347,6 +363,7 @@ class TestVerifyChain:
         other = BinaryMatrix.from_rows(["1000", "0100", "0010", "0001"])
         rep = verify_chain(Chain(p4, (first, BruhatStep(other))))
         assert not rep.valid and rep.failing_step == 1
+        assert rep.failing_reason == "other_class"
         assert len(rep.nu_profile) == 2
 
     def test_jump_dimension_change_raises(self):

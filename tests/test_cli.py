@@ -89,6 +89,30 @@ def test_poset_exports(runner, tmp_path):
     assert len(jsonl.read_text().strip().splitlines()) == 5
 
 
+@pytest.mark.parametrize("chain, reason", [
+    ("01\n10\n\n0 1 0 1\n", "pattern_mismatch"),
+    (json.dumps({"start": {"m": 2, "n": 2, "rows": ["01", "10"]},
+                 "steps": [None],
+                 "splices": [{"at": 0, "matrix": {
+                     "m": 2, "n": 2, "rows": ["10", "01"]}}]}),
+     "not_strict_ascent"),
+    (json.dumps({"start": {"m": 2, "n": 2, "rows": ["10", "01"]},
+                 "steps": [None],
+                 "splices": [{"at": 0, "matrix": {
+                     "m": 2, "n": 2, "rows": ["11", "01"]}}]}),
+     "other_class"),
+], ids=["pattern", "descent", "other-class"])
+def test_chain_verify_gives_the_reason(runner, chain, reason):
+    plain = runner.invoke(main, ["chain", "verify", "-"], input=chain)
+    lines = dict(ln.split(": ") for ln in plain.output.splitlines())
+    assert plain.exit_code == 0 and lines["valid"] == "false"
+    assert lines["failing_step"] == "0" and lines["failing_reason"] == reason
+    wrapped = runner.invoke(main, ["chain", "verify", "--json", "-"],
+                            input=chain)
+    report = json.loads(wrapped.output)["result"]
+    assert report["failing_step"] == 0 and report["failing_reason"] == reason
+
+
 def test_extremes(runner):
     result = runner.invoke(main, ["extremes", "--n", "4"])
     p_text, q_text = result.output.strip().split("\n\n")

@@ -1,8 +1,8 @@
-"""Outputs pinned by digest: the sigma, compare, tight, monotone and chain
-verify results, monotonicity certificates and cumulative_sums tables, on
-seeded inputs.  A digest is the SHA-256 of the outputs as sorted-key
-JSON, so a change in any verdict, count, witness, table or error message
-changes it."""
+"""Outputs pinned by digest: the sigma, compare, tight, monotone, poset and
+chain verify results, the poset exports, monotonicity certificates and
+cumulative_sums tables, on seeded inputs.  A digest is the SHA-256 of the
+outputs as sorted-key JSON, so a change in any verdict, count, witness,
+table or error message changes it."""
 
 import hashlib
 import json
@@ -113,6 +113,17 @@ def monotone_outputs(tmp_path):
     return [run(["monotone", *spec, "--json"]) for spec in classes]
 
 
+def poset_outputs(tmp_path):
+    """The summary and both exports of the full poset of each class."""
+    classes = [["--n", "4"], ["--n", "5"], ["--margins", "2,2,1/2,2,1"],
+               ["--margins", "2,2,1,1,1/2,2,2,1"],
+               ["--margins", "2,2,2,2/2,2,2,1,1"]]
+    dot, jsonl = tmp_path / "poset.dot", tmp_path / "poset.jsonl"
+    return [[run(["poset", *spec, "--json", "--dot", str(dot),
+                  "--jsonl", str(jsonl)]),
+             dot.read_text(), jsonl.read_text()] for spec in classes]
+
+
 def certificate_outputs(tmp_path):
     return [certificate(a, c) for a, c in
             member_pairs(4, 19, 20) + same_class_pairs(20, 20)]
@@ -146,10 +157,12 @@ PINNED = {
         "9f8600d38fd929424adb457894e717f47c5e0da0b8080600daebeb4e17261f72",
     monotone_outputs:
         "fbaf9e5116ac0273b8cfe19d169dda8d66c688f3276bcdcafc198dda853b009f",
+    poset_outputs:
+        "982e314cf4e86c28f250428830987a737546cf327c61d40fe2dfe80912bd1251",
     certificate_outputs:
         "ceb14db226c87b6ca1422ab2ec09c2b2b404968aac198ac11f38e7f8552e77e9",
     chain_verify_outputs:
-        "12c59754960193427f1578b54b41c95c85ffe36ba644d22ea2156ed5877a76e3",
+        "6f24e57c45999e6e435647f994c4fe7db92b60d1214090eaa03bb0703fe78924",
 }
 
 

@@ -25,9 +25,9 @@ from bruhatchains import (
     inversion_count,
     monotonicity_check,
 )
-from bruhatchains import engine
+from bruhatchains import engine, enumeration
 from bruhatchains.matrices import decode, pack
-from reference import backtrack_class
+from reference import backtrack_class, poset_by_pairs
 
 A221_MEMBERS = [
     BinaryMatrix.from_rows(rows)
@@ -91,7 +91,32 @@ class TestEnumerateClass:
             list(enumerate_class(MarginPair((2, 2), (3, 1))))
 
 
+def assert_same_as_pairwise_reference(poset):
+    leq, indptr, targets = poset_by_pairs(poset.members)
+    assert poset.leq.dtype == bool and poset.leq.tolist() == leq
+    assert poset.indptr.dtype == np.int32 and poset.indptr.tolist() == indptr
+    assert poset.targets.dtype == np.int32 \
+        and poset.targets.tolist() == targets
+
+
 class TestBuildPoset:
+    def test_pairwise_reference_on_criterion_9_classes(self, small_posets):
+        for poset in small_posets:
+            assert_same_as_pairwise_reference(poset)
+
+    # in these classes the first 32 members of an up-set hold all its
+    # covers, so only a smaller chunk tests which rows the build skips
+    @pytest.mark.parametrize("chunk_rows", [1, 2, 32])
+    @pytest.mark.parametrize("margins", [
+        MarginPair((2, 2, 1, 1, 1), (2, 2, 2, 1)),  # 117 members
+        MarginPair((2, 2, 2, 2), (2, 2, 2, 1, 1)),  # 204 members
+        MarginPair((3, 3, 2, 2), (2, 2, 2, 2, 2)),  # 310 members
+    ], ids=lambda pair: f"{pair.row_sums}/{pair.col_sums}")
+    def test_pairwise_reference_on_larger_classes(self, margins, chunk_rows,
+                                                  monkeypatch):
+        monkeypatch.setattr(enumeration, "_CHUNK_ROWS", chunk_rows)
+        assert_same_as_pairwise_reference(build_poset(margins))
+
     def test_singleton_no_arcs(self):
         poset = build_poset(MarginPair((2, 2), (2, 2)))
         assert len(poset) == 1
@@ -378,6 +403,18 @@ def test_peaks_stay_under_the_checked_bytes():
     assert report.pairs_checked == 752_695
     assert build_peak < checked
     assert check_peak < checked
+
+
+def test_build_holds_little_beside_leq():
+    # what the A(5,2) build holds beside leq: the partial-sum table and a
+    # block of rows, then one row of OR, a chunk of rows and the covers
+    tracemalloc.start()
+    try:
+        poset = build_poset(MarginPair.uniform(5, 2))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - poset.leq.nbytes < poset.leq.nbytes // 4
 
 
 def test_strict_pairs_stream_one_row_at_a_time(poset_52):
