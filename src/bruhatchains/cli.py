@@ -297,7 +297,8 @@ def spectrum(n, as_json) -> None:
 @click.argument("from_matrix")
 @click.argument("to_matrix")
 @click.option("--budget", type=click.IntRange(min=1),
-              default=order.DEFAULT_NODE_BUDGET, show_default=True)
+              default=order.DEFAULT_NODE_BUDGET, show_default=True,
+              help="Most states expanded; a class with a table expands none.")
 @click.option("--json", "as_json", is_flag=True)
 def tight(from_matrix, to_matrix, budget, as_json) -> None:
     """Search for a tight chain between two matrices."""

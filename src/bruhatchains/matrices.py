@@ -382,14 +382,13 @@ class _Lanes(NamedTuple):
     cols: tuple[int, ...]    # cols[c]: a 1 in lanes 0..c-1 of row 0
 
 
-@lru_cache(maxsize=32)
 def _lanes(m: int, n: int, w: int) -> _Lanes:
     """The ``_Lanes`` of an m x n table in w-bit lanes.  rows[r] * cols[l]
     holds a 1 in each lane of rows 0..r-1 and columns 0..l-1, so
     (rows[i2] - rows[i]) * (cols[j2] - cols[j]) is the block of rows
     i..i2-1 and columns j..j2-1.  rows[m] alone is the size of a table and
     the tuple about m/2 times that, so only the searches, which move
-    blocks, build it."""
+    blocks, build it, each query afresh, and nothing keeps it."""
     rows = tuple(accumulate((1 << k * n * w for k in range(m)), or_,
                             initial=0))
     cols = tuple(accumulate((1 << l * w for l in range(n)), or_, initial=0))

@@ -88,11 +88,11 @@ def bruhat_less(a: BinaryMatrix, c: BinaryMatrix) -> bool:
     return a != c and bruhat_leq(a, c)
 
 
-# What a search holds, charged against engine.MAX_ARRAY_BYTES before
-# each level is pushed: per level of the path, its packed excess table
-# and the frames and tuples that walk its children; per state expanded,
-# which the dead set may keep, its rows tuple (8 bytes a row), two new
-# row ints and a set slot.
+# Charged against engine.MAX_ARRAY_BYTES before each level is pushed: the
+# lanes (``_lanes``), rows[r] over r rows of n lanes and cols[l] over l, in
+# ints of 30 bits per 4 bytes plus 64 each; per level of the path, its excess
+# table and the frames and tuples that walk its children; per state expanded,
+# which the dead set may keep, its rows tuple, two new row ints and a set slot.
 _LEVEL_BYTES = 600
 _STATE_BYTES = 200
 
@@ -112,20 +112,22 @@ def _search(a: BinaryMatrix, c: BinaryMatrix, tables, generate,
     which prunes the states that stop dominating c.  Children come lazily,
     in (i, i2, j, j2) order.  The path is an explicit stack of each
     level's rows, excess and child iterator, so a chain may be longer than
-    the recursion limit.  Before a level is pushed, the bytes of the
-    path's tables and the expanded states' rows are checked against
-    engine.MAX_ARRAY_BYTES."""
+    the recursion limit.  Before a level is pushed, the bytes of the lane
+    constants, built by the first expansion, the path's tables and the
+    expanded states' rows are checked against engine.MAX_ARRAY_BYTES."""
     ta, tc, high = tables
     if not _dominates(ta.sigma, tc.sigma, high):
         return None, 0
-    lanes = _lanes(a.m, a.n, ta.width)
     target = c.bits
+    lanes = None
     dead: set[tuple[int, ...]] = set()
     table = a.m * a.n * ta.width // 8 + _LEVEL_BYTES
     level = table + 8 * a.m + _STATE_BYTES
     limit = engine.MAX_ARRAY_BYTES
+    held = ((a.m * (a.m + 1) // 2 * a.n + a.n * (a.n + 1) // 2) * ta.width
+            * 2 // 15 + 64 * (a.m + a.n + 2))
 
-    explored = held = 0
+    explored = 0
     path: list[tuple[int, int, int, int]] = []
     # the states on the path, each with its children not yet tried
     stack: list[tuple[tuple[int, ...], int, Iterator]] = []
@@ -139,6 +141,7 @@ def _search(a: BinaryMatrix, c: BinaryMatrix, tables, generate,
             raise ClassTooLarge(
                 f"the search would hold {held} bytes at depth "
                 f"{len(path)}, over the {limit}-byte limit")
+        lanes = lanes or _lanes(a.m, a.n, ta.width)
         stack.append((rows, excess, _children(rows, generate)))
         while True:
             rows, excess, children = stack[-1]
@@ -161,7 +164,7 @@ def _search(a: BinaryMatrix, c: BinaryMatrix, tables, generate,
     return [Interchange(*move) for move in path], explored
 
 
-# The most bytes the class tables hold together: A(5,2)'s charges 2.5 MB,
+# The most bytes the one class table may hold: A(5,2)'s charges 2.5 MB,
 # and the bitsets alone of a class of over 5,792 members pass it.
 MAX_TABLE_BYTES = 1 << 23
 
@@ -187,7 +190,6 @@ class _ClassTable(NamedTuple):
     up: list[int]
     tight: list[int]
     arcs: list[tuple[tuple[int, Interchange], ...]]
-    charge: int
 
     def tight_path(self, a: BinaryMatrix, c: BinaryMatrix
                    ) -> tuple[list[Interchange] | None, int]:
@@ -206,12 +208,11 @@ class _ClassTable(NamedTuple):
 
 
 def _build_table(margins: MarginPair) -> _ClassTable | None:
-    """The table of a class, or None past ``engine.MAX_CELLS`` cells or
-    MAX_TABLE_BYTES: ``count_class`` sizes members and bitsets before
+    """The table of a class of at most ``engine.MAX_CELLS`` cells, or None
+    past MAX_TABLE_BYTES: ``count_class`` sizes members and bitsets before
     anything is built, and the arcs are charged before the bitsets.  An
     arc raises the inversion count, so one reverse pass fills both."""
     try:
-        engine.check_cells(margins)
         size = count_class(margins)
     except ClassTooLarge:
         return None
@@ -232,24 +233,23 @@ def _build_table(margins: MarginPair) -> _ClassTable | None:
         up[v] = reduce(or_, map(up.__getitem__,
                                 targets[indptr[v]:indptr[v + 1]]), 1 << v)
         tight[v] = reduce(or_, (tight[w] for w, _ in arcs[v]), 1 << v)
-    return _ClassTable(index, up, tight, arcs, charge)
+    return _ClassTable(index, up, tight, arcs)
 
 
-# Each class's table, or None, by shape and edge lanes (margins).
-_TABLES: dict[tuple[int, int, int], _ClassTable | None] = {}
+# The last class queried, by shape and edge lanes (margins): table or None.
+_SLOT: dict[tuple[int, int, int], _ClassTable | None] = {}
 
 
 def _class_table(a: BinaryMatrix, ta: _OrderTable) -> _ClassTable | None:
-    """The table of a's class, built by its first query and kept; one that
-    would take the kept tables past MAX_TABLE_BYTES clears them first."""
+    """The table of a's class, or None past ``engine.MAX_CELLS`` cells;
+    _SLOT holds the last class queried, and another class replaces it."""
+    if a.m * a.n > engine.MAX_CELLS:
+        return None
     key = (a.m, a.n, ta.sigma & _guards(a.m, a.n, ta.width)[1])
-    if key not in _TABLES:
-        table = _build_table(a.margins())
-        if table is not None and table.charge + sum(
-                t.charge for t in _TABLES.values() if t) > MAX_TABLE_BYTES:
-            _TABLES.clear()
-        _TABLES[key] = table
-    return _TABLES[key]
+    if key not in _SLOT:
+        _SLOT.clear()
+        _SLOT[key] = _build_table(a.margins())
+    return _SLOT[key]
 
 
 def secondary_bruhat_leq(a: BinaryMatrix, c: BinaryMatrix,

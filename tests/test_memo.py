@@ -1,9 +1,11 @@
-"""The class tables behind the order queries, a memo of one table per
-class: on every class that has one, the table gives the verdicts, found
-flags and witnesses of the depth-first search it replaces, and the
-memo keeps to its rules: a class of at most 64 cells whose charge fits
-MAX_TABLE_BYTES gets a table on its first query, and keeps it until a
-new table would pass the bound."""
+"""The class table behind the order queries, kept in one slot: on every
+class that has one, the table gives the verdicts, found flags and
+witnesses of the depth-first search it replaces, and the slot keeps to
+its rules: it holds the last class of at most 64 cells that was queried,
+with its table when the charge fits MAX_TABLE_BYTES or else its
+refusal, and a class over 64 cells is neither keyed nor kept.  The
+search counts the lane constants it builds, and a query that makes no
+move builds none."""
 
 import random
 import tracemalloc
@@ -14,6 +16,7 @@ import pytest
 from bruhatchains import (
     BinaryMatrix,
     Chain,
+    ClassTooLarge,
     MarginPair,
     SearchBudgetExceeded,
     build_extremes,
@@ -24,22 +27,36 @@ from bruhatchains import (
     tight_chain_search,
 )
 from bruhatchains import matrices, order
-from bruhatchains.matrices import _moves, _order_table, _tight_moves
+from bruhatchains.matrices import (
+    _guards,
+    _lanes,
+    _moves,
+    _order_table,
+    _tight_moves,
+)
 from bruhatchains.order import _class_table, _require_same_class, _search
 from reference import sigma
 from test_oracles import reference_secondary, reference_tight
 
 
 @pytest.fixture
-def tables():
-    """The kept tables, empty before and after the test."""
-    order._TABLES.clear()
-    yield order._TABLES
-    order._TABLES.clear()
+def slot():
+    """The slot, empty before and after the test."""
+    order._SLOT.clear()
+    yield order._SLOT
+    order._SLOT.clear()
 
 
 def table_of(a):
     return _class_table(a, _order_table(a))
+
+
+def charge_of(table):
+    """The byte charge ``_build_table`` gave the table."""
+    moves = {move for arcs in table.arcs for _, move in arcs}
+    return order._table_charge(len(next(iter(table.index))),
+                               len(table.index),
+                               sum(map(len, table.arcs)), len(moves))
 
 
 def assert_routes_agree(a, c):
@@ -92,15 +109,15 @@ def test_a52_table_is_the_comparability_matrix(poset_52):
     assert (up == poset_52.leq).all()
 
 
-def test_first_query_builds_the_class_table(tables):
+def test_first_query_builds_the_class_table(slot):
     p, q = build_extremes(5)
-    assert not tables
+    assert not slot
     assert tight_chain_search(p, q).found
-    (table,) = tables.values()
+    (table,) = slot.values()
     assert len(table.index) == 2040
     # later queries on the class read the same table
     assert secondary_bruhat_leq(p, q) and not secondary_bruhat_leq(q, p)
-    assert list(tables.values()) == [table] and table_of(q) is table
+    assert list(slot.values()) == [table] and table_of(q) is table
 
 
 def held_by_the_package(snapshot) -> int:
@@ -123,12 +140,12 @@ def test_the_charge_covers_what_a_table_holds():
             held = held_by_the_package(tracemalloc.take_snapshot())
         finally:
             tracemalloc.stop()
-        assert held <= table.charge
+        assert held <= charge_of(table)
     # on the class the bound is sized for, the charge is not far over
-    assert table.charge < 1.5 * held
+    assert charge_of(table) < 1.5 * held
 
 
-def test_classes_past_the_gate_get_no_table(tables, monkeypatch):
+def test_classes_past_the_gate_get_no_table(slot, monkeypatch):
     counted = []
     count_class = order.count_class
 
@@ -147,14 +164,15 @@ def test_classes_past_the_gate_get_no_table(tables, monkeypatch):
         assert secondary_bruhat_leq(p, q)
         assert tight_chain_search(p, q).found
     assert counted == [MarginPair.uniform(6, 2)]
-    # 81 cells: refused before it is counted
+    assert list(slot.values()) == [None]
+    # 81 cells: refused before it is counted, and not kept
     p9, q9 = build_extremes(9)
     assert secondary_bruhat_leq(p9, q9)
     assert counted == [MarginPair.uniform(6, 2)]
-    assert list(tables.values()) == [None, None]
+    assert list(slot.values()) == [None]
 
 
-def test_a_class_whose_arcs_pass_the_bound_gets_no_table(tables,
+def test_a_class_whose_arcs_pass_the_bound_gets_no_table(slot,
                                                          monkeypatch):
     # room for A(4,2)'s members and bitsets, none for its 168 tight arcs
     monkeypatch.setattr(order, "MAX_TABLE_BYTES",
@@ -166,30 +184,27 @@ def test_a_class_whose_arcs_pass_the_bound_gets_no_table(tables,
         secondary_bruhat_leq(p, q, node_budget=1)
 
 
-def test_one_shot_searches_store_nothing(tables):
+def test_one_shot_searches_store_nothing(slot):
     # P_12 has 144 cells: its class gets no table
     p, q = build_extremes(12)
     assert secondary_bruhat_leq(p, q)
     assert tight_chain_search(p, q).found
-    assert list(tables.values()) == [None]
+    assert not slot
 
 
-def test_charge_stays_under_the_bound_on_large_searches(tables):
+def test_charge_stays_under_the_bound_on_large_searches(slot):
     p, q = build_extremes(30)
     for _ in range(2):
         out = tight_chain_search(p, q, 5000)
         assert out.found and not out.budget_hit
         assert secondary_bruhat_leq(p, q)
-    assert list(tables.values()) == [None]
+    assert not slot
 
 
 def test_searches_match_reference_when_the_memo_resets(
-        poset_42, poset_221, tables, monkeypatch):
-    # room for one small table at a time: queries that alternate between
-    # two classes clear the kept tables and build them again each time
-    monkeypatch.setattr(order, "MAX_TABLE_BYTES",
-                        table_of(poset_42.members[0]).charge + 1000)
-    tables.clear()
+        poset_42, poset_221, slot, monkeypatch):
+    # the slot holds one class: queries that alternate between two
+    # classes drop the kept table and build the other each time
     rng = random.Random(4221)
     builds = 0
     build = order._build_table
@@ -207,31 +222,74 @@ def test_searches_match_reference_when_the_memo_resets(
             if inversion_count(a) <= inversion_count(c):
                 out = tight_chain_search(a, c)
                 assert (out.found, out.witness) == reference_tight(a, c)[:2]
-            assert len(tables) == 1
+            (table,) = slot.values()
+            assert len(table.index) == len(poset)
     assert builds == 200
 
 
-def test_large_searches_keep_the_small_entries(poset_52, tables):
-    # an A(5,2) table is kept; P_30 searches then leave it as it was
+def test_large_searches_keep_the_small_entries(poset_52, slot, monkeypatch):
+    # an A(5,2) table is kept; queries on classes over 64 cells then leave
+    # the slot as it was, and look up no table of their own
     a, c = poset_52.members[0], poset_52.members[-1]
     assert secondary_bruhat_leq(a, c)
-    kept = dict(tables)
+    kept = dict(slot)
+
+    def no_build(margins):
+        raise AssertionError("a class over 64 cells was looked up")
+
+    monkeypatch.setattr(order, "_build_table", no_build)
     p, q = build_extremes(30)
     assert tight_chain_search(p, q, 5000).found
     assert secondary_bruhat_leq(p, q)
-    assert all(tables[key] is table for key, table in kept.items())
+    for n in (9, 100):
+        p, q = build_extremes(n)
+        assert secondary_bruhat_leq(p, p) and not secondary_bruhat_leq(q, p)
+    assert list(slot) == list(kept)
+    assert all(slot[key] is table for key, table in kept.items())
 
 
-def test_the_next_table_past_the_bound_clears_the_cache(poset_42, poset_221,
-                                                        tables, monkeypatch):
-    a42, a221 = poset_42.members[0], poset_221.members[0]
-    small = table_of(a42).charge
-    # room for the A(4,2) table, not for one more beside it
-    monkeypatch.setattr(order, "MAX_TABLE_BYTES", small + 1000)
-    assert table_of(a42) is not None and len(tables) == 1
-    table = table_of(a221)
-    assert table is not None and list(tables.values()) == [table]
-    assert table.charge <= order.MAX_TABLE_BYTES
+def test_a_query_that_makes_no_move_builds_no_lanes(monkeypatch):
+    def no_lanes(*args):
+        raise AssertionError("lane constants built")
+
+    monkeypatch.setattr(order, "_lanes", no_lanes)
+    # P_600's lane constants would take about 230 MB
+    p, q = build_extremes(600)
+    assert secondary_bruhat_leq(p, p) and secondary_bruhat_leq(q, q)
+    assert not secondary_bruhat_leq(q, p)
+    out = tight_chain_search(p, p)
+    assert out.found and out.witness.length == 0 and out.explored == 0
+
+
+def test_lane_constants_are_counted_before_they_are_built(monkeypatch):
+    p, q = build_extremes(30)
+    w = _order_table(p).width
+    _guards(30, 30, w)   # kept by every order query, not by the search
+    tracemalloc.start()
+    try:
+        lanes = _lanes(30, 30, w)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    del lanes
+    built = []
+    monkeypatch.setattr(order, "_lanes",
+                        lambda *args: built.append(args) or _lanes(*args))
+    # room for the first level and every byte of the lanes but one:
+    # refused before any is built
+    level = 30 * 30 * w // 8 + order._LEVEL_BYTES + 8 * 30 + order._STATE_BYTES
+    limit = engine.MAX_ARRAY_BYTES
+    monkeypatch.setattr(engine, "MAX_ARRAY_BYTES", held + level - 1)
+    with pytest.raises(ClassTooLarge, match="at depth 0"):
+        secondary_bruhat_leq(p, q)
+    with pytest.raises(ClassTooLarge, match="at depth 0"):
+        tight_chain_search(p, q, 5000)
+    assert not built
+    # each query that moves builds its own lanes, and nothing keeps them
+    monkeypatch.setattr(engine, "MAX_ARRAY_BYTES", limit)
+    for _ in range(2):
+        assert secondary_bruhat_leq(p, q)
+    assert built == [(30, 30, w)] * 2
 
 
 # A non-interchange cover of A(6,3): c is a with rows 0..3 reversed.
@@ -241,7 +299,7 @@ COVER_HIGH = BinaryMatrix.from_rows(
     ["000111", "110100", "110010", "001110", "101001", "011001"])
 
 
-def test_a63_cover_that_no_interchange_gives(tables):
+def test_a63_cover_that_no_interchange_gives(slot):
     a, c = COVER_LOW, COVER_HIGH
     assert a.margins() == c.margins() == MarginPair.uniform(6, 3)
     assert (inversion_count(a), inversion_count(c)) == (54, 62)
@@ -250,7 +308,7 @@ def test_a63_cover_that_no_interchange_gives(tables):
     assert not secondary_bruhat_leq(a, c)
     out = tight_chain_search(a, c)
     assert not out.found and not out.budget_hit
-    assert list(tables.values()) == [None]
+    assert list(slot.values()) == [None]
 
 
 # One LtoI step below COVER_LOW: the secondary search reaches COVER_HIGH
