@@ -26,10 +26,8 @@ from .matrices import (
     Interchange,
     _BLANKS,
     _ascii_int,
-    _flip,
     _increment,
     _matches_pattern,
-    _moves,
     _text_lines,
     direct_sum,
     embed,
@@ -229,77 +227,40 @@ def extremal_inversions(n: int) -> tuple[int, int]:
     return math.ceil(n / 2), (4 * n * n - 7 * n) // 2
 
 
-# --- hand-tabulated order-5 chains, stored as row-string tables ---------
+# --- the paper's order-5 chains, frozen as steps ------------------------
 
-_TABLE_P5_TO_Z = (
-    ("11000", "11000", "00110", "00101", "00011"),
-    ("11000", "11000", "00110", "00011", "00101"),
-    ("11000", "10100", "01010", "00011", "00101"),
-    ("11000", "10010", "01100", "00011", "00101"),
-    ("11000", "10010", "01010", "00101", "00101"),
-    ("11000", "10010", "01001", "00110", "00101"),
-    ("11000", "10010", "01001", "00101", "00110"),
+# The two tabulated chains as one length-29 chain from P_5 to Q_5: steps
+# 0..5 reach Z, steps 6..28 go on to Q_5.  The tests replay them through
+# every row of the paper's tables.
+_P5_Q5_STEPS: tuple[tuple[int, int, int, int], ...] = (
+    (3, 4, 2, 3), (1, 2, 1, 2), (1, 2, 2, 3), (2, 3, 2, 3), (2, 3, 3, 4),
+    (3, 4, 3, 4), (1, 2, 3, 4), (2, 3, 1, 2), (3, 4, 1, 2), (3, 4, 2, 3),
+    (0, 2, 1, 2), (0, 2, 2, 3), (2, 3, 2, 3), (2, 3, 3, 4), (0, 1, 3, 4),
+    (2, 3, 1, 2), (1, 3, 0, 1), (3, 4, 0, 1), (3, 4, 1, 2), (1, 2, 1, 2),
+    (2, 3, 1, 2), (2, 3, 2, 3), (0, 1, 0, 2), (0, 1, 2, 3), (1, 2, 2, 3),
+    (1, 2, 3, 4), (1, 2, 0, 2), (1, 2, 2, 3), (2, 3, 0, 1),
 )
-
-_TABLE_Z_TO_Q5 = (
-    ("11000", "10010", "01001", "00101", "00110"),
-    ("11000", "10001", "01010", "00101", "00110"),
-    ("11000", "10001", "00110", "01001", "00110"),
-    ("11000", "10001", "00110", "00101", "01010"),
-    ("11000", "10001", "00110", "00011", "01100"),
-    ("10100", "10001", "01010", "00011", "01100"),
-    ("10010", "10001", "01100", "00011", "01100"),
-    ("10010", "10001", "01010", "00101", "01100"),
-    ("10010", "10001", "01001", "00110", "01100"),
-    ("10001", "10010", "01001", "00110", "01100"),
-    ("10001", "10010", "00101", "01010", "01100"),
-    ("10001", "01010", "00101", "10010", "01100"),
-    ("10001", "01010", "00101", "01010", "10100"),
-    ("10001", "01010", "00101", "00110", "11000"),
-    ("10001", "00110", "01001", "00110", "11000"),
-    ("10001", "00110", "00101", "01010", "11000"),
-    ("10001", "00110", "00011", "01100", "11000"),
-    ("00101", "10010", "00011", "01100", "11000"),
-    ("00011", "10100", "00011", "01100", "11000"),
-    ("00011", "10010", "00101", "01100", "11000"),
-    ("00011", "10001", "00110", "01100", "11000"),
-    ("00011", "00101", "10010", "01100", "11000"),
-    ("00011", "00011", "10100", "01100", "11000"),
-    ("00011", "00011", "01100", "10100", "11000"),
-)
-
-
-def _step_between(prev: BinaryMatrix, nxt: BinaryMatrix) -> Interchange:
-    """The ItoL interchange turning prev into nxt: the one move of prev
-    whose flip gives nxt.  Distinct moves flip distinct cells, so no two
-    give the same matrix."""
-    for move in _moves(prev.bits):
-        if _flip(prev.bits, *move) == nxt.bits:
-            return Interchange(*move)
-    raise MalformedChain("consecutive matrices differ by no ItoL interchange")
-
-
-def _chain_from_table(table: Sequence[Sequence[str]]) -> Chain:
-    mats = [BinaryMatrix.from_rows(rows) for rows in table]
-    steps = tuple(_step_between(a, b) for a, b in zip(mats, mats[1:]))
-    return Chain(mats[0], steps)
+_Z_ROWS = ("11000", "10010", "01001", "00101", "00110")
 
 
 def tabulated_chains_5() -> tuple[Chain, Chain]:
     """The two tabulated chains: length 6 from P_5 to Z, and length 23
     from Z to Q_5."""
-    return _chain_from_table(_TABLE_P5_TO_Z), _chain_from_table(_TABLE_Z_TO_Q5)
+    whole = chain_p5_q5()
+    return (Chain(whole.start, whole.steps[:6]),
+            Chain(z_matrix(), whole.steps[6:]))
 
 
 def z_matrix() -> BinaryMatrix:
     """The intermediate matrix Z joining the two tabulated chains."""
-    return BinaryMatrix.from_rows(_TABLE_Z_TO_Q5[0])
+    return BinaryMatrix.from_rows(_Z_ROWS)
 
 
 def chain_p5_q5() -> Chain:
     """Length-29 interchange chain from P_5 to Q_5: the two tabulated
     chains joined at Z."""
-    return _chain_from_table(_TABLE_P5_TO_Z + _TABLE_Z_TO_Q5[1:])
+    p5, _ = build_extremes(5)
+    return Chain(p5, tuple(Interchange(*q) for q in _P5_Q5_STEPS))
 
 
 # The length-16 tight chain from P_4 to Q_4.  Its existence is known; the
@@ -325,8 +286,7 @@ def chain_y_to_q5() -> Chain:
     block above the reversed 3x3 block) to Z, then the tabulated length-23
     chain to Q_5."""
     y = direct_sum([J2, F3R])
-    _, second = tabulated_chains_5()
-    return Chain(y, (BruhatStep(z_matrix()),) + second.steps)
+    return Chain(y, (BruhatStep(z_matrix()),) + chain_p5_q5().steps[6:])
 
 
 # --- maximum-chain constructions ----------------------------------------
@@ -359,7 +319,7 @@ def _even_rounds(state: list[int], width: int, n: int, shift: int,
                    range(shift + m - 2 * r - 2, shift + m - 2 * r + 2), out)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def chain_even(n: int) -> Chain:
     """Chain of length 2n(n-2) from P_n to Q_n, for even n >= 4.
 
@@ -376,7 +336,7 @@ def chain_even(n: int) -> Chain:
     return Chain(p_n, tuple(steps))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def chain_odd(n: int) -> Chain:
     """Chain of length 2n(n-2)-1 from P_n to Q_n, for odd n >= 5.
 

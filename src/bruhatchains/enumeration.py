@@ -143,6 +143,12 @@ class ClassPoset:
                 or len(self.targets) and (self.targets.min() < 0
                                           or self.targets.max() >= size)):
             raise ValueError("CSR arrays do not describe arcs over the members")
+        if len(self.nu) != size:
+            raise ValueError(f"nu holds {len(self.nu)} counts for {size} "
+                             f"members")
+        if self.leq is not None and np.shape(self.leq) != (size, size):
+            raise ValueError(f"leq is {np.shape(self.leq)}, not {size} x "
+                             f"{size}")
         for store in (self.keys, self.indptr, self.targets):
             store.flags.writeable = False
 

@@ -1,7 +1,8 @@
 """References for the tests: a row-by-row backtracking enumerator over
 BinaryMatrix values, independent of the packed engine, a partial-sum
 recount independent of the order tables, a pair-by-pair poset built on
-that recount, and helpers only the tests call."""
+that recount, the paper's order-5 chain tables, and helpers only the
+tests call."""
 
 from itertools import accumulate, combinations
 
@@ -126,3 +127,43 @@ def random_interchange_walk(a: BinaryMatrix, steps: int, rng) -> BinaryMatrix:
             break
         cur = apply_interchange(cur, rng.choice(moves))
     return cur
+
+
+# The paper's two order-5 chains, one matrix per row of its tables: P_5 to
+# Z, then Z to Q_5.  ``chains`` stores the same chains as interchange steps.
+TABLE_P5_TO_Z = (
+    ("11000", "11000", "00110", "00101", "00011"),
+    ("11000", "11000", "00110", "00011", "00101"),
+    ("11000", "10100", "01010", "00011", "00101"),
+    ("11000", "10010", "01100", "00011", "00101"),
+    ("11000", "10010", "01010", "00101", "00101"),
+    ("11000", "10010", "01001", "00110", "00101"),
+    ("11000", "10010", "01001", "00101", "00110"),
+)
+
+TABLE_Z_TO_Q5 = (
+    ("11000", "10010", "01001", "00101", "00110"),
+    ("11000", "10001", "01010", "00101", "00110"),
+    ("11000", "10001", "00110", "01001", "00110"),
+    ("11000", "10001", "00110", "00101", "01010"),
+    ("11000", "10001", "00110", "00011", "01100"),
+    ("10100", "10001", "01010", "00011", "01100"),
+    ("10010", "10001", "01100", "00011", "01100"),
+    ("10010", "10001", "01010", "00101", "01100"),
+    ("10010", "10001", "01001", "00110", "01100"),
+    ("10001", "10010", "01001", "00110", "01100"),
+    ("10001", "10010", "00101", "01010", "01100"),
+    ("10001", "01010", "00101", "10010", "01100"),
+    ("10001", "01010", "00101", "01010", "10100"),
+    ("10001", "01010", "00101", "00110", "11000"),
+    ("10001", "00110", "01001", "00110", "11000"),
+    ("10001", "00110", "00101", "01010", "11000"),
+    ("10001", "00110", "00011", "01100", "11000"),
+    ("00101", "10010", "00011", "01100", "11000"),
+    ("00011", "10100", "00011", "01100", "11000"),
+    ("00011", "10010", "00101", "01100", "11000"),
+    ("00011", "10001", "00110", "01100", "11000"),
+    ("00011", "00101", "10010", "01100", "11000"),
+    ("00011", "00011", "10100", "01100", "11000"),
+    ("00011", "00011", "01100", "10100", "11000"),
+)

@@ -42,7 +42,7 @@ from bruhatchains import (
     verify_chain,
     z_matrix,
 )
-from reference import submatrix
+from reference import TABLE_P5_TO_Z, TABLE_Z_TO_Q5, submatrix
 
 
 def antidiagonal_q(n: int) -> BinaryMatrix:
@@ -109,14 +109,14 @@ class TestTabulatedChains:
         rep = verify_chain(c29, p5, q5)
         assert rep.valid and rep.endpoints_ok and rep.tight
 
-    @pytest.mark.parametrize("table", [
-        (("01", "10"), ("10", "01")),        # L2 to I2: an LtoI move
-        (("1000", "0100", "0010", "0001"),
-         ("0100", "1000", "0001", "0010")),  # two ItoL interchanges at once
-    ], ids=["LtoI", "two-interchanges"])
-    def test_rows_one_itol_interchange_apart(self, table):
-        with pytest.raises(MalformedChain):
-            chains_module._chain_from_table(table)
+    def test_replays_the_paper_tables(self):
+        # the frozen steps pass through every row of both tables
+        rows = TABLE_P5_TO_Z + TABLE_Z_TO_Q5[1:]
+        assert chain_p5_q5().matrices() == [BinaryMatrix.from_rows(r)
+                                           for r in rows]
+        assert z_matrix() == BinaryMatrix.from_rows(TABLE_P5_TO_Z[-1]) \
+            == BinaryMatrix.from_rows(TABLE_Z_TO_Q5[0])
+        assert chain_y_to_q5().steps[1:] == chain_p5_q5().steps[6:]
 
 
 class TestBaseChain4:
@@ -272,6 +272,14 @@ class TestOnePassBuild:
         chain = build_chain(n)
         assert len(applied) == chain.length == delta(n)
         assert tuple(applied) == chain.steps
+
+    def test_caches_hold_one_chain(self):
+        # a repeated build is served from the cache, but a process that
+        # builds many orders holds only the last chain of each parity
+        for n in range(4, 31):
+            assert build_chain(n) is build_chain(n)
+        assert chain_even.cache_info().currsize <= 1
+        assert chain_odd.cache_info().currsize <= 1
 
     def test_order_past_the_byte_limit_refused(self):
         # 837 is the largest order whose steps fit the limit

@@ -1,18 +1,27 @@
 """Command-line surface: subcommands, formats, exit codes, determinism."""
 
+import contextlib
 import hashlib
 import json
 import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import click
 import pytest
 from click.testing import CliRunner
 
-from bruhatchains import MarginPair, build_extremes, chains, cli, engine
+from bruhatchains import (
+    MarginPair,
+    build_extremes,
+    chains,
+    cli,
+    engine,
+    matrices,
+)
 from bruhatchains.cli import main
 
 
@@ -51,6 +60,33 @@ def test_sigma(runner):
     assert result.output.splitlines() == ["1 2", "2 4"]
 
 
+def test_sigma_past_the_byte_limit_refused(runner, monkeypatch):
+    # a 4x4 table passes a limit that holds 15 entries
+    monkeypatch.setattr(engine, "MAX_ARRAY_BYTES",
+                        15 * matrices._SIGMA_ENTRY_BYTES)
+    result = runner.invoke(main, ["sigma", "-", "--json"], input=P4_TEXT)
+    _one_error_line(result)
+    assert "4x4 partial-sum table" in result.output
+    monkeypatch.setattr(engine, "MAX_ARRAY_BYTES",
+                        16 * matrices._SIGMA_ENTRY_BYTES)
+    result = runner.invoke(main, ["sigma", "-", "--json"], input=P4_TEXT)
+    assert json.loads(result.output)["result"][-1] == [2, 4, 6, 8]
+
+
+@pytest.mark.parametrize("n", [400, pytest.param(1000, marks=pytest.mark.slow),
+                               pytest.param(2000, marks=pytest.mark.slow)])
+def test_sigma_peak_within_its_charge(runner, n):
+    text = build_extremes(n)[0].to_text() + "\n"
+    tracemalloc.start()
+    try:
+        result = runner.invoke(main, ["sigma", "-", "--json"], input=text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.exit_code == 0
+    assert peak < n * n * matrices._SIGMA_ENTRY_BYTES
+
+
 def test_compare(runner, tmp_path):
     a = tmp_path / "a.txt"
     c = tmp_path / "c.txt"
@@ -74,6 +110,70 @@ def test_enumerate_square_sugar(runner):
     result = runner.invoke(
         main, ["enumerate", "--n", "3", "--k", "1", "--count"])
     assert result.output.strip() == "6"
+
+
+# sha256 of the plain listing as one joined text: members one blank line
+# apart, A(4,2), A(5,2) and a non-square class
+_ENUMERATE_DIGESTS = {
+    "--n 4": "34a9860e46b340853c9bd9e59ec875b8a33aab87bd10d859ab021d1a9e68c7f9",
+    "--n 5": "f61e2cc1e4f30ac3a915a71f17bd4d3d702b10e3398bcd5ac8b6e0ac08d35a70",
+    "--margins 3,3,2,2,1,1/3,3,2,2,1,1":
+        "62a9f95cae5be6e4b52dd0df1b15daac834239ee934d92896c56276e8497fce2",
+}
+
+
+@pytest.mark.parametrize("batch", [cli._ECHO_BATCH, 7, 1])
+@pytest.mark.parametrize("args", sorted(_ENUMERATE_DIGESTS))
+def test_enumerate_output_is_pinned(runner, monkeypatch, args, batch):
+    monkeypatch.setattr(cli, "_ECHO_BATCH", batch)
+    result = runner.invoke(main, ["enumerate", *args.split()])
+    assert result.exit_code == 0
+    digest = hashlib.sha256(result.output.encode()).hexdigest()
+    assert digest == _ENUMERATE_DIGESTS[args]
+
+
+def test_enumerate_holds_one_batch(monkeypatch):
+    # 7672 members, printed 64 at a time: no list of them all, nor their
+    # joined text
+    monkeypatch.setattr(cli, "_ECHO_BATCH", 64)
+    tracemalloc.start()
+    try:
+        with open(os.devnull, "w") as sink, \
+                contextlib.redirect_stdout(sink):
+            main(["enumerate", "--margins", "3,3,2,2,1,1/3,3,2,2,1,1"],
+                 standalone_mode=False)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 7672 * 128
+
+
+def test_enumerate_json_past_the_byte_limit_refused(runner, monkeypatch):
+    # A(4,2)'s 90 members pass a limit that holds 89
+    monkeypatch.setattr(engine, "MAX_ARRAY_BYTES",
+                        89 * cli._MEMBER_JSON_BYTES)
+    result = runner.invoke(main, ["enumerate", "--n", "4", "--json"])
+    _one_error_line(result)
+    assert "JSON member list" in result.output
+    monkeypatch.setattr(engine, "MAX_ARRAY_BYTES",
+                        90 * cli._MEMBER_JSON_BYTES)
+    result = runner.invoke(main, ["enumerate", "--n", "4", "--json"])
+    assert len(json.loads(result.output)["result"]) == 90
+
+
+@pytest.mark.parametrize("args, members", [
+    (["--n", "5"], 2040),
+    (["--margins", "3,3,2,2,1,1/3,3,2,2,1,1"], 7672),
+])
+def test_enumerate_json_peak_within_its_charge(runner, args, members):
+    tracemalloc.start()
+    try:
+        result = runner.invoke(main, ["enumerate", *args, "--json"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(json.loads(result.output)["result"]) == members
+    assert peak < members * cli._MEMBER_JSON_BYTES
 
 
 def test_poset_exports(runner, tmp_path):

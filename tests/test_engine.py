@@ -191,6 +191,18 @@ def test_csr_must_describe_arcs_over_members(indptr, targets):
                    indptr, targets)
 
 
+def test_nu_must_count_every_member(poset_42):
+    with pytest.raises(ValueError, match="nu holds 85 counts for 90"):
+        ClassPoset(poset_42.margins, poset_42.keys, poset_42.nu[:-5],
+                   poset_42.indptr, poset_42.targets, poset_42.leq)
+
+
+def test_leq_must_be_size_by_size(poset_42):
+    with pytest.raises(ValueError, match=r"leq is \(3, 3\), not 90 x 90"):
+        ClassPoset(poset_42.margins, poset_42.keys, poset_42.nu,
+                   poset_42.indptr, poset_42.targets, poset_42.leq[:3, :3])
+
+
 def _equal_nu_pair():
     members = list(enumerate_class(MarginPair.uniform(4, 2)))
     by_nu = {}
