@@ -22,12 +22,13 @@ import functools
 import json
 import sys
 import time
+from collections.abc import Iterator
 from itertools import islice
 
 import click
 import numpy as np
 
-from . import chains, engine, enumeration, matrices, order, search
+from . import chains, enumeration, matrices, order, search
 from .errors import BruhatError, SearchBudgetExceeded
 from .matrices import BinaryMatrix, MarginPair, _ascii_int
 
@@ -46,6 +47,16 @@ def _read_text(path: str) -> str:
         raise BruhatError(f"cannot read {path}: {exc.strerror}") from exc
     except UnicodeDecodeError as exc:
         raise BruhatError(f"cannot read {path}: not UTF-8 text") from exc
+
+
+def _write_text(path: str, text: str) -> None:
+    """Write text to a file, as UTF-8; a file that cannot be opened or
+    written is a domain error."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise BruhatError(f"cannot write {path}: {exc.strerror}") from exc
 
 
 def _read_matrix(path: str) -> BinaryMatrix:
@@ -96,9 +107,16 @@ def _emit(command: str, result, as_json: bool,
           plain: str | None = None) -> None:
     if as_json:
         started = click.get_current_context().obj["started"]
-        envelope = {"command": command, "result": result,
-                    "elapsed_ms": int((time.monotonic() - started) * 1000)}
-        click.echo(json.dumps(envelope))
+        # an iterator of non-empty lists is one list, written as each is pulled
+        lists = result if isinstance(result, Iterator) else iter([result])
+        text = json.dumps(next(lists, []))
+        click.echo(f'{{"command": {json.dumps(command)}, "result": ', nl=False)
+        for batch in lists:
+            click.echo(text[:-1] + ", ", nl=False)
+            text = json.dumps(batch)[1:]
+        click.echo(text, nl=False)
+        elapsed_ms = int((time.monotonic() - started) * 1000)
+        click.echo(f', "elapsed_ms": {elapsed_ms}}}')
     else:
         click.echo(plain if plain is not None else str(result))
 
@@ -165,13 +183,7 @@ def compare(first: str, second: str, budget: int, as_json: bool) -> None:
     _emit("compare", result, as_json, plain)
 
 
-# What `enumerate --json` holds per member at its peak: its key, its JSON
-# dict and its share of the JSON text.  Under tracemalloc, 0.9 to 1.5 KB
-# on A(5,2), A(6,2) and two non-square classes; A(5,2), the smallest,
-# reads highest.
-_MEMBER_JSON_BYTES = 1536
-
-# Members the plain listing decodes and prints at a time.
+# Members the listing decodes and prints at a time, as text or JSON.
 _ECHO_BATCH = 4096
 
 
@@ -182,43 +194,43 @@ _ECHO_BATCH = 4096
 @click.option("--json", "as_json", is_flag=True)
 def enumerate_members(pair, count_only, as_json) -> None:
     """List every member of a class, or count them without enumerating.
-    The plain list is printed in batches as it is decoded; the JSON list,
-    one document, is refused when its members would pass
-    ``engine.MAX_ARRAY_BYTES`` at ``_MEMBER_JSON_BYTES`` each."""
+    Both lists, plain text and one JSON document, are printed in batches
+    as they are decoded.  The class is enumerated before its first member
+    is decoded, so a refusal comes before any output."""
     if count_only:
         _emit("enumerate", enumeration.count_class(pair), as_json)
         return
     members = enumeration.enumerate_class(pair)  # a generator: lazy
+    batches = iter(lambda: list(islice(members, _ECHO_BATCH)), [])
     if as_json:
-        engine._check_budget(enumeration.count_class(pair),
-                             _MEMBER_JSON_BYTES, "the JSON member list")
-        _emit("enumerate", [m.to_json_dict() for m in members], True)
+        _emit("enumerate", ([m.to_json_dict() for m in batch]
+                            for batch in batches), True)
         return
     sep = ""
-    while batch := list(islice(members, _ECHO_BATCH)):
+    for batch in batches:
         click.echo(sep + "\n\n".join(m.to_text() for m in batch))
         sep = "\n"
 
 
 @main.command()
 @_class_options
-@click.option("--dot", "dot_path", type=click.Path(writable=True), default=None)
-@click.option("--jsonl", "jsonl_path", type=click.Path(writable=True), default=None)
+@click.option("--dot", "dot_path",
+              type=click.Path(dir_okay=False, writable=True), default=None)
+@click.option("--jsonl", "jsonl_path",
+              type=click.Path(dir_okay=False, writable=True), default=None)
 @click.option("--json", "as_json", is_flag=True)
 def poset(pair, dot_path, jsonl_path, as_json) -> None:
     """Build the class poset and export it."""
     built = enumeration.build_poset(pair)
     if dot_path:
-        with open(dot_path, "w", encoding="utf-8") as fh:
-            fh.write(built.to_dot())
+        _write_text(dot_path, built.to_dot())
     if jsonl_path:
-        with open(jsonl_path, "w", encoding="utf-8") as fh:
-            fh.write(built.to_jsonl())
+        _write_text(jsonl_path, built.to_jsonl())
     summary = {
         "members": len(built),
         # every member is below itself: strict arcs are leq less its diagonal
         "strict_arcs": int(np.count_nonzero(built.leq)) - len(built),
-        "cover_arcs": len(built.cover_pairs()),
+        "cover_arcs": len(built.targets),
         "minimal": len(built.minimal_indices()),
         "maximal": len(built.maximal_indices()),
     }

@@ -25,8 +25,8 @@ def enumerate_class(margins: MarginPair) -> Iterator[BinaryMatrix]:
     cells raises ClassTooLarge, as does one whose enumeration frontier
     would pass ``engine.MAX_ARRAY_BYTES``."""
     m, n = margins.m, margins.n
-    for key in engine.enumerate_keys(margins).tolist():
-        yield decode(key, m, n)
+    for key in engine.enumerate_keys(margins):
+        yield decode(int(key), m, n)
 
 
 def count_class(margins: MarginPair) -> int:
@@ -108,9 +108,10 @@ class ClassPoset:
     over them.
 
     The members are stored once, as their keys (``matrices.pack``) in a
-    read-only uint64 array.  ``members`` is a read-only view that decodes
-    a key on its first read and keeps the matrix; ``index_of`` finds a
-    matrix by binary search over the keys.
+    read-only uint64 array, with their inversion counts ``nu`` beside them
+    in a read-only int16 array.  ``members`` is a read-only view that
+    decodes a key on its first read and keeps the matrix; ``index_of``
+    finds a matrix by binary search over the keys.
 
     The arcs are stored once, in CSR form: the targets of member v are
     ``targets[indptr[v]:indptr[v + 1]]`` (int32 arrays, read-only).
@@ -127,13 +128,14 @@ class ClassPoset:
 
     margins: MarginPair
     keys: np.ndarray
-    nu: list[int]
+    nu: np.ndarray
     indptr: np.ndarray
     targets: np.ndarray
     leq: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         self.keys = np.asarray(self.keys, dtype=np.uint64)
+        self.nu = np.asarray(self.nu, dtype=np.int16)
         self.indptr = np.asarray(self.indptr, dtype=np.int32)
         self.targets = np.asarray(self.targets, dtype=np.int32)
         size = len(self.keys)
@@ -149,7 +151,7 @@ class ClassPoset:
         if self.leq is not None and np.shape(self.leq) != (size, size):
             raise ValueError(f"leq is {np.shape(self.leq)}, not {size} x "
                              f"{size}")
-        for store in (self.keys, self.indptr, self.targets):
+        for store in (self.keys, self.nu, self.indptr, self.targets):
             store.flags.writeable = False
 
     @cached_property
@@ -231,7 +233,7 @@ class ClassPoset:
         for i, a in enumerate(self.members):
             lines.append(json.dumps({
                 "key": canonical_key(a).hex(),
-                "nu": self.nu[i],
+                "nu": int(self.nu[i]),
                 "covers": [canonical_key(self.members[c]).hex()
                            for c in self.succ[i]],
             }))
@@ -311,7 +313,7 @@ def build_poset(margins: MarginPair) -> ClassPoset:
             targets = grown
         targets[start:end] = covers
     np.fill_diagonal(leq, True)
-    return ClassPoset(margins, keys, nu.tolist(), indptr,
+    return ClassPoset(margins, keys, nu, indptr,
                       targets[:indptr[-1]].copy(), leq)
 
 
@@ -322,7 +324,7 @@ def build_interchange_dag(margins: MarginPair) -> ClassPoset:
     transitive closure."""
     keys, nu, rank = engine.ranked_class(margins)
     indptr, targets = engine.interchange_arcs(keys, rank, margins.m, margins.n)
-    return ClassPoset(margins, keys, nu.tolist(), indptr, targets)
+    return ClassPoset(margins, keys, nu, indptr, targets)
 
 
 def extremes(poset: ClassPoset) -> tuple[list[BinaryMatrix], list[BinaryMatrix]]:

@@ -54,8 +54,7 @@ def _longest_paths(poset: ClassPoset, sources: Iterable[int] | None = None
     the DP pushes along the arcs of one inversion-count layer at a time.
     Every arc of a layer is checked to raise the count; one that does not
     raises ValueError naming it."""
-    nu = np.asarray(poset.nu)
-    indptr, targets = poset.indptr, poset.targets
+    nu, indptr, targets = poset.nu, poset.indptr, poset.targets
     if (np.diff(nu) < 0).any():
         raise ValueError("members are not sorted by inversion count")
     if sources is None:
@@ -143,7 +142,7 @@ def monotonicity_check(poset: ClassPoset) -> MonotonicityReport:
     time, so nothing of its size is allocated beside it."""
     if poset.leq is None:
         raise ValueError("comparability needs the full poset")
-    leq, nu = poset.leq, np.asarray(poset.nu)
+    leq, nu = poset.leq, poset.nu
     checked = int(np.count_nonzero(leq) - np.count_nonzero(leq.diagonal()))
     violations = []
     for a in range(len(nu)):

@@ -4,6 +4,7 @@ import contextlib
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -148,32 +149,59 @@ def test_enumerate_holds_one_batch(monkeypatch):
     assert peak < 7672 * 128
 
 
-def test_enumerate_json_past_the_byte_limit_refused(runner, monkeypatch):
-    # A(4,2)'s 90 members pass a limit that holds 89
-    monkeypatch.setattr(engine, "MAX_ARRAY_BYTES",
-                        89 * cli._MEMBER_JSON_BYTES)
-    result = runner.invoke(main, ["enumerate", "--n", "4", "--json"])
-    _one_error_line(result)
-    assert "JSON member list" in result.output
-    monkeypatch.setattr(engine, "MAX_ARRAY_BYTES",
-                        90 * cli._MEMBER_JSON_BYTES)
-    result = runner.invoke(main, ["enumerate", "--n", "4", "--json"])
-    assert len(json.loads(result.output)["result"]) == 90
+# sha256 of the JSON listing with its elapsed_ms taken out, as printed
+# before the JSON list was written in batches: the same classes
+_ENUMERATE_JSON_DIGESTS = {
+    "--n 4": "6a6c725c285b9fcf28b95cca9e079c27b8ed1d4244e556244fccfc993164263a",
+    "--n 5": "732887d6b6f224f5916da5711aeeea18cb1a4c12fdb570d8314d35b3d2e97a87",
+    "--margins 3,3,2,2,1,1/3,3,2,2,1,1":
+        "f12587c4f155c784264116230281f5580670853dfc69a3f4e7fd1a3327119c42",
+}
 
 
-@pytest.mark.parametrize("args, members", [
-    (["--n", "5"], 2040),
-    (["--margins", "3,3,2,2,1,1/3,3,2,2,1,1"], 7672),
-])
-def test_enumerate_json_peak_within_its_charge(runner, args, members):
+@pytest.mark.parametrize("batch", [cli._ECHO_BATCH, 7, 1])
+@pytest.mark.parametrize("args", sorted(_ENUMERATE_JSON_DIGESTS))
+def test_enumerate_json_output_is_pinned(runner, monkeypatch, args, batch):
+    monkeypatch.setattr(cli, "_ECHO_BATCH", batch)
+    result = runner.invoke(main, ["enumerate", *args.split(), "--json"])
+    assert result.exit_code == 0
+    text, elapsed = re.subn(r', "elapsed_ms": \d+\}\n\Z', "}\n",
+                            result.output)
+    assert elapsed == 1
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == _ENUMERATE_JSON_DIGESTS[args]
+
+
+def test_enumerate_json_holds_one_batch(monkeypatch):
+    # the same 7672 members as one JSON document, 64 at a time: no list of
+    # their dicts, nor the document's text
+    monkeypatch.setattr(cli, "_ECHO_BATCH", 64)
     tracemalloc.start()
     try:
-        result = runner.invoke(main, ["enumerate", *args, "--json"])
+        with open(os.devnull, "w") as sink, \
+                contextlib.redirect_stdout(sink):
+            main(["enumerate", "--margins", "3,3,2,2,1,1/3,3,2,2,1,1",
+                  "--json"], standalone_mode=False)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(json.loads(result.output)["result"]) == members
-    assert peak < members * cli._MEMBER_JSON_BYTES
+    assert peak < 7672 * 128
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--margins", "2,0/0,2"], "no matrix realizes these margins"),
+    (["--n", "9", "--k", "9"], "81 cells"),
+])
+def test_enumerate_json_refused_before_any_output(args, message):
+    src = Path(cli.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-m", "bruhatchains.cli", "enumerate", *args,
+         "--json"], capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith("error: ") and message in proc.stderr
 
 
 def test_poset_exports(runner, tmp_path):
@@ -187,6 +215,27 @@ def test_poset_exports(runner, tmp_path):
     assert summary["strict_arcs"] == 9
     assert dot.read_text().startswith("digraph")
     assert len(jsonl.read_text().strip().splitlines()) == 5
+
+
+@pytest.mark.parametrize("option", ["--dot", "--jsonl"])
+def test_poset_export_to_a_directory_is_a_usage_error(runner, tmp_path,
+                                                      option):
+    result = runner.invoke(main, ["poset", "--n", "4", option, str(tmp_path)])
+    _usage_error(result, option)
+
+
+@pytest.mark.parametrize("option", ["--dot", "--jsonl"])
+@pytest.mark.parametrize("target, reason", [
+    ("missing/p.out", "No such file or directory"),
+    pytest.param("/dev/full", "No space left on device",
+                 marks=pytest.mark.skipif(not os.path.exists("/dev/full"),
+                                          reason="no /dev/full")),
+])
+def test_poset_export_write_error(runner, tmp_path, option, target, reason):
+    path = tmp_path / target
+    result = runner.invoke(main, ["poset", "--n", "4", option, str(path)])
+    _one_error_line(result)
+    assert result.output == f"error: cannot write {path}: {reason}\n"
 
 
 @pytest.mark.parametrize("chain, reason", [

@@ -76,7 +76,7 @@ def test_engine_matches_object_path(margins):
     dag = build_interchange_dag(margins)
     assert dag.leq is None
     assert dag.members == members
-    assert dag.nu == nu
+    assert dag.nu.tolist() == nu
     assert [set(s.tolist()) for s in dag.succ] == succ
     assert len(dag.targets) == sum(len(s) for s in succ)
 
@@ -89,7 +89,7 @@ def test_engine_uses_all_64_bits():
                      key=inversion_count)
     assert len(dag) == 40320
     assert dag.members == members
-    assert dag.nu == [inversion_count(a) for a in members]
+    assert dag.nu.tolist() == [inversion_count(a) for a in members]
 
 
 def test_engine_nu_equals_inversion_count_on_a52():
@@ -176,6 +176,23 @@ def test_arc_store_is_read_only():
     assert dag.succ is dag.succ
 
 
+@pytest.mark.parametrize("build", [build_interchange_dag, build_poset])
+def test_nu_is_the_engines_read_only_array(monkeypatch, build):
+    ranked = engine.ranked_class
+    made = []
+
+    def keep(margins):
+        made.append(ranked(margins))
+        return made[-1]
+
+    monkeypatch.setattr(engine, "ranked_class", keep)
+    poset = build(MarginPair.uniform(4, 2))
+    assert poset.nu is made[0][1]
+    assert poset.nu.dtype == np.int16
+    with pytest.raises(ValueError):
+        poset.nu[0] = 1
+
+
 @pytest.mark.parametrize("indptr, targets", [
     ([0], []),              # too short for two members
     ([0, 1, 1], []),        # ends past the targets
@@ -246,7 +263,7 @@ def test_dag_and_full_poset_agree_on_all_two_classes(n):
     margins = MarginPair.uniform(n, 2)
     dag, full = build_interchange_dag(margins), build_poset(margins)
     assert dag.members == full.members
-    assert dag.nu == full.nu
+    assert dag.nu.tolist() == full.nu.tolist()
     assert longest_chain(dag)[0] == longest_chain(full)[0]
     assert maximal_chain_spectrum(dag) == maximal_chain_spectrum(full)
 
