@@ -12,9 +12,7 @@ import json
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
-from itertools import accumulate
 from math import comb
-from operator import or_
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -363,12 +361,6 @@ def _flip(rows: tuple[int, ...], i: int, i2: int, j: int, j2: int
     return tuple(out)
 
 
-def _children(rows: tuple[int, ...], generate) -> Iterator[tuple]:
-    """(child rows, move) for each move of ``generate(rows)``, in its
-    order, generated lazily and kept nowhere."""
-    return ((_flip(rows, *move), move) for move in generate(rows))
-
-
 @lru_cache(maxsize=8)
 def _guards(m: int, n: int, w: int) -> tuple[int, int]:
     """The masks of an m x n table in lanes of w/8 bytes, little-endian,
@@ -384,26 +376,16 @@ def _guards(m: int, n: int, w: int) -> tuple[int, int]:
             int.from_bytes(edge, "little"))
 
 
-class _Lanes(NamedTuple):
-    """What ``_lowered`` adds to the guard bits: a table's row and column
-    lane sums."""
-
-    high: int                # the guard bit of every lane (``_guards``)
-    rows: tuple[int, ...]    # rows[r]: a 1 in lane 0 of rows 0..r-1
-    cols: tuple[int, ...]    # cols[c]: a 1 in lanes 0..c-1 of row 0
-
-
-def _lanes(m: int, n: int, w: int) -> _Lanes:
-    """The ``_Lanes`` of an m x n table in w-bit lanes.  rows[r] * cols[l]
-    holds a 1 in each lane of rows 0..r-1 and columns 0..l-1, so
-    (rows[i2] - rows[i]) * (cols[j2] - cols[j]) is the block of rows
-    i..i2-1 and columns j..j2-1.  rows[m] alone is the size of a table and
-    the tuple about m/2 times that, so only the searches, which move
-    blocks, build it, each query afresh, and nothing keeps it."""
-    rows = tuple(accumulate((1 << k * n * w for k in range(m)), or_,
-                            initial=0))
-    cols = tuple(accumulate((1 << l * w for l in range(n)), or_, initial=0))
-    return _Lanes(_guards(m, n, w)[0], rows, cols)
+def _block(n: int, w: int, i: int, i2: int, j: int, j2: int) -> int:
+    """The block of an ItoL move at (i, i2, j, j2) on an m x n table in
+    w-bit lanes (``_guards``): a 1 in each lane of rows i..i2-1 and
+    columns j..j2-1.  One row of n lanes, a 1 in lanes j..j2-1, is
+    repeated i2 - i times after i rows of zero bytes, and read as one int:
+    at most the size of a table, built per move and kept nowhere."""
+    size = w // 8
+    row = (bytes(j * size) + (b"\x01" + bytes(size - 1)) * (j2 - j)
+           + bytes((n - j2) * size))
+    return int.from_bytes(bytes(i * n * size) + row * (i2 - i), "little")
 
 
 class _OrderTable(NamedTuple):
@@ -461,18 +443,17 @@ def _dominates(x: int, y: int, high: int) -> bool:
     return ((x | high) - y) & high == high
 
 
-def _lowered(excess: int, lanes: _Lanes, i: int, i2: int, j: int, j2: int
-             ) -> int | None:
+def _lowered(excess: int, high: int, block: int) -> int | None:
     """The packed excess table sigma(x) - sigma(c) of x after an ItoL
-    interchange at (i, i2, j, j2), or None when the result no longer
-    dominates c; lanes are the table's ``_lanes``.
+    interchange, or None when the result no longer dominates c; high is
+    the table's guard bits (``_guards``) and block the move's ``_block``.
 
-    The move lowers sigma by exactly one on rows i..i2-1 and columns
-    j..j2-1 and leaves every other entry alone.  With every guard bit set
-    first, one subtraction lowers the block with no borrow between lanes,
-    and a lane's guard bit survives iff its entry stays nonnegative."""
-    high, rows, cols = lanes
-    y = (excess | high) - (rows[i2] - rows[i]) * (cols[j2] - cols[j])
+    The move lowers sigma by exactly one on its block and leaves every
+    other entry alone.  With every guard bit set first, one subtraction
+    lowers the block with no borrow between lanes, and a lane's guard bit
+    survives iff its entry stays nonnegative.  Adding the block back gives
+    the excess before the move."""
+    y = (excess | high) - block
     return y ^ high if y & high == high else None
 
 

@@ -23,11 +23,10 @@ from .matrices import (
     BinaryMatrix,
     Interchange,
     MarginPair,
-    _children,
+    _block,
     _dominates,
     _flip,
     _guards,
-    _lanes,
     _lowered,
     _moves,
     _order_table,
@@ -88,13 +87,16 @@ def bruhat_less(a: BinaryMatrix, c: BinaryMatrix) -> bool:
     return a != c and bruhat_leq(a, c)
 
 
-# Charged against engine.MAX_ARRAY_BYTES before each level is pushed: the
-# lanes (``_lanes``), rows[r] over r rows of n lanes and cols[l] over l, in
-# ints of 30 bits per 4 bytes plus 64 each; per level of the path, its excess
-# table and the frames and tuples that walk its children; per state expanded,
-# which the dead set may keep, its rows tuple, two new row ints and a set slot.
-_LEVEL_BYTES = 600
-_STATE_BYTES = 200
+# Charged against engine.MAX_ARRAY_BYTES before each state is expanded,
+# from tracemalloc (tests/test_memo.py checks it).  Ints take 30 bits per 4
+# bytes.  Once: four tables of m*n lanes, the excess and what one move holds
+# beside it (its block, the block's bytes and the lowered table).  Per state
+# expanded, and never given back: its level of the path (the generator
+# frame of its moves, its stack entry and move, the Interchange of the chain
+# found), and what the dead set may keep: its rows tuple, two new row ints
+# of n bits and a set slot.
+_LEVEL_BYTES = 750
+_STATE_BYTES = 250
 
 
 def _search(a: BinaryMatrix, c: BinaryMatrix, tables, generate,
@@ -107,30 +109,30 @@ def _search(a: BinaryMatrix, c: BinaryMatrix, tables, generate,
 
     Every ItoL move raises the inversion count, so a state whose children
     are exhausted is dead for the rest of the query, and the search is
-    complete.  A state is its rows and its excess table sigma(x) - sigma(c)
-    in packed lanes, both updated by the move: two XORs, and ``_lowered``,
-    which prunes the states that stop dominating c.  Children come lazily,
-    in (i, i2, j, j2) order.  The path is an explicit stack of each
-    level's rows, excess and child iterator, so a chain may be longer than
-    the recursion limit.  Before a level is pushed, the bytes of the lane
-    constants, built by the first expansion, the path's tables and the
-    expanded states' rows are checked against engine.MAX_ARRAY_BYTES."""
+    complete.  The search keeps one excess table sigma(x) - sigma(c) in
+    packed lanes, of the state x on top of its path: a move lowers it by
+    its block (``_lowered``, which prunes the states that stop dominating
+    c) and flips two rows; backing out of a dead state adds the block of
+    its move back, which restores its parent's excess exactly.  Moves
+    come lazily, in (i, i2, j, j2) order.  The path is an explicit stack
+    of each level's rows and move iterator, so a chain may be longer than
+    the recursion limit.  Before a state is expanded, the bytes of the
+    tables and of the states expanded so far are checked against
+    engine.MAX_ARRAY_BYTES."""
     ta, tc, high = tables
     if not _dominates(ta.sigma, tc.sigma, high):
         return None, 0
     target = c.bits
-    lanes = None
+    n, w = a.n, ta.width
     dead: set[tuple[int, ...]] = set()
-    table = a.m * a.n * ta.width // 8 + _LEVEL_BYTES
-    level = table + 8 * a.m + _STATE_BYTES
     limit = engine.MAX_ARRAY_BYTES
-    held = ((a.m * (a.m + 1) // 2 * a.n + a.n * (a.n + 1) // 2) * ta.width
-            * 2 // 15 + 64 * (a.m + a.n + 2))
+    held = 4 * (a.m * n * w * 2 // 15 + 64)
+    level = 8 * a.m + n * 4 // 15 + _LEVEL_BYTES + _STATE_BYTES
 
     explored = 0
     path: list[tuple[int, int, int, int]] = []
-    # the states on the path, each with its children not yet tried
-    stack: list[tuple[tuple[int, ...], int, Iterator]] = []
+    # the states on the path, each with its moves not yet tried
+    stack: list[tuple[tuple[int, ...], Iterator]] = []
     rows, excess = a.bits, ta.sigma - tc.sigma
     while rows != target:
         explored += 1
@@ -141,22 +143,21 @@ def _search(a: BinaryMatrix, c: BinaryMatrix, tables, generate,
             raise ClassTooLarge(
                 f"the search would hold {held} bytes at depth "
                 f"{len(path)}, over the {limit}-byte limit")
-        lanes = lanes or _lanes(a.m, a.n, ta.width)
-        stack.append((rows, excess, _children(rows, generate)))
+        stack.append((rows, generate(rows)))
         while True:
-            rows, excess, children = stack[-1]
-            for child, move in children:
+            rows, moves = stack[-1]
+            for move in moves:
+                child = _flip(rows, *move)
                 if child not in dead:
-                    lowered = _lowered(excess, lanes, *move)
+                    lowered = _lowered(excess, high, _block(n, w, *move))
                     if lowered is not None:
                         break
             else:   # every child tried: the state is dead
                 stack.pop()
                 if not stack:
                     return None, explored
-                held -= table
                 dead.add(rows)
-                path.pop()
+                excess += _block(n, w, *path.pop())
                 continue
             break
         path.append(move)

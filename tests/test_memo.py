@@ -3,9 +3,11 @@ class that has one, the table gives the verdicts, found flags and
 witnesses of the depth-first search it replaces, and the slot keeps to
 its rules: it holds the last class of at most 64 cells that was queried,
 with its table when the charge fits MAX_TABLE_BYTES or else its
-refusal, and a class over 64 cells is neither keyed nor kept.  The
-search counts the lane constants it builds, and a query that makes no
-move builds none."""
+refusal, and a class over 64 cells is neither keyed nor kept.  A class
+with no table is searched with one excess table: the byte rule charges
+that table once and each state before it is expanded, which covers what
+the search holds under tracemalloc, and a query that makes no move
+builds no move's block."""
 
 import random
 import tracemalloc
@@ -27,13 +29,7 @@ from bruhatchains import (
     tight_chain_search,
 )
 from bruhatchains import matrices, order
-from bruhatchains.matrices import (
-    _guards,
-    _lanes,
-    _moves,
-    _order_table,
-    _tight_moves,
-)
+from bruhatchains.matrices import _moves, _order_table, _tight_moves
 from bruhatchains.order import _class_table, _require_same_class, _search
 from reference import sigma
 from test_oracles import reference_secondary, reference_tight
@@ -249,11 +245,11 @@ def test_large_searches_keep_the_small_entries(poset_52, slot, monkeypatch):
 
 
 def test_a_query_that_makes_no_move_builds_no_lanes(monkeypatch):
-    def no_lanes(*args):
-        raise AssertionError("lane constants built")
+    def no_block(*args):
+        raise AssertionError("a move's block built")
 
-    monkeypatch.setattr(order, "_lanes", no_lanes)
-    # P_600's lane constants would take about 230 MB
+    monkeypatch.setattr(order, "_block", no_block)
+    # a block of P_600's 1,200 ones is up to 360,000 two-byte lanes
     p, q = build_extremes(600)
     assert secondary_bruhat_leq(p, p) and secondary_bruhat_leq(q, q)
     assert not secondary_bruhat_leq(q, p)
@@ -261,35 +257,38 @@ def test_a_query_that_makes_no_move_builds_no_lanes(monkeypatch):
     assert out.found and out.witness.length == 0 and out.explored == 0
 
 
-def test_lane_constants_are_counted_before_they_are_built(monkeypatch):
+@pytest.mark.parametrize("generate", [_moves, _tight_moves],
+                         ids=["secondary", "tight"])
+def test_the_search_charge_covers_what_it_holds(monkeypatch, generate):
+    # a limit one byte under the tracemalloc peak refuses the search
+    # before it gets there, and one half over it admits the search: the
+    # charge is neither under what the search holds nor far over it
     p, q = build_extremes(30)
-    w = _order_table(p).width
-    _guards(30, 30, w)   # kept by every order query, not by the search
+    tables = _require_same_class(p, q)
     tracemalloc.start()
     try:
-        lanes = _lanes(30, 30, w)
-        held = tracemalloc.get_traced_memory()[0]
+        base = tracemalloc.get_traced_memory()[0]
+        assert _search(p, q, tables, generate, 10**6)[0] is not None
+        peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    del lanes
-    built = []
-    monkeypatch.setattr(order, "_lanes",
-                        lambda *args: built.append(args) or _lanes(*args))
-    # room for the first level and every byte of the lanes but one:
-    # refused before any is built
-    level = 30 * 30 * w // 8 + order._LEVEL_BYTES + 8 * 30 + order._STATE_BYTES
-    limit = engine.MAX_ARRAY_BYTES
-    monkeypatch.setattr(engine, "MAX_ARRAY_BYTES", held + level - 1)
-    with pytest.raises(ClassTooLarge, match="at depth 0"):
-        secondary_bruhat_leq(p, q)
-    with pytest.raises(ClassTooLarge, match="at depth 0"):
-        tight_chain_search(p, q, 5000)
-    assert not built
-    # each query that moves builds its own lanes, and nothing keeps them
-    monkeypatch.setattr(engine, "MAX_ARRAY_BYTES", limit)
-    for _ in range(2):
-        assert secondary_bruhat_leq(p, q)
-    assert built == [(30, 30, w)] * 2
+    monkeypatch.setattr(engine, "MAX_ARRAY_BYTES", peak - 1)
+    with pytest.raises(ClassTooLarge, match="over the"):
+        _search(p, q, tables, generate, 10**6)
+    monkeypatch.setattr(engine, "MAX_ARRAY_BYTES", peak + peak // 2)
+    assert _search(p, q, tables, generate, 10**6)[0] is not None
+
+
+def test_the_search_holds_one_excess_table(monkeypatch):
+    # the tight chain from P_40 is 3,040 steps, and 6 MB leaves under 2 KB
+    # a step: too little for an excess table of 1,600 lanes per level of
+    # the path beside the level's rows and frames, but room for the one
+    # table the search keeps and the rows and frames of each state
+    p, q = build_extremes(40)
+    monkeypatch.setattr(engine, "MAX_ARRAY_BYTES", 6_000_000)
+    out = tight_chain_search(p, q, 5000)
+    assert out.found and out.witness.length == 3040
+    assert secondary_bruhat_leq(p, q)
 
 
 # A non-interchange cover of A(6,3): c is a with rows 0..3 reversed.

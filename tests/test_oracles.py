@@ -40,11 +40,11 @@ from bruhatchains import (
     verify_chain,
 )
 from bruhatchains.matrices import (
+    _block,
     _dominates,
     _flip,
     _guards,
     _increment,
-    _lanes,
     _lowered,
     _moves,
     _order_table,
@@ -204,8 +204,8 @@ def test_p4_q4_budget():
 
 
 def test_searches_refuse_past_the_byte_limit(monkeypatch):
-    # P_30 -> Q_30 holds 900 one-byte lanes a level, over 1,600 levels
-    # deep for the tight search: far past a limit of 100,000 bytes
+    # P_30 -> Q_30 charges about 1.2 KB a state it expands, and each
+    # search expands over 400: far past a limit of 100,000 bytes
     p30, q30 = build_extremes(30)
     monkeypatch.setattr(engine, "MAX_ARRAY_BYTES", 100_000)
     with pytest.raises(ClassTooLarge, match=r"hold \d+ bytes .* over the "
@@ -286,32 +286,36 @@ def byte_lane_width(ones):
     return w
 
 
-def lane_width(lanes):
+def lane_width(high):
     """The lane width: the guard bit of lane 0 is its top bit."""
-    high = lanes.high
     return (high & -high).bit_length()
 
 
-def unpack(packed, size, lanes):
+def unpack(packed, size, high):
     """The lanes of a packed table, guard bits included, checking that
     nothing is set past its last lane."""
-    w = lane_width(lanes)
+    w = lane_width(high)
     assert 0 <= packed < 1 << size * w
     return [packed >> k * w & (1 << w) - 1 for k in range(size)]
 
 
 def packed_excess(rows, target, n):
     """The packed excess table sigma(rows) - sigma(target) of two
-    same-class row tuples, read off their order tables, with its lanes;
-    None when some entry is negative."""
+    same-class row tuples, read off their order tables, with its guard
+    bits; None when some entry is negative."""
     m = len(rows)
     ta = _order_table(BinaryMatrix(m, n, rows))
     tc = _order_table(BinaryMatrix(m, n, target))
     assert ta.width == tc.width
-    lanes = _lanes(m, n, ta.width)
-    if not _dominates(ta.sigma, tc.sigma, lanes.high):
+    high = _guards(m, n, ta.width)[0]
+    if not _dominates(ta.sigma, tc.sigma, high):
         return None
-    return ta.sigma - tc.sigma, lanes
+    return ta.sigma - tc.sigma, high
+
+
+def lowered(excess, high, n, quad):
+    """``_lowered`` of the excess by the block of the move at quad."""
+    return _lowered(excess, high, _block(n, lane_width(high), *quad))
 
 
 @given(walks())
@@ -323,17 +327,17 @@ def test_incremental_state_equals_recount(walk):
     m = len(states[0])
     start = BinaryMatrix(m, n, states[0])
     end = sigma(states[-1], n)
-    excess, lanes = packed_excess(states[0], states[-1], n)
+    excess, high = packed_excess(states[0], states[-1], n)
     # the top entry of sigma, the number of ones, fits below the guard bit
-    assert lane_width(lanes) == byte_lane_width(end[-1])
+    assert lane_width(high) == byte_lane_width(end[-1])
     nu = inversion_count(start)
     for rows, quad in zip(states, quads):
         nu += _increment(rows, *quad)
-        excess = _lowered(excess, lanes, *quad)
+        excess = lowered(excess, high, n, quad)
         x = BinaryMatrix(m, n, _flip(rows, *quad))
         recount = sigma(x.bits, n)
-        assert unpack(excess, m * n, lanes) == [u - v for u, v in
-                                                zip(recount, end)]
+        assert unpack(excess, m * n, high) == [u - v for u, v in
+                                               zip(recount, end)]
         assert nu == inversion_count(x)
     assert excess == 0
 
@@ -347,18 +351,39 @@ def test_lowered_refuses_exactly_the_non_dominating(walk):
     m = len(states[0])
     target = sigma(states[-1], n)
     for rows in states:
-        excess, lanes = packed_excess(rows, states[-1], n)
-        assert unpack(excess, m * n, lanes) == [u - v for u, v in
-                                                zip(sigma(rows, n), target)]
+        excess, high = packed_excess(rows, states[-1], n)
+        assert unpack(excess, m * n, high) == [u - v for u, v in
+                                               zip(sigma(rows, n), target)]
         for quad in _moves(rows):
             child_rows = _flip(rows, *quad)
             child = [u - v for u, v in zip(sigma(child_rows, n), target)]
-            got = _lowered(excess, lanes, *quad)
+            got = lowered(excess, high, n, quad)
             if min(child) < 0:
                 assert got is None
                 assert packed_excess(child_rows, states[-1], n) is None
             else:
-                assert unpack(got, m * n, lanes) == child
+                assert unpack(got, m * n, high) == child
+
+
+@given(walks())
+@settings(max_examples=200)
+def test_block_is_the_move_and_adding_it_back_undoes_it(walk):
+    # the block of every move of every state along the walk is a 1 in the
+    # lanes of its rows and columns and nowhere else, and adding it back
+    # to an admissible move's lowered excess restores the excess: the
+    # search's undo on backtrack
+    n, states, _ = walk
+    m = len(states[0])
+    for rows in states:
+        excess, high = packed_excess(rows, states[-1], n)
+        w = lane_width(high)
+        for i, i2, j, j2 in _moves(rows):
+            block = _block(n, w, i, i2, j, j2)
+            assert block == sum(1 << (k * n + l) * w for k in range(i, i2)
+                                for l in range(j, j2))
+            got = _lowered(excess, high, block)
+            if got is not None:
+                assert got + block == excess
 
 
 def brute_inversions(a):
@@ -373,8 +398,8 @@ def assert_table_equals_recount(a):
     cumulative_sums reads the same entries back."""
     table = _order_table(a)
     assert table.width == byte_lane_width(a.count_ones())
-    lanes = _lanes(a.m, a.n, table.width)
-    entries = unpack(table.sigma, a.m * a.n, lanes)
+    high = _guards(a.m, a.n, table.width)[0]
+    entries = unpack(table.sigma, a.m * a.n, high)
     assert entries == sigma(a.bits, a.n) == list(cumulative_sums(a).flat())
     assert table.nu == brute_inversions(a) == inversion_count(a)
 
@@ -458,12 +483,14 @@ def test_guards_are_the_lane_masks(m, n):
         assert high == sum(1 << k * w + w - 1 for k in range(m * n))
         assert edge == sum(lane << (i * n + j) * w for i in range(m)
                            for j in range(n) if i == m - 1 or j == n - 1)
-        assert _lanes(m, n, w).high == high
+        # the block of the whole table is the low bit of every lane
+        assert _block(n, w, 0, m, 0, n) == high >> w - 1
 
 
 def test_order_queries_on_large_extremes(memory_cap):
     # each table is 1500 x 1500 lanes of 2 bytes, 4.5 MB, and so is each
-    # guard mask; the lane sums the searches build would be 3.4 GB
+    # guard mask; a search beside them would hold one excess table and
+    # build each move's block, at most one more table
     p, q = build_extremes(1500)
     assert (inversion_count(p), inversion_count(q)) == \
         extremal_inversions(1500)
