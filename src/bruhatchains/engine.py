@@ -136,32 +136,39 @@ def interchange_arcs(keys: np.ndarray, rank: np.ndarray, m: int, n: int
                      ) -> tuple[np.ndarray, np.ndarray]:
     """CSR arcs over members, member v holding key ``keys[v]`` and
     ``rank[k]`` the member with the k-th smallest key: an arc from each
-    member to the result of each ItoL interchange that applies to it.  A
-    counting pass sizes every member's slot before the targets are filled
-    in."""
+    member to the result of each ItoL interchange that applies to it, in
+    move order.  The work runs in key order, one mask per move.  A move's
+    sources all carry its source pattern under the mask, so it adds the
+    same constant to each of them, and the k-th source by key goes to the
+    k-th member holding the target pattern: no search.  A counting pass
+    sizes every member's slot before the targets are filled in."""
     moves = []
     for i, i2 in combinations(range(m), 2):
         for j, j2 in combinations(range(n), 2):
             src = 1 << _bit(m, n, i, j) | 1 << _bit(m, n, i2, j2)
             dst = 1 << _bit(m, n, i, j2) | 1 << _bit(m, n, i2, j)
-            moves.append((np.uint64(src | dst), np.uint64(src)))
-    counts = np.zeros(len(keys), np.int64)
-    for mask, pattern in moves:
-        counts[np.flatnonzero((keys & mask) == pattern)] += 1
-    _check_budget(int(counts.sum()), 4, "the interchange arcs")
+            moves.append((np.uint64(src | dst), np.uint64(src),
+                          np.uint64(dst)))
+    keys = keys[rank]
+    masked = np.empty_like(keys)  # one move's four cells of every key
+    counts = np.zeros(len(keys), np.int32)
+    for mask, src, _ in moves:
+        counts += np.bitwise_and(keys, mask, out=masked) == src
+    _check_budget(int(counts.sum(dtype=np.int64)), 4,
+                  "the interchange arcs")
     indptr = np.zeros(len(keys) + 1, np.int32)
-    np.cumsum(counts, out=indptr[1:])
+    indptr[1:][rank] = counts
     del counts
+    np.cumsum(indptr, out=indptr)
     targets = np.empty(int(indptr[-1]), np.int32)
-    # by key from here on: the sources in key order find targets by search
-    keys, cursor = keys[rank], indptr[rank]
-    for mask, pattern in moves:
-        p = np.flatnonzero((keys & mask) == pattern)
-        moved = keys[p] ^ mask
-        q = np.searchsorted(keys, moved)
-        q[q == len(keys)] = 0  # past the largest key: no member there
-        if (keys[q] != moved).any():
-            raise RuntimeError("an interchange left the enumerated class")
+    cursor = indptr[rank]
+    for mask, src, dst in moves:
+        np.bitwise_and(keys, mask, out=masked)
+        p = np.flatnonzero(masked == src)
+        q = np.flatnonzero(masked == dst)
+        if len(p) != len(q) or (keys[q] != keys[p] ^ mask).any():
+            raise RuntimeError("an interchange left the enumerated class "
+                               "or a member is missing")
         targets[cursor[p]] = rank[q]
         cursor[p] += 1
     return indptr, targets

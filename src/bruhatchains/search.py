@@ -45,6 +45,12 @@ class MonotonicityReport:
     violations: list[tuple[BinaryMatrix, BinaryMatrix]]
 
 
+# The members of one distance level whose arcs the witness walk indexes
+# at once.  A whole level of A(7,2) holds up to 4.66M arcs, 37 MB per int64
+# index array: the walk would peak above the DP and the arcs it reads.
+_WALK_MEMBERS = 4096
+
+
 def _longest_paths(poset: ClassPoset, sources: Iterable[int] | None = None
                    ) -> np.ndarray:
     """Longest path length (edge count) to every member, from any member or
@@ -92,12 +98,16 @@ def longest_chain(poset: ClassPoset) -> tuple[int, Chain]:
         # only members one shorter can precede v; scan their arcs alone,
         # in member order, so the first hit has the smallest index
         level = np.flatnonzero(dist == dist[v] - 1)
-        degree = indptr[level + 1] - indptr[level]
-        first = np.cumsum(degree) - degree  # each member's start in arcs
-        arcs = np.arange(degree.sum()) + np.repeat(indptr[level] - first,
-                                                   degree)
-        hit = arcs[np.argmax(targets[arcs] == v)]
-        v = int(np.searchsorted(indptr, hit, side="right")) - 1
+        for part in np.split(level, range(_WALK_MEMBERS, len(level),
+                                          _WALK_MEMBERS)):
+            degree = indptr[part + 1] - indptr[part]
+            first = np.cumsum(degree) - degree  # each member's start
+            arcs = np.arange(degree.sum()) + np.repeat(indptr[part] - first,
+                                                       degree)
+            hits = arcs[targets[arcs] == v]
+            if len(hits):
+                break
+        v = int(np.searchsorted(indptr, hits[0], side="right")) - 1
         path.append(v)
     mats = [poset.members[v] for v in reversed(path)]
     chain = Chain(mats[0], tuple(BruhatStep(a) for a in mats[1:]))

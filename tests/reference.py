@@ -1,10 +1,13 @@
 """References for the tests: a row-by-row backtracking enumerator over
-BinaryMatrix values, independent of the packed engine, a partial-sum
-recount independent of the order tables, a pair-by-pair poset built on
-that recount, the paper's order-5 chain tables, and helpers only the
-tests call."""
+BinaryMatrix values, independent of the packed engine, an interchange arc
+builder that finds each target by binary search, a partial-sum recount
+independent of the order tables, a pair-by-pair poset built on that
+recount, the paper's order-5 chain tables, and helpers only the tests
+call."""
 
 from itertools import accumulate, combinations
+
+import numpy as np
 
 from bruhatchains import (
     BinaryMatrix,
@@ -50,6 +53,39 @@ def backtrack_class(margins: MarginPair) -> list[BinaryMatrix]:
     if not out:
         raise InfeasibleMargins("no matrix realizes these margins")
     return out
+
+
+def searchsorted_arcs(keys, rank, m: int, n: int):
+    """The CSR interchange arcs of ``engine.interchange_arcs``, each
+    source's target found by binary search over the keys in key order.  A
+    counting pass in member order sizes every member's slot; each slot
+    lists its targets in move order."""
+    def bit(i, j):
+        return 1 << m * n - 1 - (i * n + j)
+
+    moves = []
+    for i, i2 in combinations(range(m), 2):
+        for j, j2 in combinations(range(n), 2):
+            src = bit(i, j) | bit(i2, j2)
+            moves.append((np.uint64(src | bit(i, j2) | bit(i2, j)),
+                          np.uint64(src)))
+    counts = np.zeros(len(keys), np.int64)
+    for mask, pattern in moves:
+        counts[np.flatnonzero((keys & mask) == pattern)] += 1
+    indptr = np.zeros(len(keys) + 1, np.int32)
+    np.cumsum(counts, out=indptr[1:])
+    targets = np.empty(int(indptr[-1]), np.int32)
+    keys, cursor = keys[rank], indptr[rank]
+    for mask, pattern in moves:
+        p = np.flatnonzero((keys & mask) == pattern)
+        moved = keys[p] ^ mask
+        q = np.searchsorted(keys, moved)
+        q[q == len(keys)] = 0  # past the largest key: no member there
+        if (keys[q] != moved).any():
+            raise RuntimeError("an interchange left the enumerated class")
+        targets[cursor[p]] = rank[q]
+        cursor[p] += 1
+    return indptr, targets
 
 
 def sigma(rows, n: int) -> list[int]:

@@ -14,6 +14,7 @@ from bruhatchains import (
     InfeasibleMargins,
     MarginPair,
     apply_interchange,
+    build_extremes,
     build_interchange_dag,
     build_poset,
     enumerate_class,
@@ -24,9 +25,9 @@ from bruhatchains import (
     longest_chain,
     maximal_chain_spectrum,
 )
-from bruhatchains import canonical_key, engine
+from bruhatchains import canonical_key, engine, search
 from bruhatchains.matrices import decode, pack
-from reference import backtrack_class
+from reference import backtrack_class, searchsorted_arcs
 
 CLASSES = [
     MarginPair((2, 2, 1), (2, 2, 1)),
@@ -128,6 +129,19 @@ def test_dp_matches_reference(margins):
     assert maximal_chain_spectrum(dag) == want
 
 
+@pytest.mark.parametrize("margins", CLASSES, ids=str)
+def test_witness_walk_in_parts_finds_the_same_chain(monkeypatch, margins):
+    # the walk takes a level's members a few at a time and stops at the
+    # first part with a hit, which must hold the smallest-index one
+    dag = build_interchange_dag(margins)
+    length, witness = longest_chain(dag)
+    for walk in (1, 3):
+        monkeypatch.setattr(search, "_WALK_MEMBERS", walk)
+        got_length, got = longest_chain(dag)
+        assert got_length == length
+        assert got.matrices() == witness.matrices()
+
+
 def test_infeasible_margins():
     with pytest.raises(InfeasibleMargins):
         build_interchange_dag(MarginPair((2, 0), (0, 2)))
@@ -164,6 +178,22 @@ def test_target_outside_the_class_raises(monkeypatch):
 
     monkeypatch.setattr(engine, "enumerate_keys", missing_one)
     with pytest.raises(RuntimeError, match="left the enumerated class"):
+        build_interchange_dag(MarginPair.uniform(4, 2))
+
+
+def test_missing_minimal_member_raises(monkeypatch):
+    # P_4 is the source of interchanges but the target of none, so every
+    # source left has its target: only the pairing of sources with
+    # targets notices that P_4's targets have one source too few
+    full = engine.enumerate_keys
+    p4 = np.uint64(pack(build_extremes(4)[0]))
+
+    def missing_p4(margins):
+        keys = full(margins)
+        return keys[keys != p4]
+
+    monkeypatch.setattr(engine, "enumerate_keys", missing_p4)
+    with pytest.raises(RuntimeError, match="or a member is missing"):
         build_interchange_dag(MarginPair.uniform(4, 2))
 
 
@@ -313,3 +343,14 @@ def test_pack_and_decode_are_inverses(data):
     # key bit m*n - 1 - (i*n + j) holds cell (i, j)
     assert all(a.get(i, j) == key >> (m * n - 1 - (i * n + j)) & 1
                for i in range(m) for j in range(n))
+
+
+@pytest.mark.parametrize("margins", CLASSES + REFERENCE_CLASSES, ids=str)
+def test_arcs_match_the_search_reference(margins):
+    # REFERENCE_CLASSES holds A(6,2)
+    keys, _, rank = engine.ranked_class(margins)
+    got = engine.interchange_arcs(keys, rank, margins.m, margins.n)
+    want = searchsorted_arcs(keys, rank, margins.m, margins.n)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype
+        assert a.tobytes() == b.tobytes()
