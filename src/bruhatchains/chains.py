@@ -26,8 +26,8 @@ from .matrices import (
     Interchange,
     _BLANKS,
     _ascii_int,
+    _columns,
     _increment,
-    _matches_pattern,
     _text_lines,
     direct_sum,
     embed,
@@ -84,36 +84,50 @@ class Chain:
         return self._state(rows)
 
 
-def _replay(rows: list[int], width: int,
-            steps: Sequence[Step]) -> Iterator[Step]:
+def _replay(rows: list[int], width: int, steps: Sequence[Step],
+            cols: list[int] | None = None) -> Iterator[Step]:
     """Apply the steps in order to rows, in place, yielding each step once
-    it is applied.  This is the only code that applies chain steps.
+    it is applied.  This is the only code that applies chain steps.  Given
+    the column view of the rows (``matrices._columns``), it keeps that in
+    step too.
 
     An interchange step must be ItoL and match its pattern; a jump step
     must be a strict Bruhat ascent.  An invalid step raises PatternMismatch
     (MarginMismatch for a jump into another class) and leaves rows at the
     state before it; malformed step data raises MalformedChain."""
+    m, itol = len(rows), Direction.ItoL
     for k, step in enumerate(steps):
         if isinstance(step, Interchange):
-            if step.direction is not Direction.ItoL \
-                    or not _matches_pattern(rows, step):
+            i, i2, j, j2 = step.i, step.i2, step.j, step.j2
+            # the bounds come first, so a column past the width is never
+            # shifted by
+            ok = step.direction is itol and i2 < m and j2 < width
+            if ok:
+                left, right = 1 << j, 1 << j2
+                flip = left | right
+                ok = rows[i] & flip == left and rows[i2] & flip == right
+            if not ok:
                 raise PatternMismatch(
                     f"step {k}: no ItoL pattern at {step.quad()}")
-            flip = (1 << step.j) | (1 << step.j2)
-            rows[step.i] ^= flip
-            rows[step.i2] ^= flip
+            rows[i] ^= flip
+            rows[i2] ^= flip
+            if cols is not None:
+                down = (1 << i) | (1 << i2)
+                cols[j] ^= down
+                cols[j2] ^= down
         elif isinstance(step, BruhatStep):
             target = step.target
-            if target.m != len(rows) or target.n != width:
+            if target.m != m or target.n != width:
                 raise MalformedChain(f"step {k}: dimension change")
             # fresh copies, so the order tables the check fills die with
             # it and a target kept in a chain holds none
-            cur = BinaryMatrix(len(rows), width, tuple(rows))
-            if not bruhat_less(cur, BinaryMatrix(len(rows), width,
-                                                 target.bits)):
+            cur = BinaryMatrix(m, width, tuple(rows))
+            if not bruhat_less(cur, BinaryMatrix(m, width, target.bits)):
                 raise PatternMismatch(
                     f"step {k}: jump is not a strict Bruhat ascent")
             rows[:] = target.bits
+            if cols is not None:
+                cols[:] = _columns(rows, width)
         else:
             raise MalformedChain(f"step {k}: unknown step type")
         yield step
@@ -144,16 +158,18 @@ def verify_chain(chain: Chain,
     a strict Bruhat ascent.  An invalid step is reported by index and
     reason rather than raised; only structurally malformed data raises.
     The inversion count advances by the increment formula on interchange
-    steps and is recounted in full on every jump target and on the final
-    state."""
+    steps, counted over the shorter span with the column view, and is
+    recounted in full on every jump target and on the final state."""
     rows = list(chain.start.bits)
+    cols = _columns(rows, chain.start.n)
     nu = inversion_count(chain.start)
     nu_profile = [nu]
     failing = reason = None
     try:
-        for step in _replay(rows, chain.start.n, chain.steps):
+        for step in _replay(rows, chain.start.n, chain.steps, cols):
             if isinstance(step, Interchange):
-                nu += _increment(rows, *step.quad())
+                nu += _increment(rows, step.i, step.i2, step.j, step.j2,
+                                 cols)
             else:
                 nu = inversion_count(chain._state(rows))
             nu_profile.append(nu)
@@ -293,30 +309,40 @@ def chain_y_to_q5() -> Chain:
 
 
 def _place(state: list[int], width: int, steps: Sequence[Step],
-           rows: Sequence[int], cols: Sequence[int], out: list[Step]) -> None:
+           rows: Sequence[int], cols: Sequence[int], out: list[Step],
+           made: dict[tuple[int, int, int, int], Interchange]) -> None:
     """Reindex sub-chain steps into the rows x cols window of the running
     state, then apply them to it once (``_replay``) and append them to out.
-    A jump target fills the window of the state the window starts from:
-    nothing outside the window moves, so this is the full state after the
-    jump."""
-    mapped = [
-        Interchange(rows[s.i], rows[s.i2], cols[s.j], cols[s.j2], s.direction)
-        if isinstance(s, Interchange)
-        else BruhatStep(embed(BinaryMatrix(len(state), width, tuple(state)),
-                              rows, cols, s.target))
-        for s in steps]
+    made holds one interchange per step of the build, so equal steps share
+    one object.  A jump target fills the window of the state the window
+    starts from: nothing outside the window moves, so this is the full
+    state after the jump."""
+    mapped = []
+    for s in steps:
+        if isinstance(s, Interchange):
+            key = rows[s.i], rows[s.i2], cols[s.j], cols[s.j2]
+            step = made.get(key)
+            if step is None or step.direction is not s.direction:
+                step = made[key] = Interchange(*key, s.direction)
+        else:
+            step = BruhatStep(embed(BinaryMatrix(len(state), width,
+                                                 tuple(state)),
+                                    rows, cols, s.target))
+        mapped.append(step)
     out.extend(_replay(state, width, mapped))
 
 
 def _even_rounds(state: list[int], width: int, n: int, shift: int,
-                 out: list[Step]) -> None:
+                 out: list[Step],
+                 made: dict[tuple[int, int, int, int], Interchange]) -> None:
     """The rounds of the even construction of order n (see ``chain_even``)
     on rows 0..n-1 and columns shift..shift+n-1."""
     base = base_chain_4().steps
     for m in range(4, n + 1, 2):
         for r in range(1, m // 2):
             _place(state, width, base, (2 * r - 2, 2 * r - 1, m - 2, m - 1),
-                   range(shift + m - 2 * r - 2, shift + m - 2 * r + 2), out)
+                   range(shift + m - 2 * r - 2, shift + m - 2 * r + 2), out,
+                   made)
 
 
 @lru_cache(maxsize=1)
@@ -332,7 +358,7 @@ def chain_even(n: int) -> Chain:
         raise UnsupportedOrder("even construction needs even n >= 4")
     p_n, _ = build_extremes(n)
     state, steps = list(p_n.bits), []
-    _even_rounds(state, n, n, 0, steps)
+    _even_rounds(state, n, n, 0, steps, {})
     return Chain(p_n, tuple(steps))
 
 
@@ -349,15 +375,15 @@ def chain_odd(n: int) -> Chain:
         raise UnsupportedOrder("odd construction needs odd n >= 5")
     k = (n - 5) // 2
     p_n, _ = build_extremes(n)
-    state, steps = list(p_n.bits), []
+    state, steps, made = list(p_n.bits), [], {}
     _place(state, n, chain_p5_q5().steps, range(2 * k, n), range(2 * k, n),
-           steps)
+           steps, made)
     y_steps = chain_y_to_q5().steps
     for t in range(1, k + 1):
         rows = (2 * k - 2 * t, 2 * k - 2 * t + 1, n - 3, n - 2, n - 1)
         _place(state, n, y_steps, rows,
-               range(2 * k - 2 * t, 2 * k - 2 * t + 5), steps)
-    _even_rounds(state, n, n - 3, 3, steps)
+               range(2 * k - 2 * t, 2 * k - 2 * t + 5), steps, made)
+    _even_rounds(state, n, n - 3, 3, steps, made)
     return Chain(p_n, tuple(steps))
 
 
@@ -385,7 +411,7 @@ def chain_to_json_dict(chain: Chain) -> dict:
     splices = []
     for k, step in enumerate(chain.steps):
         if isinstance(step, Interchange):
-            steps.append(list(step.quad()))
+            steps.append([step.i, step.i2, step.j, step.j2])
         else:
             steps.append(None)
             splices.append({"at": k, "matrix": step.target.to_json_dict()})
@@ -401,7 +427,8 @@ def chain_from_json_dict(data: dict) -> Chain:
     """The chain in its JSON form.  Bad data raises MalformedChain naming
     the field: ``start``, ``splices``, ``splices[k]``, ``steps`` or
     ``steps[k]``.  Each splice's ``at`` is a JSON integer naming a
-    ``null`` step, and no step is named twice."""
+    ``null`` step, and no step is named twice.  Equal steps share one
+    interchange."""
     field = "start"
     try:
         start = BinaryMatrix.from_json_dict(data["start"])
@@ -416,15 +443,21 @@ def chain_from_json_dict(data: dict) -> Chain:
             splices[at] = k, BinaryMatrix.from_json_dict(s["matrix"])
         field = "steps"
         steps: list[Step] = []
+        made: dict[tuple[int, int, int, int], Interchange] = {}
         for k, quad in enumerate(data["steps"]):
             field = f"steps[{k}]"
             if quad is None:
                 steps.append(BruhatStep(splices.pop(k)[1]))
                 continue
             i, i2, j, j2 = quad
-            if not all(type(v) is int for v in (i, i2, j, j2)):
+            if (type(i) is not int or type(i2) is not int
+                    or type(j) is not int or type(j2) is not int):
                 raise ValueError(f"step indices must be integers: {quad}")
-            steps.append(Interchange(i, i2, j, j2, Direction.ItoL))
+            key = i, i2, j, j2
+            step = made.get(key)
+            if step is None:
+                step = made[key] = Interchange(i, i2, j, j2)
+            steps.append(step)
     except KeyError as exc:
         raise MalformedChain(f"{field}: missing key {exc}") from exc
     except (TypeError, ValueError) as exc:

@@ -478,13 +478,37 @@ def apply_interchange(a: BinaryMatrix, t: Interchange) -> BinaryMatrix:
     return BinaryMatrix(a.m, a.n, _flip(a.bits, *t.quad()))
 
 
-def _increment(rows: Sequence[int], i: int, i2: int, j: int, j2: int) -> int:
+def _columns(rows: Sequence[int], width: int) -> list[int]:
+    """The column view of the rows: bit r of entry c is cell (r, c)."""
+    cols = [0] * width
+    for r, b in enumerate(rows):
+        while b:
+            c = b.bit_length() - 1
+            b ^= 1 << c
+            cols[c] |= 1 << r
+    return cols
+
+
+def _increment(rows: Sequence[int], i: int, i2: int, j: int, j2: int,
+               cols: Sequence[int] | None = None) -> int:
     """The inversion gain of the ItoL interchange at (i, i2, j, j2) on these
     rows.  It reads no cell the interchange flips, so it holds before and
-    after the flip."""
+    after the flip.
+
+    The ones strictly inside the move's rectangle count twice and those
+    beside it, in its rows or its columns, once.  Given the column view
+    of the rows (``_columns``), the inside is counted over whichever span
+    is shorter, the rows between i and i2 or the columns between j and j2;
+    the value is the same either way."""
     mid = (1 << j2) - (2 << j)      # columns strictly between j and j2
-    ends = (1 << j) | (1 << j2)
     gain = 1 + (rows[i] & mid).bit_count() + (rows[i2] & mid).bit_count()
+    if cols is not None and j2 - j < i2 - i:
+        inner = (1 << i2) - (2 << i)    # rows strictly between i and i2
+        gain += (cols[j] & inner).bit_count() + (cols[j2] & inner).bit_count()
+        for c in cols[j + 1:j2]:
+            gain += 2 * (c & inner).bit_count()
+        return gain
+    ends = (1 << j) | (1 << j2)
     for b in rows[i + 1:i2]:
         gain += 2 * (b & mid).bit_count() + (b & ends).bit_count()
     return gain

@@ -348,9 +348,10 @@ class TestVerifyChain:
         assert rep.failing_reason is None
 
     @pytest.mark.parametrize(
-        "chain", [build_chain(n) for n in range(4, 15)] + [chain_y_to_q5()],
-        ids=[f"n{n}" for n in range(4, 15)] + ["y_to_q5"])
+        "chain", [build_chain(n) for n in range(4, 42)] + [chain_y_to_q5()],
+        ids=[f"n{n}" for n in range(4, 42)] + ["y_to_q5"])
     def test_nu_profile_matches_full_recount(self, chain):
+        # the odd orders jump, and the column view is rebuilt after each
         rep = verify_chain(chain)
         assert rep.valid
         assert rep.nu_profile == tuple(
@@ -411,6 +412,17 @@ class TestSerialization:
         assert again.start == chain.start
         assert again.steps == chain.steps
         assert again.mode == "bruhat"
+
+    @pytest.mark.parametrize("n", [12, 13])
+    def test_equal_steps_share_one_interchange(self, n):
+        built = build_chain(n)
+        loaded = chain_from_json(chain_to_json(built))
+        assert loaded == built and loaded.steps == built.steps
+        for chain in (built, loaded):
+            moves = [s for s in chain.steps if isinstance(s, Interchange)]
+            quads = {s.quad() for s in moves}
+            assert len(quads) < len(moves)
+            assert len({id(s) for s in moves}) == len(quads)
 
     def test_text_roundtrip(self):
         chain = chain_p5_q5()

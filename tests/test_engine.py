@@ -25,7 +25,7 @@ from bruhatchains import (
     longest_chain,
     maximal_chain_spectrum,
 )
-from bruhatchains import canonical_key, engine, search
+from bruhatchains import canonical_key, engine, enumeration, search
 from bruhatchains.matrices import decode, pack
 from reference import backtrack_class, searchsorted_arcs
 
@@ -204,6 +204,25 @@ def test_arc_store_is_read_only():
     with pytest.raises(ValueError):
         dag.targets[0] = 1
     assert dag.succ is dag.succ
+
+
+@pytest.mark.parametrize("part", [None, 7, 1])
+@pytest.mark.parametrize("build", [build_interchange_dag, build_poset])
+def test_arc_rows_iterate_and_index_from_either_end(monkeypatch, build,
+                                                    part):
+    # iteration takes the bounds of a part of the members at a time
+    if part:
+        monkeypatch.setattr(enumeration, "_ARC_ROWS_PART", part)
+    succ = build(MarginPair.uniform(4, 2)).succ
+    size = len(succ)
+    rows = list(succ)
+    assert len(rows) == size
+    assert all(np.array_equal(row, succ[v]) for v, row in enumerate(rows))
+    for k in range(1, size + 1):
+        assert np.array_equal(succ[-k], succ[size - k])
+    for v in (size, -size - 1, np.int32(size)):
+        with pytest.raises(IndexError):
+            succ[v]
 
 
 @pytest.mark.parametrize("build", [build_interchange_dag, build_poset])

@@ -41,6 +41,7 @@ from bruhatchains import (
 )
 from bruhatchains.matrices import (
     _block,
+    _columns,
     _dominates,
     _flip,
     _guards,
@@ -539,6 +540,22 @@ def test_tight_moves_are_the_increment_one_moves(rows):
     rows = tuple(rows)
     assert list(_tight_moves(rows)) == [
         mv for mv in _moves(rows) if _increment(rows, *mv) == 1]
+
+
+@given(st.integers(1, 9).flatmap(lambda n: st.tuples(st.just(n), st.lists(
+    st.integers(0, (1 << n) - 1), min_size=1, max_size=9))))
+@settings(max_examples=300)
+def test_column_view_increment_equals_the_row_walk(case):
+    # m x n rows, square or not, so either span may be the shorter
+    n, rows = case
+    m = len(rows)
+    cols = _columns(rows, n)
+    assert cols == [sum((b >> c & 1) << r for r, b in enumerate(rows))
+                    for c in range(n)]
+    nu = inversion_count(BinaryMatrix(m, n, tuple(rows)))
+    for mv in _moves(rows):
+        gain = inversion_count(BinaryMatrix(m, n, _flip(rows, *mv))) - nu
+        assert _increment(rows, *mv, cols) == _increment(rows, *mv) == gain
 
 
 def test_tight_moves_on_every_a52_member(poset_52):
