@@ -89,7 +89,9 @@ def _replay(rows: list[int], width: int, steps: Sequence[Step],
     """Apply the steps in order to rows, in place, yielding each step once
     it is applied.  This is the only code that applies chain steps.  Given
     the column view of the rows (``matrices._columns``), it keeps that in
-    step too.
+    step too.  A jump is yielded as an equal step to the copy of its
+    target that the ascent check ordered, whose order table holds the
+    target's inversion count; the step given keeps no table.
 
     An interchange step must be ItoL and match its pattern; a jump step
     must be a strict Bruhat ascent.  An invalid step raises PatternMismatch
@@ -120,9 +122,10 @@ def _replay(rows: list[int], width: int, steps: Sequence[Step],
             if target.m != m or target.n != width:
                 raise MalformedChain(f"step {k}: dimension change")
             # fresh copies, so the order tables the check fills die with
-            # it and a target kept in a chain holds none
-            cur = BinaryMatrix(m, width, tuple(rows))
-            if not bruhat_less(cur, BinaryMatrix(m, width, target.bits)):
+            # them and a target kept in a chain holds none
+            step = BruhatStep(BinaryMatrix(m, width, target.bits))
+            if not bruhat_less(BinaryMatrix(m, width, tuple(rows)),
+                               step.target):
                 raise PatternMismatch(
                     f"step {k}: jump is not a strict Bruhat ascent")
             rows[:] = target.bits
@@ -158,8 +161,9 @@ def verify_chain(chain: Chain,
     a strict Bruhat ascent.  An invalid step is reported by index and
     reason rather than raised; only structurally malformed data raises.
     The inversion count advances by the increment formula on interchange
-    steps, counted over the shorter span with the column view, and is
-    recounted in full on every jump target and on the final state."""
+    steps, counted over the shorter span with the column view, is read
+    off the table the ascent check built for a jump target, and is
+    recounted in full on the final state."""
     rows = list(chain.start.bits)
     cols = _columns(rows, chain.start.n)
     nu = inversion_count(chain.start)
@@ -171,7 +175,7 @@ def verify_chain(chain: Chain,
                 nu += _increment(rows, step.i, step.i2, step.j, step.j2,
                                  cols)
             else:
-                nu = inversion_count(chain._state(rows))
+                nu = inversion_count(step.target)
             nu_profile.append(nu)
     except MarginMismatch:
         failing, reason = len(nu_profile) - 1, "other_class"
@@ -329,7 +333,9 @@ def _place(state: list[int], width: int, steps: Sequence[Step],
                                                  tuple(state)),
                                     rows, cols, s.target))
         mapped.append(step)
-    out.extend(_replay(state, width, mapped))
+    for _ in _replay(state, width, mapped):
+        pass
+    out.extend(mapped)
 
 
 def _even_rounds(state: list[int], width: int, n: int, shift: int,

@@ -132,23 +132,30 @@ def inversion_counts(keys: np.ndarray, m: int, n: int) -> np.ndarray:
     return nu
 
 
+def move_masks(m: int, n: int
+               ) -> list[tuple[tuple[int, int, int, int], int, int]]:
+    """Every ItoL move of an m x n key in (i, i2, j, j2) order: its quad,
+    and its source and target patterns, whose OR is the move's mask."""
+    return [((i, i2, j, j2),
+             1 << _bit(m, n, i, j) | 1 << _bit(m, n, i2, j2),
+             1 << _bit(m, n, i, j2) | 1 << _bit(m, n, i2, j))
+            for i, i2 in combinations(range(m), 2)
+            for j, j2 in combinations(range(n), 2)]
+
+
 def interchange_arcs(keys: np.ndarray, rank: np.ndarray, m: int, n: int
                      ) -> tuple[np.ndarray, np.ndarray]:
     """CSR arcs over members, member v holding key ``keys[v]`` and
     ``rank[k]`` the member with the k-th smallest key: an arc from each
     member to the result of each ItoL interchange that applies to it, in
-    move order.  The work runs in key order, one mask per move.  A move's
-    sources all carry its source pattern under the mask, so it adds the
-    same constant to each of them, and the k-th source by key goes to the
-    k-th member holding the target pattern: no search.  A counting pass
-    sizes every member's slot before the targets are filled in."""
-    moves = []
-    for i, i2 in combinations(range(m), 2):
-        for j, j2 in combinations(range(n), 2):
-            src = 1 << _bit(m, n, i, j) | 1 << _bit(m, n, i2, j2)
-            dst = 1 << _bit(m, n, i, j2) | 1 << _bit(m, n, i2, j)
-            moves.append((np.uint64(src | dst), np.uint64(src),
-                          np.uint64(dst)))
+    move order (``move_masks``).  The work runs in key order, one mask
+    per move.  A move's sources all carry its source pattern under the
+    mask, so it adds the same constant to each of them, and the k-th
+    source by key goes to the k-th member holding the target pattern: no
+    search.  A counting pass sizes every member's slot before the targets
+    are filled in."""
+    moves = [(np.uint64(src | dst), np.uint64(src), np.uint64(dst))
+             for _, src, dst in move_masks(m, n)]
     keys = keys[rank]
     masked = np.empty_like(keys)  # one move's four cells of every key
     counts = np.zeros(len(keys), np.int32)

@@ -5,8 +5,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
+from math import comb
 from operator import or_
 from typing import Iterator, NamedTuple
+
+import numpy as np
 
 from . import engine
 from .enumeration import build_interchange_dag, count_class
@@ -31,7 +34,7 @@ from .matrices import (
     _moves,
     _order_table,
     _OrderTable,
-    _tight_moves,
+    decode,
     reverse_columns,
 )
 
@@ -165,32 +168,37 @@ def _search(a: BinaryMatrix, c: BinaryMatrix, tables, generate,
     return [Interchange(*move) for move in path], explored
 
 
-# The most bytes the one class table may hold: A(5,2)'s charges 2.5 MB,
-# and the bitsets alone of a class of over 5,792 members pass it.
+# The most bytes the one class table may hold: A(5,2)'s charges 2.2 MB,
+# and the bitsets alone of a class of over 5,607 members pass it.
 MAX_TABLE_BYTES = 1 << 23
 
 # A table's charge, from tracemalloc (tests/test_memo.py checks it): per
-# member, its index entry, list slots, arc tuple, bitset heads and rows;
-# per tight arc, its (target, move) pair; per move, its Interchange.
-_MEMBER_BYTES = 400
-_ARC_BYTES = 72
+# member, its index entry and rows, key, arc list, list slots and bitset
+# heads, about 290 bytes on A(5,2); per tight arc, its slot and target;
+# per move of the shape, its mask and Interchange.
+_MEMBER_BYTES = 340
+_ARC_BYTES = 40
 
 
-def _table_charge(m: int, size: int, arcs: int, moves: int) -> int:
+def _table_charge(m: int, n: int, size: int, arcs: int) -> int:
     return (size * (_MEMBER_BYTES + 8 * m + 8 * ((size + 29) // 30))
-            + arcs * _ARC_BYTES + moves * _MOVE_BYTES)
+            + arcs * _ARC_BYTES + comb(m, 2) * comb(n, 2) * _MOVE_BYTES)
 
 
 class _ClassTable(NamedTuple):
     """Both orders on a class sorted by inversion count: ``index`` maps
-    rows to members, bit w of ``up[v]`` (``tight[v]``) is set iff w is
-    reachable from v by (increment-one) ItoL interchanges, and ``arcs[v]``
-    lists v's increment-one (target, Interchange) pairs in order."""
+    rows to members and ``keys`` holds their keys, bit w of ``up[v]``
+    (``tight[v]``) is set iff w is reachable from v by (increment-one)
+    ItoL interchanges, ``arcs[v]`` lists v's increment-one targets in
+    move order, and ``moves`` maps a move's mask to its Interchange: the
+    step from v to w is ``moves[keys[v] ^ keys[w]]``."""
 
     index: dict[tuple[int, ...], int]
+    keys: list[int]
     up: list[int]
     tight: list[int]
-    arcs: list[tuple[tuple[int, Interchange], ...]]
+    arcs: list[list[int]]
+    moves: dict[int, Interchange]
 
     def tight_path(self, a: BinaryMatrix, c: BinaryMatrix
                    ) -> tuple[list[Interchange] | None, int]:
@@ -201,40 +209,54 @@ class _ClassTable(NamedTuple):
             return None, 0
         path = []
         while v != goal:
-            for v, move in self.arcs[v]:
-                if self.tight[v] >> goal & 1:
+            for w in self.arcs[v]:
+                if self.tight[w] >> goal & 1:
                     break
-            path.append(move)
+            path.append(self.moves[self.keys[v] ^ self.keys[w]])
+            v = w
         return path, len(path)
+
+
+def _reach(indptr: np.ndarray, targets: np.ndarray
+           ) -> tuple[list[int], list[list[int]]]:
+    """The bitsets of the CSR arcs' reachability, bit w of entry v set iff
+    w is reachable from v, and the arcs as lists.  Every arc raises the
+    inversion count, so one reverse pass fills the bitsets."""
+    bounds, targets = indptr.tolist(), targets.tolist()
+    arcs = [targets[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    bits = [0] * len(arcs)
+    for v in reversed(range(len(arcs))):
+        bits[v] = reduce(or_, map(bits.__getitem__, arcs[v]), 1 << v)
+    return bits, arcs
 
 
 def _build_table(margins: MarginPair) -> _ClassTable | None:
     """The table of a class of at most ``engine.MAX_CELLS`` cells, or None
     past MAX_TABLE_BYTES: ``count_class`` sizes members and bitsets before
-    anything is built, and the arcs are charged before the bitsets.  An
-    arc raises the inversion count, so one reverse pass fills both."""
+    anything is built, and the tight arcs are charged before any list is.
+    Both orders are read off the interchange DAG: an arc raises the
+    inversion count by its move's increment, so it is tight iff it raises
+    it by one, and its move's mask is the XOR of its ends' keys."""
+    m, n = margins.m, margins.n
     try:
         size = count_class(margins)
     except ClassTooLarge:
         return None
-    if _table_charge(margins.m, size, 0, 0) > MAX_TABLE_BYTES:
+    if _table_charge(m, n, size, 0) > MAX_TABLE_BYTES:
         return None
     dag = build_interchange_dag(margins)
-    index = {a.bits: v for v, a in enumerate(dag.members)}
-    made: dict[tuple[int, int, int, int], Interchange] = {}
-    arcs = [tuple((index[_flip(bits, *q)],
-                   made.get(q) or made.setdefault(q, Interchange(*q)))
-                  for q in _tight_moves(bits)) for bits in index]
-    charge = _table_charge(margins.m, size, sum(map(len, arcs)), len(made))
-    if charge > MAX_TABLE_BYTES:
+    nu, indptr, targets = dag.nu, dag.indptr, dag.targets
+    rise = nu[targets] == np.repeat(nu, np.diff(indptr)) + 1
+    if _table_charge(m, n, size, np.count_nonzero(rise)) > MAX_TABLE_BYTES:
         return None
-    indptr, targets = dag.indptr.tolist(), dag.targets.tolist()
-    up, tight = [0] * size, [0] * size
-    for v in reversed(range(size)):
-        up[v] = reduce(or_, map(up.__getitem__,
-                                targets[indptr[v]:indptr[v + 1]]), 1 << v)
-        tight[v] = reduce(or_, (tight[w] for w, _ in arcs[v]), 1 << v)
-    return _ClassTable(index, up, tight, arcs)
+    up = _reach(indptr, targets)[0]   # its arc lists die here
+    tight, arcs = _reach(np.concatenate(([0], rise.cumsum()))[indptr],
+                         targets[rise])
+    keys = dag.keys.tolist()
+    index = {decode(key, m, n).bits: v for v, key in enumerate(keys)}
+    moves = {src | dst: Interchange(*quad)
+             for quad, src, dst in engine.move_masks(m, n)}
+    return _ClassTable(index, keys, up, tight, arcs, moves)
 
 
 # The last class queried, by shape and edge lanes (margins): table or None.

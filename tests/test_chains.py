@@ -6,7 +6,7 @@ import hashlib
 import pytest
 
 from bruhatchains import chains as chains_module
-from bruhatchains import engine
+from bruhatchains import engine, matrices
 from bruhatchains import (
     F3,
     F3R,
@@ -364,6 +364,26 @@ class TestVerifyChain:
         assert verify_chain(chain).valid
         jumps = [s.target for s in chain.steps if isinstance(s, BruhatStep)]
         assert len(jumps) == 28
+        assert all(target._table is None for target in jumps)
+
+    def test_a_jump_builds_two_order_tables(self, monkeypatch):
+        # the ascent check orders copies of the state and the target, and
+        # the target's nu is read off its copy's table: 2 tables a jump,
+        # and one each for the start and the final recount
+        built = []
+        table = matrices._OrderTable
+
+        def counting(*fields):
+            built.append(fields)
+            return table(*fields)
+
+        chain = chain_from_json(chain_to_json(build_chain(61)))
+        jumps = [s.target for s in chain.steps if isinstance(s, BruhatStep)]
+        monkeypatch.setattr(matrices, "_OrderTable", counting)
+        rep = verify_chain(chain)
+        assert rep.valid and rep.tight and len(built) == 2 * 28 + 2
+        assert rep.nu_profile == tuple(
+            inversion_count(a) for a in chain.matrices())
         assert all(target._table is None for target in jumps)
 
     def test_jump_into_another_class(self):

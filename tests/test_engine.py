@@ -2,16 +2,21 @@
 against the object path: enumerate_class, inversion_count and
 find_interchanges/apply_interchange on BinaryMatrix values."""
 
+import random
+from math import comb
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bruhatchains import (
+    BinaryMatrix,
     ClassPoset,
     ClassTooLarge,
     Direction,
     InfeasibleMargins,
+    Interchange,
     MarginPair,
     apply_interchange,
     build_extremes,
@@ -362,6 +367,29 @@ def test_pack_and_decode_are_inverses(data):
     # key bit m*n - 1 - (i*n + j) holds cell (i, j)
     assert all(a.get(i, j) == key >> (m * n - 1 - (i * n + j)) & 1
                for i in range(m) for j in range(n))
+
+
+def test_move_masks_are_the_cells_a_move_flips_on_every_shape():
+    # every shape a key holds, 1 x 64 and 64 x 1 (no moves), 2 x 7, 7 x 2
+    # and 8 x 8 among them; each move is applied to a member with random
+    # cells around its pattern, so its mask is the XOR of the two keys
+    shapes = [(m, n) for m in range(1, 65) for n in range(1, 64 // m + 1)]
+    assert {(1, 64), (64, 1), (2, 7), (7, 2), (8, 8)} <= set(shapes)
+    rng = random.Random(64)
+    for m, n in shapes:
+        moves = engine.move_masks(m, n)
+        quads = [quad for quad, _, _ in moves]
+        assert quads == sorted(set(quads))
+        assert len(quads) == comb(m, 2) * comb(n, 2)
+        for (i, i2, j, j2), src, dst in moves:
+            rows = [rng.getrandbits(n) for _ in range(m)]
+            rows[i] = rows[i] & ~(1 << j2) | 1 << j
+            rows[i2] = rows[i2] & ~(1 << j) | 1 << j2
+            a = BinaryMatrix(m, n, tuple(rows))
+            b = apply_interchange(a, Interchange(i, i2, j, j2))
+            assert pack(b) ^ pack(a) == src | dst
+            assert (pack(a) & (src | dst), pack(b) & (src | dst)) == \
+                (src, dst)
 
 
 @pytest.mark.parametrize("margins", CLASSES + REFERENCE_CLASSES, ids=str)

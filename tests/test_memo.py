@@ -19,6 +19,7 @@ from bruhatchains import (
     BinaryMatrix,
     Chain,
     ClassTooLarge,
+    Interchange,
     MarginPair,
     SearchBudgetExceeded,
     build_extremes,
@@ -29,7 +30,7 @@ from bruhatchains import (
     tight_chain_search,
 )
 from bruhatchains import matrices, order
-from bruhatchains.matrices import _moves, _order_table, _tight_moves
+from bruhatchains.matrices import _flip, _moves, _order_table, _tight_moves
 from bruhatchains.order import _class_table, _require_same_class, _search
 from reference import sigma
 from test_oracles import reference_secondary, reference_tight
@@ -47,12 +48,10 @@ def table_of(a):
     return _class_table(a, _order_table(a))
 
 
-def charge_of(table):
-    """The byte charge ``_build_table`` gave the table."""
-    moves = {move for arcs in table.arcs for _, move in arcs}
-    return order._table_charge(len(next(iter(table.index))),
-                               len(table.index),
-                               sum(map(len, table.arcs)), len(moves))
+def charge_of(margins, table):
+    """The byte charge ``_build_table`` gave the table of the class."""
+    return order._table_charge(margins.m, margins.n, len(table.index),
+                               sum(map(len, table.arcs)))
 
 
 def assert_routes_agree(a, c):
@@ -105,6 +104,26 @@ def test_a52_table_is_the_comparability_matrix(poset_52):
     assert (up == poset_52.leq).all()
 
 
+def assert_table_is_the_old_construction(margins):
+    """Each member's arcs and steps in the class table against the
+    construction the table was once built by: the member's
+    ``_tight_moves``, each flipped (``_flip``) and looked up in the
+    index."""
+    table = order._build_table(margins)
+    for bits, v in table.index.items():
+        assert table.keys[v] == matrices.pack(
+            BinaryMatrix(margins.m, margins.n, bits))
+        want = [(table.index[_flip(bits, *q)], Interchange(*q))
+                for q in _tight_moves(bits)]
+        assert [(w, table.moves[table.keys[v] ^ table.keys[w]])
+                for w in table.arcs[v]] == want
+
+
+def test_table_arcs_are_the_tight_moves(poset_42, poset_52, small_posets):
+    for poset in (poset_42, poset_52, *small_posets):
+        assert_table_is_the_old_construction(poset.margins)
+
+
 def test_first_query_builds_the_class_table(slot):
     p, q = build_extremes(5)
     assert not slot
@@ -136,9 +155,9 @@ def test_the_charge_covers_what_a_table_holds():
             held = held_by_the_package(tracemalloc.take_snapshot())
         finally:
             tracemalloc.stop()
-        assert held <= charge_of(table)
+        assert held <= charge_of(margins, table)
     # on the class the bound is sized for, the charge is not far over
-    assert charge_of(table) < 1.5 * held
+    assert charge_of(margins, table) < 1.5 * held
 
 
 def test_classes_past_the_gate_get_no_table(slot, monkeypatch):
@@ -170,9 +189,10 @@ def test_classes_past_the_gate_get_no_table(slot, monkeypatch):
 
 def test_a_class_whose_arcs_pass_the_bound_gets_no_table(slot,
                                                          monkeypatch):
-    # room for A(4,2)'s members and bitsets, none for its 168 tight arcs
+    # room for A(4,2)'s members, bitsets and moves, none for its 168
+    # tight arcs
     monkeypatch.setattr(order, "MAX_TABLE_BYTES",
-                        order._table_charge(4, 90, 0, 0))
+                        order._table_charge(4, 4, 90, 0))
     p, q = build_extremes(4)
     assert table_of(p) is None
     assert secondary_bruhat_leq(p, q)
