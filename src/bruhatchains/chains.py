@@ -318,16 +318,16 @@ def _place(state: list[int], width: int, steps: Sequence[Step],
     """Reindex sub-chain steps into the rows x cols window of the running
     state, then apply them to it once (``_replay``) and append them to out.
     made holds one interchange per step of the build, so equal steps share
-    one object.  A jump target fills the window of the state the window
-    starts from: nothing outside the window moves, so this is the full
-    state after the jump."""
+    one object; every sub-chain step is ItoL.  A jump target fills the
+    window of the state the window starts from: nothing outside the window
+    moves, so this is the full state after the jump."""
     mapped = []
     for s in steps:
         if isinstance(s, Interchange):
             key = rows[s.i], rows[s.i2], cols[s.j], cols[s.j2]
             step = made.get(key)
-            if step is None or step.direction is not s.direction:
-                step = made[key] = Interchange(*key, s.direction)
+            if step is None:
+                step = made[key] = Interchange(*key)
         else:
             step = BruhatStep(embed(BinaryMatrix(len(state), width,
                                                  tuple(state)),
@@ -421,7 +421,8 @@ def chain_to_json_dict(chain: Chain) -> dict:
         else:
             steps.append(None)
             splices.append({"at": k, "matrix": step.target.to_json_dict()})
-    return {"mode": chain.mode, "start": chain.start.to_json_dict(),
+    return {"mode": "bruhat" if splices else "interchange",
+            "start": chain.start.to_json_dict(),
             "steps": steps, "splices": splices}
 
 

@@ -256,18 +256,14 @@ _SIGMA_ENTRY_BYTES = 80
 
 
 def cumulative_sums(a: BinaryMatrix) -> CumulativeTable:
-    """Table of leading-submatrix one-counts, read off the order table: a
-    lane's B bytes weighted by 1, 256, 256**2, ...  A table whose entries
-    would pass ``engine.MAX_ARRAY_BYTES`` at ``_SIGMA_ENTRY_BYTES`` each
-    raises ClassTooLarge before anything is built."""
+    """Table of leading-submatrix one-counts, read off the order table
+    (``_entries``).  A table whose entries would pass
+    ``engine.MAX_ARRAY_BYTES`` at ``_SIGMA_ENTRY_BYTES`` each raises
+    ClassTooLarge before anything is built."""
     from . import engine   # engine imports this module
     engine._check_budget(a.m * a.n, _SIGMA_ENTRY_BYTES,
                          f"the {a.m}x{a.n} partial-sum table")
-    table = _order_table(a)
-    size = table.width // 8
-    raw = table.sigma.to_bytes(a.m * a.n * size, "little")
-    lanes = np.frombuffer(raw, np.uint8).reshape(a.m, a.n, size)
-    values = lanes @ (1 << np.arange(0, 8 * size, 8))
+    values = _entries(_order_table(a), a.m, a.n)
     return CumulativeTable(a.m, a.n, tuple(map(tuple, values.tolist())))
 
 
@@ -376,18 +372,6 @@ def _guards(m: int, n: int, w: int) -> tuple[int, int]:
             int.from_bytes(edge, "little"))
 
 
-def _block(n: int, w: int, i: int, i2: int, j: int, j2: int) -> int:
-    """The block of an ItoL move at (i, i2, j, j2) on an m x n table in
-    w-bit lanes (``_guards``): a 1 in each lane of rows i..i2-1 and
-    columns j..j2-1.  One row of n lanes, a 1 in lanes j..j2-1, is
-    repeated i2 - i times after i rows of zero bytes, and read as one int:
-    at most the size of a table, built per move and kept nowhere."""
-    size = w // 8
-    row = (bytes(j * size) + (b"\x01" + bytes(size - 1)) * (j2 - j)
-           + bytes((n - j2) * size))
-    return int.from_bytes(bytes(i * n * size) + row * (i2 - i), "little")
-
-
 class _OrderTable(NamedTuple):
     """What every order query reads of a matrix: its partial-sum table
     packed into w-bit lanes as ``_guards`` lays them out, with each guard
@@ -435,26 +419,24 @@ def _order_table(a: BinaryMatrix) -> _OrderTable:
     return table
 
 
+def _entries(table: _OrderTable, m: int, n: int) -> np.ndarray:
+    """The entries of an m x n order table as a new m x n int32 array:
+    lanes of 1, 2 or 4 bytes read as little-endian unsigned ints, and of
+    3 bytes padded to 4; each is under its guard bit, so under 2**31."""
+    size = table.width // 8
+    raw = np.frombuffer(table.sigma.to_bytes(m * n * size, "little"), "u1")
+    if size == 3:
+        raw = np.pad(raw.reshape(-1, 3), ((0, 0), (0, 1)))
+        size = 4
+    return raw.view(f"<u{size}").astype(np.int32).reshape(m, n)
+
+
 def _dominates(x: int, y: int, high: int) -> bool:
     """Whether every entry of the packed table x is at least the entry of
     y in the same lane; high is the tables' guard bits.  With every guard
     bit of x set, one subtraction borrows within lanes only, and a lane's
     guard bit survives iff its entry of x is at least that of y."""
     return ((x | high) - y) & high == high
-
-
-def _lowered(excess: int, high: int, block: int) -> int | None:
-    """The packed excess table sigma(x) - sigma(c) of x after an ItoL
-    interchange, or None when the result no longer dominates c; high is
-    the table's guard bits (``_guards``) and block the move's ``_block``.
-
-    The move lowers sigma by exactly one on its block and leaves every
-    other entry alone.  With every guard bit set first, one subtraction
-    lowers the block with no borrow between lanes, and a lane's guard bit
-    survives iff its entry stays nonnegative.  Adding the block back gives
-    the excess before the move."""
-    y = (excess | high) - block
-    return y ^ high if y & high == high else None
 
 
 def _matches_pattern(rows: Sequence[int], t: Interchange) -> bool:

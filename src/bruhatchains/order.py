@@ -26,11 +26,10 @@ from .matrices import (
     BinaryMatrix,
     Interchange,
     MarginPair,
-    _block,
     _dominates,
+    _entries,
     _flip,
     _guards,
-    _lowered,
     _moves,
     _order_table,
     _OrderTable,
@@ -92,14 +91,14 @@ def bruhat_less(a: BinaryMatrix, c: BinaryMatrix) -> bool:
 
 # Charged against engine.MAX_ARRAY_BYTES before each state is expanded,
 # from tracemalloc (tests/test_memo.py checks it).  Ints take 30 bits per 4
-# bytes.  Once: four tables of m*n lanes, the excess and what one move holds
-# beside it (its block, the block's bytes and the lowered table).  Per state
+# bytes.  Once: the excess array, 4 bytes an entry, and beside it while the
+# second table is decoded, that table's bytes and its own array.  Per state
 # expanded, and never given back: its level of the path (the generator
 # frame of its moves, its stack entry and move, the Interchange of the chain
-# found), and what the dead set may keep: its rows tuple, two new row ints
-# of n bits and a set slot.
+# found), and what the dead set may keep: its rows tuple and a set slot;
+# and eight ints of n bits, its two new rows and the masks in the frame.
 _LEVEL_BYTES = 750
-_STATE_BYTES = 250
+_STATE_BYTES = 150
 
 
 def _search(a: BinaryMatrix, c: BinaryMatrix, tables, generate,
@@ -112,31 +111,33 @@ def _search(a: BinaryMatrix, c: BinaryMatrix, tables, generate,
 
     Every ItoL move raises the inversion count, so a state whose children
     are exhausted is dead for the rest of the query, and the search is
-    complete.  The search keeps one excess table sigma(x) - sigma(c) in
-    packed lanes, of the state x on top of its path: a move lowers it by
-    its block (``_lowered``, which prunes the states that stop dominating
-    c) and flips two rows; backing out of a dead state adds the block of
-    its move back, which restores its parent's excess exactly.  Moves
-    come lazily, in (i, i2, j, j2) order.  The path is an explicit stack
-    of each level's rows and move iterator, so a chain may be longer than
-    the recursion limit.  Before a state is expanded, the bytes of the
-    tables and of the states expanded so far are checked against
-    engine.MAX_ARRAY_BYTES."""
-    ta, tc, high = tables
-    if not _dominates(ta.sigma, tc.sigma, high):
+    complete.  The search keeps the excess sigma(x) - sigma(c) of the
+    state x on top of its path as one m x n int32 array (``_entries``).
+    A move lowers sigma by one on its block, ``excess[i:i2, j:j2]``, and
+    nowhere else: the child still dominates c iff the block has no zero,
+    and taking the move subtracts 1 from it in place; backing out of a
+    dead state adds 1 back to its move's block.  Moves come lazily, in
+    (i, i2, j, j2) order.  The path is an explicit stack of each level's
+    rows and move iterator, so a chain may be longer than the recursion
+    limit.  Before a state is expanded, the bytes of the array and of the
+    states expanded so far are checked against engine.MAX_ARRAY_BYTES."""
+    ta, tc, _ = tables
+    m, n = a.m, a.n
+    excess = _entries(ta, m, n)
+    excess -= _entries(tc, m, n)
+    if excess.min() < 0:
         return None, 0
     target = c.bits
-    n, w = a.n, ta.width
     dead: set[tuple[int, ...]] = set()
     limit = engine.MAX_ARRAY_BYTES
-    held = 4 * (a.m * n * w * 2 // 15 + 64)
-    level = 8 * a.m + n * 4 // 15 + _LEVEL_BYTES + _STATE_BYTES
+    held = m * n * (8 + ta.width // 8)
+    level = 8 * m + n * 16 // 15 + _LEVEL_BYTES + _STATE_BYTES
 
     explored = 0
     path: list[tuple[int, int, int, int]] = []
     # the states on the path, each with its moves not yet tried
     stack: list[tuple[tuple[int, ...], Iterator]] = []
-    rows, excess = a.bits, ta.sigma - tc.sigma
+    rows = a.bits
     while rows != target:
         explored += 1
         if explored > budget:
@@ -149,22 +150,22 @@ def _search(a: BinaryMatrix, c: BinaryMatrix, tables, generate,
         stack.append((rows, generate(rows)))
         while True:
             rows, moves = stack[-1]
-            for move in moves:
-                child = _flip(rows, *move)
-                if child not in dead:
-                    lowered = _lowered(excess, high, _block(n, w, *move))
-                    if lowered is not None:
-                        break
+            for i, i2, j, j2 in moves:
+                child = _flip(rows, i, i2, j, j2)
+                if child not in dead and excess[i:i2, j:j2].all():
+                    break
             else:   # every child tried: the state is dead
                 stack.pop()
                 if not stack:
                     return None, explored
                 dead.add(rows)
-                excess += _block(n, w, *path.pop())
+                i, i2, j, j2 = path.pop()
+                excess[i:i2, j:j2] += 1
                 continue
             break
-        path.append(move)
-        rows, excess = child, lowered
+        excess[i:i2, j:j2] -= 1
+        path.append((i, i2, j, j2))
+        rows = child
     return [Interchange(*move) for move in path], explored
 
 

@@ -4,10 +4,10 @@ witnesses of the depth-first search it replaces, and the slot keeps to
 its rules: it holds the last class of at most 64 cells that was queried,
 with its table when the charge fits MAX_TABLE_BYTES or else its
 refusal, and a class over 64 cells is neither keyed nor kept.  A class
-with no table is searched with one excess table: the byte rule charges
-that table once and each state before it is expanded, which covers what
+with no table is searched with one excess array: the byte rule charges
+that array once and each state before it is expanded, which covers what
 the search holds under tracemalloc, and a query that makes no move
-builds no move's block."""
+tries none."""
 
 import random
 import tracemalloc
@@ -264,12 +264,13 @@ def test_large_searches_keep_the_small_entries(poset_52, slot, monkeypatch):
     assert all(slot[key] is table for key, table in kept.items())
 
 
-def test_a_query_that_makes_no_move_builds_no_lanes(monkeypatch):
-    def no_block(*args):
-        raise AssertionError("a move's block built")
+def test_a_query_that_makes_no_move_tries_none(monkeypatch):
+    def no_flip(*args):
+        raise AssertionError("a move tried")
 
-    monkeypatch.setattr(order, "_block", no_block)
-    # a block of P_600's 1,200 ones is up to 360,000 two-byte lanes
+    monkeypatch.setattr(order, "_flip", no_flip)
+    # P_600 has 1,200 ones: a self-query is at its target before any move,
+    # and Q_600 does not dominate P_600, which the excess array tells
     p, q = build_extremes(600)
     assert secondary_bruhat_leq(p, p) and secondary_bruhat_leq(q, q)
     assert not secondary_bruhat_leq(q, p)
@@ -283,20 +284,22 @@ def test_the_search_charge_covers_what_it_holds(monkeypatch, generate):
     # a limit one byte under the tracemalloc peak refuses the search
     # before it gets there, and one half over it admits the search: the
     # charge is neither under what the search holds nor far over it
-    p, q = build_extremes(30)
-    tables = _require_same_class(p, q)
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        assert _search(p, q, tables, generate, 10**6)[0] is not None
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    monkeypatch.setattr(engine, "MAX_ARRAY_BYTES", peak - 1)
-    with pytest.raises(ClassTooLarge, match="over the"):
-        _search(p, q, tables, generate, 10**6)
-    monkeypatch.setattr(engine, "MAX_ARRAY_BYTES", peak + peak // 2)
-    assert _search(p, q, tables, generate, 10**6)[0] is not None
+    for n in (30, 40):
+        p, q = build_extremes(n)
+        tables = _require_same_class(p, q)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            assert _search(p, q, tables, generate, 10**6)[0] is not None
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        with monkeypatch.context() as patch:
+            patch.setattr(engine, "MAX_ARRAY_BYTES", peak - 1)
+            with pytest.raises(ClassTooLarge, match="over the"):
+                _search(p, q, tables, generate, 10**6)
+            patch.setattr(engine, "MAX_ARRAY_BYTES", peak + peak // 2)
+            assert _search(p, q, tables, generate, 10**6)[0] is not None
 
 
 def test_the_search_holds_one_excess_table(monkeypatch):

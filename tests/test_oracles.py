@@ -12,6 +12,7 @@ import random
 import tracemalloc
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -40,15 +41,14 @@ from bruhatchains import (
     verify_chain,
 )
 from bruhatchains.matrices import (
-    _block,
     _columns,
-    _dominates,
+    _entries,
     _flip,
     _guards,
     _increment,
-    _lowered,
     _moves,
     _order_table,
+    _OrderTable,
     _tight_moves,
 )
 from bruhatchains.order import (
@@ -300,91 +300,81 @@ def unpack(packed, size, high):
     return [packed >> k * w & (1 << w) - 1 for k in range(size)]
 
 
-def packed_excess(rows, target, n):
-    """The packed excess table sigma(rows) - sigma(target) of two
-    same-class row tuples, read off their order tables, with its guard
-    bits; None when some entry is negative."""
+def excess_of(rows, target, n):
+    """The excess sigma(rows) - sigma(target) of two same-class row tuples
+    as the search holds it: their order tables decoded by ``_entries``
+    into an m x n int32 array, negative entries included."""
     m = len(rows)
     ta = _order_table(BinaryMatrix(m, n, rows))
     tc = _order_table(BinaryMatrix(m, n, target))
     assert ta.width == tc.width
-    high = _guards(m, n, ta.width)[0]
-    if not _dominates(ta.sigma, tc.sigma, high):
-        return None
-    return ta.sigma - tc.sigma, high
+    return _entries(ta, m, n) - _entries(tc, m, n)
 
 
-def lowered(excess, high, n, quad):
-    """``_lowered`` of the excess by the block of the move at quad."""
-    return _lowered(excess, high, _block(n, lane_width(high), *quad))
+def recounted(rows, end, n):
+    """The excess of rows over the recounted table end, row-major."""
+    return [u - v for u, v in zip(sigma(rows, n), end)]
 
 
 @given(walks())
 @settings(max_examples=200)
 def test_incremental_state_equals_recount(walk):
     # every state of an ItoL walk dominates its end, so the whole walk
-    # stays admissible with the end as the target
+    # stays admissible with the end as the target: each move's block has
+    # no zero, and lowering it in place gives the next state's excess
     n, states, quads = walk
     m = len(states[0])
     start = BinaryMatrix(m, n, states[0])
     end = sigma(states[-1], n)
-    excess, high = packed_excess(states[0], states[-1], n)
+    excess = excess_of(states[0], states[-1], n)
+    assert excess.dtype == np.int32 and excess.shape == (m, n)
     # the top entry of sigma, the number of ones, fits below the guard bit
-    assert lane_width(high) == byte_lane_width(end[-1])
+    assert _order_table(start).width == byte_lane_width(end[-1])
     nu = inversion_count(start)
-    for rows, quad in zip(states, quads):
-        nu += _increment(rows, *quad)
-        excess = lowered(excess, high, n, quad)
-        x = BinaryMatrix(m, n, _flip(rows, *quad))
-        recount = sigma(x.bits, n)
-        assert unpack(excess, m * n, high) == [u - v for u, v in
-                                               zip(recount, end)]
+    for rows, (i, i2, j, j2) in zip(states, quads):
+        nu += _increment(rows, i, i2, j, j2)
+        block = excess[i:i2, j:j2]
+        assert block.all()
+        block -= 1
+        x = BinaryMatrix(m, n, _flip(rows, i, i2, j, j2))
+        assert excess.ravel().tolist() == recounted(x.bits, end, n)
         assert nu == inversion_count(x)
-    assert excess == 0
+    assert not excess.any()
 
 
 @given(walks())
 @settings(max_examples=200)
-def test_lowered_refuses_exactly_the_non_dominating(walk):
+def test_a_block_with_no_zero_is_exactly_a_dominating_move(walk):
     # every move of every state along the walk, not only the one taken:
-    # the move keeps domination of the end iff _lowered returns a table
+    # the child dominates the end iff the move's block has no zero
     n, states, _ = walk
-    m = len(states[0])
-    target = sigma(states[-1], n)
+    end = sigma(states[-1], n)
     for rows in states:
-        excess, high = packed_excess(rows, states[-1], n)
-        assert unpack(excess, m * n, high) == [u - v for u, v in
-                                               zip(sigma(rows, n), target)]
-        for quad in _moves(rows):
-            child_rows = _flip(rows, *quad)
-            child = [u - v for u, v in zip(sigma(child_rows, n), target)]
-            got = lowered(excess, high, n, quad)
-            if min(child) < 0:
-                assert got is None
-                assert packed_excess(child_rows, states[-1], n) is None
-            else:
-                assert unpack(got, m * n, high) == child
+        excess = excess_of(rows, states[-1], n)
+        assert excess.ravel().tolist() == recounted(rows, end, n)
+        for i, i2, j, j2 in _moves(rows):
+            child = recounted(_flip(rows, i, i2, j, j2), end, n)
+            assert excess[i:i2, j:j2].all() == (min(child) >= 0)
 
 
 @given(walks())
 @settings(max_examples=200)
 def test_block_is_the_move_and_adding_it_back_undoes_it(walk):
-    # the block of every move of every state along the walk is a 1 in the
-    # lanes of its rows and columns and nowhere else, and adding it back
-    # to an admissible move's lowered excess restores the excess: the
-    # search's undo on backtrack
+    # subtracting 1 from the block of any move of any state along the walk
+    # gives the child's excess, admissible or not: the move lowers sigma
+    # on its block and nowhere else; adding 1 back restores the array,
+    # which is the search's undo on backtrack
     n, states, _ = walk
-    m = len(states[0])
+    end = sigma(states[-1], n)
     for rows in states:
-        excess, high = packed_excess(rows, states[-1], n)
-        w = lane_width(high)
+        excess = excess_of(rows, states[-1], n)
+        before = excess.copy()
         for i, i2, j, j2 in _moves(rows):
-            block = _block(n, w, i, i2, j, j2)
-            assert block == sum(1 << (k * n + l) * w for k in range(i, i2)
-                                for l in range(j, j2))
-            got = _lowered(excess, high, block)
-            if got is not None:
-                assert got + block == excess
+            excess[i:i2, j:j2] -= 1
+            assert excess.ravel().tolist() == \
+                recounted(_flip(rows, i, i2, j, j2), end, n)
+            excess[i:i2, j:j2] += 1
+            assert (excess == before).all()
 
 
 def brute_inversions(a):
@@ -484,14 +474,29 @@ def test_guards_are_the_lane_masks(m, n):
         assert high == sum(1 << k * w + w - 1 for k in range(m * n))
         assert edge == sum(lane << (i * n + j) * w for i in range(m)
                            for j in range(n) if i == m - 1 or j == n - 1)
-        # the block of the whole table is the low bit of every lane
-        assert _block(n, w, 0, m, 0, n) == high >> w - 1
+
+
+@pytest.mark.parametrize("width", [8, 16, 24, 32])
+def test_entries_read_every_lane_width(width):
+    # lanes of 4 bytes need 2**23 ones, too many to build a matrix for:
+    # a packed table of random entries below the guard bit, down to 0 and
+    # up to the largest, reads back as a new writable int32 array
+    rng = random.Random(width)
+    m, n = 3, 5
+    values = [0, (1 << width - 1) - 1] + [
+        rng.randrange(1 << width - 1) for _ in range(m * n - 2)]
+    sigma = sum(v << k * width for k, v in enumerate(values))
+    got = _entries(_OrderTable(sigma, width, 0), m, n)
+    assert got.dtype == np.int32 and got.shape == (m, n)
+    assert got.ravel().tolist() == values
+    got -= 1
+    assert got.ravel().tolist() == [v - 1 for v in values]
 
 
 def test_order_queries_on_large_extremes(memory_cap):
     # each table is 1500 x 1500 lanes of 2 bytes, 4.5 MB, and so is each
-    # guard mask; a search beside them would hold one excess table and
-    # build each move's block, at most one more table
+    # guard mask; a search beside them would hold one excess array of
+    # 4-byte entries, 9 MB, and edit each move's block of it in place
     p, q = build_extremes(1500)
     assert (inversion_count(p), inversion_count(q)) == \
         extremal_inversions(1500)
