@@ -110,9 +110,11 @@ class _Members(Sequence):
     def __getitem__(self, v):
         if isinstance(v, slice):
             return [self[i] for i in range(*v.indices(len(self)))]
-        if self._slots[v] is None:
-            self._slots[v] = decode(int(self._keys[v]), self._m, self._n)
-        return self._slots[v]
+        member = self._slots[v]
+        if member is None:
+            member = self._slots[v] = decode(int(self._keys[v]), self._m,
+                                             self._n)
+        return member
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Sequence):

@@ -57,31 +57,37 @@ class OrderVerdict:
 
 
 def _require_same_class(a: BinaryMatrix, c: BinaryMatrix
-                        ) -> tuple[_OrderTable, _OrderTable, int]:
-    """The order tables of a and c and their guard bits, once a and c are
-    known to share a class: equal dimensions, equal lane widths (else the
-    lanes do not line up), and equal lanes along the last row (cumulative
-    column sums) and the last column (cumulative row sums)."""
+                        ) -> tuple[_OrderTable, _OrderTable, int, int]:
+    """The order tables of a and c, their guard bits and the mask of their
+    edge lanes, once a and c are known to share a class: equal dimensions,
+    equal lane widths (else the lanes do not line up), and equal lanes
+    along the last row (cumulative column sums) and the last column
+    (cumulative row sums)."""
     if a.m == c.m and a.n == c.n:
         ta, tc = _order_table(a), _order_table(c)
         if ta.width == tc.width:
             high, edge = _guards(a.m, a.n, ta.width)
             if not (ta.sigma ^ tc.sigma) & edge:
-                return ta, tc, high
+                return ta, tc, high, edge
     raise MarginMismatch("matrices are not in the same class")
 
 
 def bruhat_leq(a: BinaryMatrix, c: BinaryMatrix) -> bool:
     """a precedes c iff the partial-sum table of a dominates that of c
     entrywise."""
-    ta, tc, high = _require_same_class(a, c)
+    ta, tc, high, _ = _require_same_class(a, c)
     return _dominates(ta.sigma, tc.sigma, high)
 
 
+# The four verdicts, by (leq, geq); frozen, so every query shares them.
+_VERDICTS = {(leq, geq): OrderVerdict(leq, geq)
+             for leq in (False, True) for geq in (False, True)}
+
+
 def bruhat_verdict(a: BinaryMatrix, c: BinaryMatrix) -> OrderVerdict:
-    ta, tc, high = _require_same_class(a, c)
-    return OrderVerdict(leq=_dominates(ta.sigma, tc.sigma, high),
-                        geq=_dominates(tc.sigma, ta.sigma, high))
+    ta, tc, high, _ = _require_same_class(a, c)
+    return _VERDICTS[_dominates(ta.sigma, tc.sigma, high),
+                     _dominates(tc.sigma, ta.sigma, high)]
 
 
 def bruhat_less(a: BinaryMatrix, c: BinaryMatrix) -> bool:
@@ -121,7 +127,7 @@ def _search(a: BinaryMatrix, c: BinaryMatrix, tables, generate,
     rows and move iterator, so a chain may be longer than the recursion
     limit.  Before a state is expanded, the bytes of the array and of the
     states expanded so far are checked against engine.MAX_ARRAY_BYTES."""
-    ta, tc, _ = tables
+    ta, tc, _, _ = tables
     m, n = a.m, a.n
     excess = _entries(ta, m, n)
     excess -= _entries(tc, m, n)
@@ -205,15 +211,17 @@ class _ClassTable(NamedTuple):
                    ) -> tuple[list[Interchange] | None, int]:
         """The chain ``_search`` finds over ``_tight_moves`` and its length,
         or (None, 0): at each state, the first arc whose target reaches c."""
-        v, goal = self.index[a.bits], self.index[c.bits]
-        if not self.tight[v] >> goal & 1:
+        index, keys, tight, arcs, moves = (self.index, self.keys, self.tight,
+                                           self.arcs, self.moves)
+        v, goal = index[a.bits], index[c.bits]
+        if not tight[v] >> goal & 1:
             return None, 0
         path = []
         while v != goal:
-            for w in self.arcs[v]:
-                if self.tight[w] >> goal & 1:
+            for w in arcs[v]:
+                if tight[w] >> goal & 1:
                     break
-            path.append(self.moves[self.keys[v] ^ self.keys[w]])
+            path.append(moves[keys[v] ^ keys[w]])
             v = w
         return path, len(path)
 
@@ -264,12 +272,14 @@ def _build_table(margins: MarginPair) -> _ClassTable | None:
 _SLOT: dict[tuple[int, int, int], _ClassTable | None] = {}
 
 
-def _class_table(a: BinaryMatrix, ta: _OrderTable) -> _ClassTable | None:
+def _class_table(a: BinaryMatrix, tables) -> _ClassTable | None:
     """The table of a's class, or None past ``engine.MAX_CELLS`` cells;
+    tables are _require_same_class(a, c), whose edge lanes key the class.
     _SLOT holds the last class queried, and another class replaces it."""
     if a.m * a.n > engine.MAX_CELLS:
         return None
-    key = (a.m, a.n, ta.sigma & _guards(a.m, a.n, ta.width)[1])
+    ta, _, _, edge = tables
+    key = (a.m, a.n, ta.sigma & edge)
     if key not in _SLOT:
         _SLOT.clear()
         _SLOT[key] = _build_table(a.margins())
@@ -283,7 +293,7 @@ def secondary_bruhat_leq(a: BinaryMatrix, c: BinaryMatrix,
     node_budget; else ``_search`` over every ItoL move, which raises
     SearchBudgetExceeded past node_budget expansions."""
     tables = _require_same_class(a, c)
-    table = _class_table(a, tables[0])
+    table = _class_table(a, tables)
     if table is not None:
         return bool(table.up[table.index[a.bits]] >> table.index[c.bits] & 1)
     path, expanded = _search(a, c, tables, _moves, node_budget)

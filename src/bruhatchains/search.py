@@ -132,11 +132,11 @@ def tight_chain_search(a: BinaryMatrix, c: BinaryMatrix,
     of a tight chain has one), ``explored`` counts its expansions, and
     past budget it gives up, with budget_hit set."""
     tables = _require_same_class(a, c)
-    ta, tc, _ = tables
+    ta, tc, _, _ = tables
     if ta.nu > tc.nu:
         raise StartAboveTarget(
             f"start has more inversions than the target ({ta.nu} > {tc.nu})")
-    table = _class_table(a, ta)
+    table = _class_table(a, tables)
     path, explored = (table.tight_path(a, c) if table is not None
                       else _search(a, c, tables, _tight_moves, budget))
     if path is None:

@@ -386,6 +386,63 @@ class TestVerifyChain:
             inversion_count(a) for a in chain.matrices())
         assert all(target._table is None for target in jumps)
 
+    @pytest.mark.parametrize("end", ["tabled", "bare", "none"])
+    def test_the_recount_guards_the_increments(self, monkeypatch, end):
+        # an increment one too many is caught by the full recount, whether
+        # it reads the expected end's kept table, builds that table, or
+        # builds one for a fresh copy of the final state
+        _, q4 = build_extremes(4)
+        inversion_count(q4)
+        bare = BinaryMatrix(4, 4, q4.bits)
+        assert q4._table is not None and bare._table is None
+        expected = {"tabled": q4, "bare": bare, "none": None}[end]
+        increment = chains_module._increment
+        monkeypatch.setattr(chains_module, "_increment",
+                            lambda *args: increment(*args) + 1)
+        with pytest.raises(RuntimeError, match="full recount"):
+            verify_chain(base_chain_4(), None, expected)
+
+    def test_a_tabled_end_saves_one_order_table(self, monkeypatch):
+        # the witness starts at p4 and ends at q4, both tabled by the
+        # search: with q4 as expected_end the recount reads q4's table,
+        # without it the final state is a fresh copy that builds its own
+        p4, q4 = build_extremes(4)
+        witness = tight_chain_search(p4, q4).witness
+        assert q4._table is not None
+        built = []
+        table = matrices._OrderTable
+
+        def counting(*fields):
+            built.append(fields)
+            return table(*fields)
+
+        monkeypatch.setattr(matrices, "_OrderTable", counting)
+        bare = verify_chain(witness)
+        fresh_end = len(built)
+        matched = verify_chain(witness, p4, q4)
+        assert len(built) - fresh_end == fresh_end - 1
+        assert matched == bare
+        assert matched.valid and matched.tight and matched.endpoints_ok
+
+    def test_a_rise_of_two_is_not_tight(self):
+        p4, _ = build_extremes(4)
+        rep = verify_chain(Chain(p4, (Interchange(1, 2, 0, 2),)))
+        assert rep.valid and rep.nu_profile == (2, 4)
+        assert rep.tight is False
+
+    def test_a_chain_failing_after_rises_of_one_is_not_tight(self):
+        p4, _ = build_extremes(4)
+        steps = base_chain_4().steps[:3] + (Interchange(0, 1, 0, 1),)
+        rep = verify_chain(Chain(p4, steps))
+        assert not rep.valid and rep.failing_step == 3
+        assert rep.nu_profile == (2, 3, 4, 5)
+        assert rep.tight is False
+
+    def test_a_jump_that_raises_nu_by_one_stays_tight(self):
+        rep = verify_chain(chain_y_to_q5())
+        assert rep.valid and rep.nu_profile[1] - rep.nu_profile[0] == 1
+        assert rep.tight is True
+
     def test_jump_into_another_class(self):
         p4, _ = build_extremes(4)
         first = base_chain_4().steps[0]

@@ -30,7 +30,7 @@ from bruhatchains import (
     tight_chain_search,
 )
 from bruhatchains import matrices, order
-from bruhatchains.matrices import _flip, _moves, _order_table, _tight_moves
+from bruhatchains.matrices import _flip, _moves, _tight_moves
 from bruhatchains.order import _class_table, _require_same_class, _search
 from reference import sigma
 from test_oracles import reference_secondary, reference_tight
@@ -45,7 +45,7 @@ def slot():
 
 
 def table_of(a):
-    return _class_table(a, _order_table(a))
+    return _class_table(a, _require_same_class(a, a))
 
 
 def charge_of(margins, table):

@@ -1,6 +1,7 @@
 """Order predicates: Bruhat domination, interchange reachability, and the
 structural extremal tests."""
 
+import dataclasses
 import random
 
 import pytest
@@ -14,6 +15,7 @@ from bruhatchains import (
     MarginMismatch,
     MarginPair,
     NotInClass,
+    OrderVerdict,
     bruhat_leq,
     bruhat_less,
     bruhat_verdict,
@@ -43,6 +45,26 @@ class TestBruhatLeq:
     def test_incomparable_pair(self):
         verdict = bruhat_verdict(INCOMP_A, INCOMP_C)
         assert not verdict.leq and not verdict.geq
+
+    def test_verdicts_are_shared_frozen_values(self, poset_42):
+        # every (leq, geq) value of A(4,2): equal, below, above, neither
+        members, leq = poset_42.members, poset_42.leq
+        seen = {}
+        for x in range(len(members)):
+            for y in range(len(members)):
+                want = OrderVerdict(bool(leq[x, y]), bool(leq[y, x]))
+                verdict = bruhat_verdict(members[x], members[y])
+                shared = seen.setdefault((want.leq, want.geq), verdict)
+                assert verdict == want and verdict is shared
+        assert len(seen) == 4
+        for verdict in seen.values():
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                verdict.leq = not verdict.leq
+            copy = dataclasses.replace(verdict)
+            assert copy == verdict and copy is not verdict
+        flipped = dataclasses.replace(seen[True, False], leq=False)
+        assert flipped == OrderVerdict(False, False)
+        assert seen[True, False] == OrderVerdict(True, False)
 
     def test_margin_mismatch(self):
         with pytest.raises(MarginMismatch):
