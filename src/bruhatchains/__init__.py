@@ -54,7 +54,6 @@ from .matrices import (
     L2,
     BinaryMatrix,
     CumulativeTable,
-    Direction,
     Interchange,
     MarginPair,
     apply_interchange,
@@ -81,7 +80,6 @@ from .search import (
     SearchOutcome,
     certificate,
     longest_chain,
-    longest_chain_between,
     maximal_chain_spectrum,
     monotonicity_check,
     tight_chain_search,

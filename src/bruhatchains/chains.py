@@ -22,7 +22,6 @@ from .matrices import (
     F3R,
     J2,
     BinaryMatrix,
-    Direction,
     Interchange,
     _BLANKS,
     _ascii_int,
@@ -93,24 +92,24 @@ def _replay(rows: list[int], width: int, steps: Sequence[Step],
     target that the ascent check ordered, whose order table holds the
     target's inversion count; the step given keeps no table.
 
-    An interchange step must be ItoL and match its pattern; a jump step
-    must be a strict Bruhat ascent.  An invalid step raises PatternMismatch
+    An interchange step must match its ItoL pattern; a jump step must be
+    a strict Bruhat ascent.  An invalid step raises PatternMismatch
     (MarginMismatch for a jump into another class) and leaves rows at the
     state before it; malformed step data raises MalformedChain."""
-    m, itol = len(rows), Direction.ItoL
+    m = len(rows)
     for k, step in enumerate(steps):
         if isinstance(step, Interchange):
-            i, i2, j, j2 = step.i, step.i2, step.j, step.j2
-            # the bounds come first, so a column past the width is never
-            # shifted by
-            ok = step.direction is itol and i2 < m and j2 < width
+            i, i2, j, j2 = step
+            # the bounds come first, so no row outside the matrix is read
+            # and a column past the width is never shifted by
+            ok = 0 <= i < i2 < m and 0 <= j < j2 < width
             if ok:
                 left, right = 1 << j, 1 << j2
                 flip = left | right
                 ok = rows[i] & flip == left and rows[i2] & flip == right
             if not ok:
                 raise PatternMismatch(
-                    f"step {k}: no ItoL pattern at {step.quad()}")
+                    f"step {k}: no ItoL pattern at {(i, i2, j, j2)}")
             rows[i] ^= flip
             rows[i2] ^= flip
             if cols is not None:
@@ -139,7 +138,7 @@ def _replay(rows: list[int], width: int, steps: Sequence[Step],
 @dataclass(frozen=True)
 class ChainReport:
     """Outcome of replaying a chain.  ``failing_reason`` says why
-    ``failing_step`` is invalid: ``pattern_mismatch``, ``ltoi_step``,
+    ``failing_step`` is invalid: ``pattern_mismatch``,
     ``not_strict_ascent`` (a jump) or ``other_class`` (a jump into
     another class); both are None on a valid chain."""
 
@@ -176,8 +175,10 @@ def verify_chain(chain: Chain,
     try:
         for step in _replay(rows, n, chain.steps, cols):
             if isinstance(step, Interchange):
-                rise = _increment(rows, step.i, step.i2, step.j, step.j2,
-                                  cols)
+                # unpacked first: a call with *step builds an argument
+                # tuple at every step
+                i, i2, j, j2 = step
+                rise = _increment(rows, i, i2, j, j2, cols)
             else:
                 rise = inversion_count(step.target) - nu
             if rise != 1:
@@ -188,13 +189,9 @@ def verify_chain(chain: Chain,
         failing, reason = len(nu_profile) - 1, "other_class"
     except PatternMismatch:
         failing = len(nu_profile) - 1
-        step = chain.steps[failing]
-        if isinstance(step, BruhatStep):
-            reason = "not_strict_ascent"
-        elif step.direction is not Direction.ItoL:
-            reason = "ltoi_step"
-        else:
-            reason = "pattern_mismatch"
+        reason = ("not_strict_ascent"
+                  if isinstance(chain.steps[failing], BruhatStep)
+                  else "pattern_mismatch")
     bits = tuple(rows)
     at_end = (expected_end is not None and expected_end.m == m
               and expected_end.n == n and expected_end.bits == bits)
@@ -304,8 +301,7 @@ _BASE16_STEPS: tuple[tuple[int, int, int, int], ...] = (
 def base_chain_4() -> Chain:
     """Frozen tight chain of length 16 from P_4 to Q_4."""
     p4, _ = build_extremes(4)
-    steps = tuple(Interchange(*q, Direction.ItoL) for q in _BASE16_STEPS)
-    return Chain(p4, steps)
+    return Chain(p4, tuple(Interchange(*q) for q in _BASE16_STEPS))
 
 
 def chain_y_to_q5() -> Chain:
@@ -419,12 +415,20 @@ def build_chain(n: int) -> Chain:
 # --- serialization -------------------------------------------------------
 
 
+def _parsed(i: int, i2: int, j: int, j2: int) -> Interchange:
+    """The interchange a chain file names; ValueError unless
+    0 <= i < i2 and 0 <= j < j2."""
+    if not (0 <= i < i2 and 0 <= j < j2):
+        raise ValueError("interchange needs i < i2 and j < j2")
+    return Interchange(i, i2, j, j2)
+
+
 def chain_to_json_dict(chain: Chain) -> dict:
     steps: list[list[int] | None] = []
     splices = []
     for k, step in enumerate(chain.steps):
         if isinstance(step, Interchange):
-            steps.append([step.i, step.i2, step.j, step.j2])
+            steps.append(list(step))
         else:
             steps.append(None)
             splices.append({"at": k, "matrix": step.target.to_json_dict()})
@@ -470,7 +474,7 @@ def chain_from_json_dict(data: dict) -> Chain:
             key = i, i2, j, j2
             step = made.get(key)
             if step is None:
-                step = made[key] = Interchange(i, i2, j, j2)
+                step = made[key] = _parsed(*key)
             steps.append(step)
     except KeyError as exc:
         raise MalformedChain(f"{field}: missing key {exc}") from exc
@@ -499,7 +503,7 @@ def chain_to_text(chain: Chain) -> str:
     if chain.mode != "interchange":
         raise MalformedChain("text format only covers interchange chains")
     lines = [chain.start.to_text(), ""]
-    lines.extend(" ".join(map(str, s.quad())) for s in chain.steps)
+    lines.extend(" ".join(map(str, s)) for s in chain.steps)
     return "\n".join(lines) + "\n"
 
 
@@ -520,7 +524,7 @@ def chain_from_text(text: str) -> Chain:
             if not fields:
                 continue
             i, i2, j, j2 = map(_ascii_int, fields)
-            steps.append(Interchange(i, i2, j, j2, Direction.ItoL))
+            steps.append(_parsed(i, i2, j, j2))
     except (ValueError, TypeError) as exc:
         raise MalformedChain(str(exc)) from exc
     return Chain(start, tuple(steps))

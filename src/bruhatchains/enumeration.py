@@ -198,25 +198,6 @@ class ClassPoset:
                 return int(self._by_key[at])
         raise KeyError("matrix is not a member of this class")
 
-    def strict(self) -> np.ndarray:
-        """Strict comparability: a copy of ``leq`` with the diagonal
-        cleared."""
-        if self.leq is None:
-            raise ValueError("comparability needs the full poset")
-        strict = self.leq.copy()
-        np.fill_diagonal(strict, False)
-        return strict
-
-    def strict_pairs(self) -> Iterator[tuple[int, int]]:
-        """All ordered pairs (a, c) with a strictly below c, read from
-        ``leq`` one row at a time."""
-        if self.leq is None:
-            raise ValueError("comparability needs the full poset")
-        for a, row in enumerate(self.leq):
-            for c in np.flatnonzero(row).tolist():
-                if c != a:
-                    yield a, c
-
     def cover_pairs(self) -> list[tuple[int, int]]:
         sources = np.repeat(np.arange(len(self)), np.diff(self.indptr))
         return list(zip(sources.tolist(), self.targets.tolist()))

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from enum import Enum
 from functools import lru_cache
 from math import comb
 from typing import Iterator, NamedTuple, Sequence
@@ -42,13 +41,6 @@ def _ascii_int(text: str) -> int:
     if not (text.isascii() and text.isdigit()):
         raise ValueError(f"{text!r} is not written in the digits 0-9")
     return int(text)
-
-
-class Direction(Enum):
-    """Orientation of an interchange: identity pattern to anti-identity, or back."""
-
-    ItoL = "ItoL"
-    LtoI = "LtoI"
 
 
 @dataclass(frozen=True, slots=True)
@@ -221,22 +213,15 @@ class CumulativeTable:
         return tuple(v for row in self.values for v in row)
 
 
-@dataclass(frozen=True, order=True)
-class Interchange:
-    """A 2x2 move at rows i < i2 and columns j < j2, with a direction."""
+class Interchange(NamedTuple):
+    """The ItoL move at rows i < i2 and columns j < j2: the I2 there
+    becomes L2.  The value is its quad, equal to the tuple (i, i2, j, j2).
+    Nothing is checked when one is built; its readers test the indices."""
 
     i: int
     i2: int
     j: int
     j2: int
-    direction: Direction = Direction.ItoL
-
-    def __post_init__(self) -> None:
-        if not (0 <= self.i < self.i2 and 0 <= self.j < self.j2):
-            raise ValueError("interchange needs i < i2 and j < j2")
-
-    def quad(self) -> tuple[int, int, int, int]:
-        return (self.i, self.i2, self.j, self.j2)
 
 
 # Named small matrices used throughout: the all-ones 2x2 block, its
@@ -323,28 +308,20 @@ def _tight_moves(rows: Sequence[int]) -> Iterator[tuple[int, int, int, int]]:
 
 
 # What find_interchanges holds per move, from tracemalloc: an Interchange
-# and its list slot (122 bytes), and for LtoI the sorted quads beside it.
+# and its list slot, 88 to 90 bytes on P_60, P_100 and random states.
 _MOVE_BYTES = 256
 
 
-def find_interchanges(a: BinaryMatrix,
-                      direction: Direction = Direction.ItoL) -> list[Interchange]:
-    """All positions whose 2x2 submatrix matches the source pattern of the
-    requested direction, sorted lexicographically by (i, i2, j, j2).  An
-    LtoI pattern at rows i < i2 is an ItoL pattern of the rows reversed,
-    at rows m-1-i2 < m-1-i.  A list that could pass
+def find_interchanges(a: BinaryMatrix) -> list[Interchange]:
+    """All positions whose 2x2 submatrix holds the identity pattern I2,
+    sorted lexicographically by (i, i2, j, j2).  A list that could pass
     ``engine.MAX_ARRAY_BYTES`` raises ClassTooLarge before it is built:
     each move takes two ones, so there are at most C(ones, 2)."""
     from . import engine   # engine imports this module
     engine._check_budget(min(comb(a.m, 2) * comb(a.n, 2),
                              comb(a.count_ones(), 2)), _MOVE_BYTES,
                          "the interchange list")
-    if direction is Direction.ItoL:
-        return [Interchange(*move) for move in _moves(a.bits)]
-    last = a.m - 1
-    moves = sorted((last - p2, last - p, j, j2)
-                   for p, p2, j, j2 in _moves(a.bits[::-1]))
-    return [Interchange(*move, direction) for move in moves]
+    return [Interchange(*move) for move in _moves(a.bits)]
 
 
 def _flip(rows: tuple[int, ...], i: int, i2: int, j: int, j2: int
@@ -440,24 +417,23 @@ def _dominates(x: int, y: int, high: int) -> bool:
 
 
 def _matches_pattern(rows: Sequence[int], t: Interchange) -> bool:
-    """Whether the rows hold the source pattern of t at its 2x2 position.
-    Both patterns have a one in column j2, so a column index past the
-    highest one of the two rows never matches, and is never shifted by."""
-    if t.i2 >= len(rows) or t.j2 >= (rows[t.i] | rows[t.i2]).bit_length():
+    """Whether the rows hold I2 at t's 2x2 position.  The indices are
+    tested first, so no row outside the matrix is read, and no column past
+    the highest one of the two rows, where I2 never matches, is shifted by."""
+    i, i2, j, j2 = t
+    if not (0 <= i < i2 < len(rows)
+            and 0 <= j < j2 < (rows[i] | rows[i2]).bit_length()):
         return False
-    left, right = 1 << t.j, 1 << t.j2
-    if t.direction is Direction.LtoI:
-        left, right = right, left
+    left, right = 1 << j, 1 << j2
     both = left | right
-    return rows[t.i] & both == left and rows[t.i2] & both == right
+    return rows[i] & both == left and rows[i2] & both == right
 
 
 def apply_interchange(a: BinaryMatrix, t: Interchange) -> BinaryMatrix:
-    """Replace the addressed 2x2 submatrix by the opposite pattern."""
+    """Replace the I2 at t's 2x2 submatrix by L2."""
     if not _matches_pattern(a.bits, t):
-        raise PatternMismatch(
-            f"submatrix at {t.quad()} is not {t.direction.value[0]}2")
-    return BinaryMatrix(a.m, a.n, _flip(a.bits, *t.quad()))
+        raise PatternMismatch(f"submatrix at {tuple(t)} is not I2")
+    return BinaryMatrix(a.m, a.n, _flip(a.bits, *t))
 
 
 def _columns(rows: Sequence[int], width: int) -> list[int]:
@@ -500,9 +476,9 @@ def interchange_increment(a: BinaryMatrix, t: Interchange) -> int:
     """Exact inversion gain of applying a valid ItoL interchange: one plus
     a weighted count of ones in the five blocks strictly between the two
     rows and two columns of the move."""
-    if t.direction is not Direction.ItoL or not _matches_pattern(a.bits, t):
-        raise PatternMismatch(f"no ItoL pattern at {t.quad()}")
-    return _increment(a.bits, *t.quad())
+    if not _matches_pattern(a.bits, t):
+        raise PatternMismatch(f"no ItoL pattern at {tuple(t)}")
+    return _increment(a.bits, *t)
 
 
 def direct_sum(blocks: Sequence[BinaryMatrix]) -> BinaryMatrix:

@@ -114,14 +114,6 @@ def longest_chain(poset: ClassPoset) -> tuple[int, Chain]:
     return length, chain
 
 
-def longest_chain_between(poset: ClassPoset, start_idx: int,
-                          end_idx: int) -> int | None:
-    """Maximum chain length from one member to another, or None when no
-    path exists."""
-    dist = _longest_paths(poset, [start_idx])
-    return int(dist[end_idx]) if dist[end_idx] >= 0 else None
-
-
 def tight_chain_search(a: BinaryMatrix, c: BinaryMatrix,
                        budget: int = DEFAULT_NODE_BUDGET) -> SearchOutcome:
     """An interchange chain from a to c whose inversion count rises by one

@@ -3,7 +3,8 @@ BinaryMatrix values, independent of the packed engine, an interchange arc
 builder that finds each target by binary search, a partial-sum recount
 independent of the order tables, a pair-by-pair poset built on that
 recount, the paper's order-5 chain tables, and helpers only the tests
-call."""
+call, LtoI moves among them: an LtoI move at (i, i2, j, j2) turns L2 back
+into I2, the undo of the ItoL move there."""
 
 from itertools import accumulate, combinations
 
@@ -11,14 +12,17 @@ import numpy as np
 
 from bruhatchains import (
     BinaryMatrix,
-    Direction,
+    ClassPoset,
     InfeasibleMargins,
+    Interchange,
     MarginPair,
+    PatternMismatch,
     apply_interchange,
     bruhat_leq,
     find_interchanges,
     reverse_columns,
 )
+from bruhatchains.search import _longest_paths
 
 
 def backtrack_class(margins: MarginPair) -> list[BinaryMatrix]:
@@ -152,17 +156,72 @@ def submatrix(a: BinaryMatrix, row_idx, col_idx) -> BinaryMatrix:
     return BinaryMatrix(len(row_idx), len(col_idx), tuple(bits))
 
 
+def ltoi_moves(a: BinaryMatrix) -> list[Interchange]:
+    """Every position whose 2x2 submatrix holds L2, sorted: an L2 at rows
+    i < i2 is an I2 of the rows reversed, at rows m-1-i2 < m-1-i."""
+    last = a.m - 1
+    flipped = BinaryMatrix(a.m, a.n, a.bits[::-1])
+    return sorted(Interchange(last - i2, last - i, j, j2)
+                  for i, i2, j, j2 in find_interchanges(flipped))
+
+
+def undo(a: BinaryMatrix, t: Interchange) -> BinaryMatrix:
+    """The LtoI move at t: the L2 there becomes I2, so undo(b, t) == a when
+    b is apply_interchange(a, t).  Anything but L2 at t raises
+    PatternMismatch."""
+    i, i2, j, j2 = t
+    if not (0 <= i < i2 < a.m and 0 <= j < j2 < a.n
+            and (a.get(i, j), a.get(i, j2), a.get(i2, j), a.get(i2, j2))
+            == (0, 1, 1, 0)):
+        raise PatternMismatch(f"submatrix at {tuple(t)} is not L2")
+    flip = (1 << j) | (1 << j2)
+    bits = list(a.bits)
+    bits[i] ^= flip
+    bits[i2] ^= flip
+    return BinaryMatrix(a.m, a.n, tuple(bits))
+
+
 def random_interchange_walk(a: BinaryMatrix, steps: int, rng) -> BinaryMatrix:
     """Apply the given number of uniformly chosen interchanges (either
     direction).  Stays inside the class of a; used for sampling members."""
     cur = a
     for _ in range(steps):
-        moves = find_interchanges(cur, Direction.ItoL) \
-            + find_interchanges(cur, Direction.LtoI)
+        downs = ltoi_moves(cur)
+        moves = find_interchanges(cur) + downs
         if not moves:
             break
-        cur = apply_interchange(cur, rng.choice(moves))
+        t = rng.choice(moves)
+        cur = undo(cur, t) if t in downs else apply_interchange(cur, t)
     return cur
+
+
+def strict(poset: ClassPoset) -> np.ndarray:
+    """Strict comparability: a copy of ``leq`` with the diagonal
+    cleared."""
+    if poset.leq is None:
+        raise ValueError("comparability needs the full poset")
+    out = poset.leq.copy()
+    np.fill_diagonal(out, False)
+    return out
+
+
+def strict_pairs(poset: ClassPoset):
+    """All ordered pairs (a, c) with a strictly below c, read from
+    ``leq`` one row at a time."""
+    if poset.leq is None:
+        raise ValueError("comparability needs the full poset")
+    for a, row in enumerate(poset.leq):
+        for c in np.flatnonzero(row).tolist():
+            if c != a:
+                yield a, c
+
+
+def longest_chain_between(poset: ClassPoset, start_idx: int,
+                          end_idx: int) -> int | None:
+    """Maximum chain length from one member to another, or None when no
+    path exists."""
+    dist = _longest_paths(poset, [start_idx])
+    return int(dist[end_idx]) if dist[end_idx] >= 0 else None
 
 
 # The paper's two order-5 chains, one matrix per row of its tables: P_5 to

@@ -15,7 +15,6 @@ from bruhatchains import (
     BruhatStep,
     Chain,
     ClassTooLarge,
-    Direction,
     Interchange,
     MalformedChain,
     UnsupportedOrder,
@@ -42,6 +41,7 @@ from bruhatchains import (
     verify_chain,
     z_matrix,
 )
+from bruhatchains.chains import chain_from_json_dict, chain_to_json_dict
 from reference import TABLE_P5_TO_Z, TABLE_Z_TO_Q5, submatrix
 
 
@@ -321,19 +321,31 @@ class TestVerifyChain:
 
     def test_reports_failing_step(self):
         p4, _ = build_extremes(4)
-        bad = Chain(p4, (Interchange(0, 1, 0, 1, Direction.ItoL),))
+        bad = Chain(p4, (Interchange(0, 1, 0, 1),))
         rep = verify_chain(bad)
         assert not rep.valid and rep.failing_step == 0
         assert rep.failing_reason == "pattern_mismatch"
 
-    def test_ltoi_step(self):
-        # the first step of the base chain, as a valid LtoI move backwards
+    def test_a_step_undoing_the_last_is_a_pattern_mismatch(self):
+        # every step is ItoL: the first step of the base chain, taken
+        # again, finds L2 where it left it
         p4, _ = build_extremes(4)
         first = base_chain_4().steps[0]
-        back = Interchange(*first.quad(), Direction.LtoI)
-        rep = verify_chain(Chain(p4, (first, back)))
+        rep = verify_chain(Chain(p4, (first, first)))
         assert not rep.valid and rep.failing_step == 1
-        assert rep.failing_reason == "ltoi_step"
+        assert rep.failing_reason == "pattern_mismatch"
+
+    @pytest.mark.parametrize("quad", [
+        (-1, 0, 0, 1), (1, 0, 0, 1), (0, 1, 1, 0), (0, 1, -1, 1)])
+    def test_out_of_order_quads_are_a_pattern_mismatch(self, quad):
+        # nothing is checked when an Interchange is built: a negative row
+        # must not read from the far end, nor a reversed span count
+        p4, _ = build_extremes(4)
+        for start in (p4, BinaryMatrix.from_rows(["01", "10"])):
+            rep = verify_chain(Chain(start, (Interchange(*quad),)))
+            assert not rep.valid and rep.failing_step == 0
+            assert rep.failing_reason == "pattern_mismatch"
+            assert rep.nu_profile == (inversion_count(start),)
 
     def test_bad_bruhat_step(self):
         p4, q4 = build_extremes(4)
@@ -497,7 +509,7 @@ class TestSerialization:
         assert loaded == built and loaded.steps == built.steps
         for chain in (built, loaded):
             moves = [s for s in chain.steps if isinstance(s, Interchange)]
-            quads = {s.quad() for s in moves}
+            quads = set(moves)
             assert len(quads) < len(moves)
             assert len({id(s) for s in moves}) == len(quads)
 
@@ -509,6 +521,20 @@ class TestSerialization:
     def test_text_rejects_mixed(self):
         with pytest.raises(MalformedChain):
             chain_to_text(chain_y_to_q5())
+
+    @pytest.mark.parametrize("steps", [
+        [[-1, 0, 0, 1]], [[1, 0, 0, 1]], [[0, 1, 1, 0]]])
+    def test_out_of_order_json_steps_refused(self, steps):
+        data = chain_to_json_dict(Chain(build_extremes(4)[0], ()))
+        with pytest.raises(MalformedChain) as err:
+            chain_from_json_dict({**data, "steps": steps})
+        assert str(err.value) \
+            == "steps[0]: interchange needs i < i2 and j < j2"
+
+    def test_out_of_order_text_step_refused(self):
+        with pytest.raises(MalformedChain) as err:
+            chain_from_text("10\n01\n\n1 0 0 1\n")
+        assert str(err.value) == "interchange needs i < i2 and j < j2"
 
     def test_malformed_json(self):
         with pytest.raises(MalformedChain):

@@ -14,7 +14,6 @@ from bruhatchains import (
     BinaryMatrix,
     ClassPoset,
     ClassTooLarge,
-    Direction,
     InfeasibleMargins,
     Interchange,
     MarginPair,
@@ -55,7 +54,7 @@ def object_dag(margins):
     nu = [nu[i] for i in order]
     index = {a: i for i, a in enumerate(members)}
     succ = [{index[apply_interchange(a, t)]
-             for t in find_interchanges(a, Direction.ItoL)}
+             for t in find_interchanges(a)}
             for a in members]
     return members, nu, succ
 

@@ -2,6 +2,7 @@
 definitions."""
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +16,6 @@ from bruhatchains import (
     L2,
     BinaryMatrix,
     ClassTooLarge,
-    Direction,
     IndexOutOfRange,
     Interchange,
     PatternMismatch,
@@ -35,7 +35,13 @@ from bruhatchains import (
 )
 from bruhatchains import matrices
 from bruhatchains.matrices import _moves
-from reference import all_pair_count, random_interchange_walk, submatrix
+from reference import (
+    all_pair_count,
+    ltoi_moves,
+    random_interchange_walk,
+    submatrix,
+    undo,
+)
 
 # the illustrated 4x5 matrix with nine inversions
 ILLUSTRATED = BinaryMatrix.from_rows(["11101", "10000", "01001", "00110"])
@@ -59,8 +65,11 @@ def brute_sigma(a: BinaryMatrix, k: int, l: int) -> int:
     return sum(a.get(i, j) for i in range(k + 1) for j in range(l + 1))
 
 
-def brute_interchanges(a: BinaryMatrix, direction: Direction):
-    want = (1, 0, 0, 1) if direction is Direction.ItoL else (0, 1, 1, 0)
+# the cells (i, j), (i, j2), (i2, j), (i2, j2) of I2 and of L2
+ITOL, LTOI = (1, 0, 0, 1), (0, 1, 1, 0)
+
+
+def brute_interchanges(a: BinaryMatrix, want: tuple[int, ...]):
     out = []
     for i in range(a.m):
         for i2 in range(i + 1, a.m):
@@ -69,7 +78,7 @@ def brute_interchanges(a: BinaryMatrix, direction: Direction):
                     cells = (a.get(i, j), a.get(i, j2),
                              a.get(i2, j), a.get(i2, j2))
                     if cells == want:
-                        out.append(Interchange(i, i2, j, j2, direction))
+                        out.append(Interchange(i, i2, j, j2))
     return out
 
 
@@ -158,31 +167,34 @@ class TestInversionCount:
 
 class TestFindInterchanges:
     def test_i2_patterns(self):
-        assert [t.quad() for t in find_interchanges(I2, Direction.ItoL)] \
-            == [(0, 1, 0, 1)]
-        assert find_interchanges(L2, Direction.ItoL) == []
-        assert [t.quad() for t in find_interchanges(L2, Direction.LtoI)] \
-            == [(0, 1, 0, 1)]
+        assert find_interchanges(I2) == [(0, 1, 0, 1)]
+        assert find_interchanges(L2) == []
+        assert ltoi_moves(L2) == [(0, 1, 0, 1)]
+
+    def test_interchange_is_its_quad(self):
+        t = Interchange(0, 1, 2, 3)
+        assert Interchange._fields == ("i", "i2", "j", "j2")
+        assert t == (0, 1, 2, 3) and hash(t) == hash((0, 1, 2, 3))
+        assert tuple(t) == (t.i, t.i2, t.j, t.j2)
 
     def test_block_diagonal_matches_brute_scan(self):
         p4 = direct_sum([J2, J2])
-        got = find_interchanges(p4, Direction.ItoL)
-        assert got == brute_interchanges(p4, Direction.ItoL)
+        got = find_interchanges(p4)
+        assert got == brute_interchanges(p4, ITOL)
         # every move pairs a one of the first block with one of the second
         assert all(t.i < 2 <= t.i2 and t.j < 2 <= t.j2 for t in got)
 
     @given(matrices_st)
     @settings(max_examples=40)
     def test_matches_brute_scan(self, a):
-        for direction in Direction:
-            assert find_interchanges(a, direction) \
-                == brute_interchanges(a, direction)
+        assert find_interchanges(a) == brute_interchanges(a, ITOL)
+        assert ltoi_moves(a) == brute_interchanges(a, LTOI)
 
     def test_sorted_lexicographically(self):
         rng = random.Random(3)
         for _ in range(20):
             a = random_matrix(rng, 5, 5)
-            quads = [t.quad() for t in find_interchanges(a)]
+            quads = find_interchanges(a)
             assert quads == sorted(quads)
 
     @pytest.mark.parametrize("a, most", [
@@ -193,16 +205,16 @@ class TestFindInterchanges:
     ])
     def test_refused_past_the_byte_limit(self, monkeypatch, a, most):
         # the largest list the matrix could give is charged before any
-        # of it is built
-        want = [find_interchanges(a, direction) for direction in Direction]
+        # of it is built, for its ItoL moves and for those of its rows
+        # reversed, its LtoI moves
+        want = [find_interchanges(a), ltoi_moves(a)]
         limit = most * matrices._MOVE_BYTES
         monkeypatch.setattr(engine, "MAX_ARRAY_BYTES", limit - 1)
-        for direction in Direction:
+        for moves in (find_interchanges, ltoi_moves):
             with pytest.raises(ClassTooLarge, match="interchange list"):
-                find_interchanges(a, direction)
+                moves(a)
         monkeypatch.setattr(engine, "MAX_ARRAY_BYTES", limit)
-        assert [find_interchanges(a, direction)
-                for direction in Direction] == want
+        assert [find_interchanges(a), ltoi_moves(a)] == want
 
     def test_sparse_wide_states_fit(self):
         # a 100 x 100 state of 200 ones charges C(200,2) moves, 5 MB,
@@ -213,23 +225,38 @@ class TestFindInterchanges:
 
 class TestApplyInterchange:
     def test_roundtrip_patterns(self):
-        fwd = Interchange(0, 1, 0, 1, Direction.ItoL)
-        back = Interchange(0, 1, 0, 1, Direction.LtoI)
-        assert apply_interchange(I2, fwd) == L2
-        assert apply_interchange(L2, back) == I2
+        t = Interchange(0, 1, 0, 1)
+        assert apply_interchange(I2, t) == L2
+        assert undo(L2, t) == I2
 
     def test_pattern_mismatch(self):
         with pytest.raises(PatternMismatch):
-            apply_interchange(L2, Interchange(0, 1, 0, 1, Direction.ItoL))
+            apply_interchange(L2, Interchange(0, 1, 0, 1))
 
     @pytest.mark.parametrize("a, t", [
-        (I2, Interchange(0, 1, 0, 2, Direction.ItoL)),
-        (L2, Interchange(0, 1, 0, 2, Direction.LtoI)),
-        (I2, Interchange(0, 2, 0, 1, Direction.ItoL)),
+        (I2, Interchange(0, 1, 0, 2)),
+        (L2, Interchange(0, 1, 0, 2)),
+        (I2, Interchange(0, 2, 0, 1)),
     ])
     def test_indices_beyond_matrix(self, a, t):
         with pytest.raises(PatternMismatch):
             apply_interchange(a, t)
+
+    @pytest.mark.parametrize("quad", [
+        (-1, 0, 0, 1), (1, 0, 0, 1), (0, 1, 1, 0), (0, 1, -1, 1)])
+    def test_out_of_order_quads_never_match(self, quad):
+        # nothing is checked when an Interchange is built: a negative
+        # index must not read from the far end, nor a reversed span count.
+        # Read that way, the first three would find I2 in L2, and the last
+        # would shift by -1.
+        t = Interchange(*quad)
+        for a in (build_extremes(4)[0], L2):
+            with pytest.raises(PatternMismatch, match=re.escape(
+                    f"submatrix at {quad} is not I2")):
+                apply_interchange(a, t)
+            with pytest.raises(PatternMismatch, match=re.escape(
+                    f"no ItoL pattern at {quad}")):
+                interchange_increment(a, t)
 
     @given(matrices_st)
     @settings(max_examples=40)

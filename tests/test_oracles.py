@@ -21,7 +21,6 @@ from bruhatchains import (
     BinaryMatrix,
     Chain,
     ClassTooLarge,
-    Direction,
     MarginMismatch,
     OrderVerdict,
     SearchBudgetExceeded,
@@ -80,7 +79,7 @@ def reference_secondary(a, c):
         if x == c:
             return True
         expanded += 1
-        for move in find_interchanges(x, Direction.ItoL):
+        for move in find_interchanges(x):
             y = apply_interchange(x, move)
             if y in dead or not dominates(y):
                 continue
@@ -119,7 +118,7 @@ def reference_tight(a, c, budget=10**6):
         if explored > budget:
             budget_hit = True
             return False
-        for move in find_interchanges(x, Direction.ItoL):
+        for move in find_interchanges(x):
             if interchange_increment(x, move) != 1:
                 continue
             y = apply_interchange(x, move)
