@@ -30,19 +30,16 @@ from .enumeration import (
     build_poset,
     count_class,
     enumerate_class,
-    extremes,
 )
 from .errors import (
     BruhatError,
     ClassTooLarge,
-    IndexOutOfRange,
     InfeasibleMargins,
     MalformedChain,
     MarginMismatch,
     NotInClass,
     PatternMismatch,
     SearchBudgetExceeded,
-    SizeMismatch,
     StartAboveTarget,
     UnsupportedOrder,
 )
@@ -53,14 +50,12 @@ from .matrices import (
     J2,
     L2,
     BinaryMatrix,
-    CumulativeTable,
     Interchange,
     MarginPair,
     apply_interchange,
     canonical_key,
     cumulative_sums,
     direct_sum,
-    embed,
     find_interchanges,
     interchange_increment,
     inversion_count,

@@ -29,7 +29,6 @@ from .matrices import (
     _increment,
     _text_lines,
     direct_sum,
-    embed,
     inversion_count,
     reverse_columns,
 )
@@ -321,9 +320,9 @@ def _place(state: list[int], width: int, steps: Sequence[Step],
     """Reindex sub-chain steps into the rows x cols window of the running
     state, then apply them to it once (``_replay``) and append them to out.
     made holds one interchange per step of the build, so equal steps share
-    one object; every sub-chain step is ItoL.  A jump target fills the
-    window of the state the window starts from: nothing outside the window
-    moves, so this is the full state after the jump."""
+    one object; every sub-chain step is ItoL.  A jump target's rows fill
+    the window of a copy of the state the window starts from: nothing
+    outside the window moves, so this is the full state after the jump."""
     mapped = []
     for s in steps:
         if isinstance(s, Interchange):
@@ -332,9 +331,11 @@ def _place(state: list[int], width: int, steps: Sequence[Step],
             if step is None:
                 step = made[key] = Interchange(*key)
         else:
-            step = BruhatStep(embed(BinaryMatrix(len(state), width,
-                                                 tuple(state)),
-                                    rows, cols, s.target))
+            bits = list(state)
+            for i, sub in zip(rows, s.target.bits):
+                for jj, j in enumerate(cols):
+                    bits[i] = bits[i] & ~(1 << j) | (sub >> jj & 1) << j
+            step = BruhatStep(BinaryMatrix(len(state), width, tuple(bits)))
         mapped.append(step)
     for _ in _replay(state, width, mapped):
         pass

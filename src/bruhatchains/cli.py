@@ -154,8 +154,7 @@ def inv(matrix: str, as_json: bool) -> None:
 @click.option("--json", "as_json", is_flag=True)
 def sigma(matrix: str, as_json: bool) -> None:
     """Cumulative partial-sum table of a matrix."""
-    table = matrices.cumulative_sums(_read_matrix(matrix))
-    rows = [list(r) for r in table.values]
+    rows = [list(r) for r in matrices.cumulative_sums(_read_matrix(matrix))]
     plain = "\n".join(" ".join(map(str, r)) for r in rows)
     _emit("sigma", rows, as_json, plain)
 

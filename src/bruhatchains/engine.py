@@ -13,11 +13,14 @@ from __future__ import annotations
 
 from itertools import combinations
 from math import comb
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import ClassTooLarge, InfeasibleMargins
-from .matrices import MarginPair
+
+if TYPE_CHECKING:
+    from .matrices import MarginPair
 
 # The largest array the engine allocates: a row's frontier (a key and n
 # column caps per state) or the arc targets.  A(7,2) needs 47 MB for its

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import engine
 from .errors import ClassTooLarge, InfeasibleMargins
-from .matrices import BinaryMatrix, MarginPair, canonical_key, decode, pack
+from .matrices import BinaryMatrix, MarginPair, canonical_key, decode
 
 
 def enumerate_class(margins: MarginPair) -> Iterator[BinaryMatrix]:
@@ -130,8 +130,7 @@ class ClassPoset:
     The members are stored once, as their keys (``matrices.pack``) in a
     read-only uint64 array, with their inversion counts ``nu`` beside them
     in a read-only int16 array.  ``members`` is a read-only view that
-    decodes a key on its first read and keeps the matrix; ``index_of``
-    finds a matrix by binary search over the keys.
+    decodes a key on its first read and keeps the matrix.
 
     The arcs are stored once, in CSR form: the targets of member v are
     ``targets[indptr[v]:indptr[v + 1]]`` (int32 arrays, read-only).
@@ -182,21 +181,8 @@ class ClassPoset:
     def succ(self) -> _ArcRows:
         return _ArcRows(self.indptr, self.targets)
 
-    @cached_property
-    def _by_key(self) -> np.ndarray:
-        """Member indices in key order."""
-        return np.argsort(self.keys)
-
     def __len__(self) -> int:
         return len(self.keys)
-
-    def index_of(self, a: BinaryMatrix) -> int:
-        if (a.m, a.n) == (self.margins.m, self.margins.n):
-            key = np.uint64(pack(a))
-            at = int(np.searchsorted(self.keys, key, sorter=self._by_key))
-            if at < len(self) and self.keys[self._by_key[at]] == key:
-                return int(self._by_key[at])
-        raise KeyError("matrix is not a member of this class")
 
     def cover_pairs(self) -> list[tuple[int, int]]:
         sources = np.repeat(np.arange(len(self)), np.diff(self.indptr))
@@ -326,10 +312,3 @@ def build_interchange_dag(margins: MarginPair) -> ClassPoset:
     keys, nu, rank = engine.ranked_class(margins)
     indptr, targets = engine.interchange_arcs(keys, rank, margins.m, margins.n)
     return ClassPoset(margins, keys, nu, indptr, targets)
-
-
-def extremes(poset: ClassPoset) -> tuple[list[BinaryMatrix], list[BinaryMatrix]]:
-    """Members with no strictly smaller element, and with no strictly
-    larger element."""
-    return ([poset.members[i] for i in poset.minimal_indices()],
-            [poset.members[i] for i in poset.maximal_indices()])

@@ -41,13 +41,5 @@ class UnsupportedOrder(BruhatError):
     """The matrix order n is outside the operation's domain."""
 
 
-class SizeMismatch(BruhatError):
-    """Index selections do not match the dimensions of the submatrix."""
-
-
-class IndexOutOfRange(BruhatError):
-    """Row or column indices fall outside the host matrix."""
-
-
 class MalformedChain(BruhatError):
     """Chain data cannot be interpreted (bad step tuples, bad matrices)."""

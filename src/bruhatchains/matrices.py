@@ -16,7 +16,8 @@ from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import IndexOutOfRange, PatternMismatch, SizeMismatch
+from . import engine
+from .errors import PatternMismatch
 
 # The two cell characters; a row's text holds no other.
 _CELLS = frozenset("01")
@@ -89,14 +90,6 @@ class BinaryMatrix:
     def row_string(self, i: int) -> str:
         return format(self.bits[i], f"0{self.n}b")[::-1]
 
-    def ones(self) -> Iterator[tuple[int, int]]:
-        """Positions of ones in row-major order."""
-        for i, b in enumerate(self.bits):
-            while b:
-                low = b & -b
-                yield i, low.bit_length() - 1
-                b ^= low
-
     def count_ones(self) -> int:
         return sum(b.bit_count() for b in self.bits)
 
@@ -148,9 +141,6 @@ class BinaryMatrix:
             raise ValueError("declared dimensions disagree with row data")
         return mat
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
-
     @classmethod
     def from_json(cls, text: str) -> "BinaryMatrix":
         return cls.from_json_dict(json.loads(text))
@@ -197,22 +187,6 @@ class MarginPair:
                 and all(c == 2 for c in self.col_sums))
 
 
-@dataclass(frozen=True)
-class CumulativeTable:
-    """Table of partial sums: entry (k, l) counts ones in the leading
-    (k+1) x (l+1) submatrix."""
-
-    m: int
-    n: int
-    values: tuple[tuple[int, ...], ...]
-
-    def get(self, k: int, l: int) -> int:
-        return self.values[k][l]
-
-    def flat(self) -> tuple[int, ...]:
-        return tuple(v for row in self.values for v in row)
-
-
 class Interchange(NamedTuple):
     """The ItoL move at rows i < i2 and columns j < j2: the I2 there
     becomes L2.  The value is its quad, equal to the tuple (i, i2, j, j2).
@@ -240,16 +214,16 @@ F3R = BinaryMatrix.from_rows(["011", "101", "110"])
 _SIGMA_ENTRY_BYTES = 80
 
 
-def cumulative_sums(a: BinaryMatrix) -> CumulativeTable:
-    """Table of leading-submatrix one-counts, read off the order table
-    (``_entries``).  A table whose entries would pass
-    ``engine.MAX_ARRAY_BYTES`` at ``_SIGMA_ENTRY_BYTES`` each raises
-    ClassTooLarge before anything is built."""
-    from . import engine   # engine imports this module
+def cumulative_sums(a: BinaryMatrix) -> tuple[tuple[int, ...], ...]:
+    """The rows of the table of leading-submatrix one-counts: entry
+    (k, l) counts the ones in the leading (k+1) x (l+1) submatrix.  They
+    are read off the order table (``_entries``).  A table whose entries
+    would pass ``engine.MAX_ARRAY_BYTES`` at ``_SIGMA_ENTRY_BYTES`` each
+    raises ClassTooLarge before anything is built."""
     engine._check_budget(a.m * a.n, _SIGMA_ENTRY_BYTES,
                          f"the {a.m}x{a.n} partial-sum table")
     values = _entries(_order_table(a), a.m, a.n)
-    return CumulativeTable(a.m, a.n, tuple(map(tuple, values.tolist())))
+    return tuple(map(tuple, values.tolist()))
 
 
 def inversion_count(a: BinaryMatrix) -> int:
@@ -317,7 +291,6 @@ def find_interchanges(a: BinaryMatrix) -> list[Interchange]:
     sorted lexicographically by (i, i2, j, j2).  A list that could pass
     ``engine.MAX_ARRAY_BYTES`` raises ClassTooLarge before it is built:
     each move takes two ones, so there are at most C(ones, 2)."""
-    from . import engine   # engine imports this module
     engine._check_budget(min(comb(a.m, 2) * comb(a.n, 2),
                              comb(a.count_ones(), 2)), _MOVE_BYTES,
                          "the interchange list")
@@ -500,33 +473,6 @@ def reverse_columns(a: BinaryMatrix) -> BinaryMatrix:
     plain binary numeral is the reversed row."""
     return BinaryMatrix(a.m, a.n, tuple(int(a.row_string(i), 2)
                                         for i in range(a.m)))
-
-
-def _check_indices(idx: Sequence[int], bound: int, what: str) -> None:
-    if any(v < 0 or v >= bound for v in idx):
-        raise IndexOutOfRange(f"{what} indices out of range")
-    if any(a >= b for a, b in zip(idx, idx[1:])):
-        raise ValueError(f"{what} indices must be strictly increasing")
-
-
-def embed(host: BinaryMatrix, row_idx: Sequence[int], col_idx: Sequence[int],
-          sub: BinaryMatrix) -> BinaryMatrix:
-    """Overwrite the addressed submatrix of host with sub; everything else
-    is unchanged."""
-    _check_indices(row_idx, host.m, "row")
-    _check_indices(col_idx, host.n, "column")
-    if len(row_idx) != sub.m or len(col_idx) != sub.n:
-        raise SizeMismatch("index selections do not match sub dimensions")
-    clear = 0
-    for j in col_idx:
-        clear |= 1 << j
-    bits = list(host.bits)
-    for k, i in enumerate(row_idx):
-        mask = bits[i] & ~clear
-        for jj, j in enumerate(col_idx):
-            mask |= ((sub.bits[k] >> jj) & 1) << j
-        bits[i] = mask
-    return BinaryMatrix(host.m, host.n, tuple(bits))
 
 
 def pack(a: BinaryMatrix) -> int:

@@ -47,14 +47,6 @@ class OrderVerdict:
     leq: bool
     geq: bool
 
-    @property
-    def comparable(self) -> bool:
-        return self.leq or self.geq
-
-    @property
-    def equal(self) -> bool:
-        return self.leq and self.geq
-
 
 def _require_same_class(a: BinaryMatrix, c: BinaryMatrix
                         ) -> tuple[_OrderTable, _OrderTable, int, int]:

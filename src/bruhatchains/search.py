@@ -159,8 +159,8 @@ def certificate(a: BinaryMatrix, c: BinaryMatrix) -> dict:
     return {
         "first": a.to_json_dict(),
         "second": c.to_json_dict(),
-        "sigma_first": [list(row) for row in cumulative_sums(a).values],
-        "sigma_second": [list(row) for row in cumulative_sums(c).values],
+        "sigma_first": [list(row) for row in cumulative_sums(a)],
+        "sigma_second": [list(row) for row in cumulative_sums(c)],
         "nu_first": inversion_count(a),
         "nu_second": inversion_count(c),
         "violated": "first strictly precedes second in the Bruhat order "

@@ -3,8 +3,8 @@ BinaryMatrix values, independent of the packed engine, an interchange arc
 builder that finds each target by binary search, a partial-sum recount
 independent of the order tables, a pair-by-pair poset built on that
 recount, the paper's order-5 chain tables, and helpers only the tests
-call, LtoI moves among them: an LtoI move at (i, i2, j, j2) turns L2 back
-into I2, the undo of the ItoL move there."""
+call, a submatrix writer and LtoI moves among them: an LtoI move at
+(i, i2, j, j2) turns L2 back into I2, the undo of the ItoL move there."""
 
 from itertools import accumulate, combinations
 
@@ -147,6 +147,22 @@ def all_pair_count(a: BinaryMatrix) -> int:
     same_row = sum(r * (r - 1) // 2 for r in a.row_sums())
     same_col = sum(c * (c - 1) // 2 for c in a.col_sums())
     return total - same_row - same_col
+
+
+def ones(a: BinaryMatrix) -> list[tuple[int, int]]:
+    """Positions of ones in row-major order, read cell by cell."""
+    return [(i, j) for i in range(a.m) for j in range(a.n) if a.get(i, j)]
+
+
+def embed(host: BinaryMatrix, row_idx, col_idx,
+          sub: BinaryMatrix) -> BinaryMatrix:
+    """host with its cells at the given rows and columns overwritten by
+    sub's, one cell at a time; every other cell is unchanged."""
+    bits = list(host.bits)
+    for k, i in enumerate(row_idx):
+        for jj, j in enumerate(col_idx):
+            bits[i] = bits[i] & ~(1 << j) | sub.get(k, jj) << j
+    return BinaryMatrix(host.m, host.n, tuple(bits))
 
 
 def submatrix(a: BinaryMatrix, row_idx, col_idx) -> BinaryMatrix:

@@ -32,7 +32,6 @@ from bruhatchains import (
     chain_y_to_q5,
     delta,
     direct_sum,
-    embed,
     extremal_inversions,
     tabulated_chains_5,
     inversion_count,
@@ -42,7 +41,7 @@ from bruhatchains import (
     z_matrix,
 )
 from bruhatchains.chains import chain_from_json_dict, chain_to_json_dict
-from reference import TABLE_P5_TO_Z, TABLE_Z_TO_Q5, submatrix
+from reference import TABLE_P5_TO_Z, TABLE_Z_TO_Q5, embed, submatrix
 
 
 def antidiagonal_q(n: int) -> BinaryMatrix:

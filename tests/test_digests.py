@@ -1,8 +1,8 @@
 """Outputs pinned by digest: the sigma, compare, tight, monotone, poset and
 chain verify results, the poset exports, monotonicity certificates and
-cumulative_sums tables, on seeded inputs.  A digest is the SHA-256 of the
-outputs as sorted-key JSON, so a change in any verdict, count, witness,
-table or error message changes it."""
+cumulative_sums tables, on seeded inputs, and the built chains' JSON.  A
+digest is the SHA-256 of the outputs as sorted-key JSON, so a change in
+any verdict, count, witness, table or error message changes it."""
 
 import hashlib
 import json
@@ -15,6 +15,8 @@ from bruhatchains import (
     BinaryMatrix,
     MarginPair,
     build_chain,
+    chain_even,
+    chain_odd,
     chain_to_json,
     chain_to_text,
     cumulative_sums,
@@ -81,7 +83,7 @@ def run_pair(tmp_path, command, a, c, *options):
 
 def cumulative_sums_outputs(tmp_path):
     rng = random.Random(12)
-    return [cumulative_sums(random_matrix(rng)).values for _ in range(400)]
+    return [cumulative_sums(random_matrix(rng)) for _ in range(400)]
 
 
 def sigma_outputs(tmp_path):
@@ -169,3 +171,20 @@ PINNED = {
 @pytest.mark.parametrize("outputs", PINNED, ids=lambda f: f.__name__)
 def test_outputs_match_their_pinned_digest(outputs, tmp_path):
     assert digest(outputs(tmp_path)) == PINNED[outputs]
+
+
+# The SHA-256 of chain_to_json(build_chain(n)) for n = 4..101, each
+# followed by a newline: every step and every splice matrix of the built
+# chains, byte for byte.
+BUILT_CHAINS = \
+    "bb6f91a1d6f538fa579f5cf40a7df08d1d26acc99a98fec4f7e12fb353cfd46f"
+
+
+def test_built_chains_match_their_pinned_digest():
+    built = hashlib.sha256()
+    for n in range(4, 102):
+        # so each order is built afresh, not read from the caches
+        chain_even.cache_clear()
+        chain_odd.cache_clear()
+        built.update(chain_to_json(build_chain(n)).encode() + b"\n")
+    assert built.hexdigest() == BUILT_CHAINS

@@ -21,7 +21,6 @@ from bruhatchains import (
     canonical_key,
     count_class,
     enumerate_class,
-    extremes,
     inversion_count,
     monotonicity_check,
 )
@@ -198,18 +197,20 @@ class TestBuildPoset:
 
 class TestExtremes:
     def test_221_unique_min_max(self, poset_221):
-        mins, maxs = extremes(poset_221)
-        assert mins == [A221_MEMBERS[0]]
-        assert maxs == [A221_MEMBERS[4]]
+        members = poset_221.members
+        assert [members[i] for i in poset_221.minimal_indices()] \
+            == [A221_MEMBERS[0]]
+        assert [members[i] for i in poset_221.maximal_indices()] \
+            == [A221_MEMBERS[4]]
 
     def test_42_minimal_contains_block_diagonal(self, poset_42):
         from bruhatchains import direct_sum
 
-        mins, maxs = extremes(poset_42)
+        mins = [poset_42.members[i] for i in poset_42.minimal_indices()]
         assert direct_sum([J2, J2]) in mins
 
     def test_62_minimal_inversion_values(self, dag_62):
-        mins, _ = extremes(dag_62)
+        mins = [dag_62.members[i] for i in dag_62.minimal_indices()]
         assert sorted(inversion_count(a) for a in mins) == [3, 4]
 
 
@@ -227,12 +228,14 @@ class TestInterchangeDag:
 
     def test_extremes_agree_with_full_mode(self, poset_42):
         dag = build_interchange_dag(MarginPair.uniform(4, 2))
-        mins_f, maxs_f = extremes(poset_42)
-        mins_d, maxs_d = extremes(dag)
-        assert {canonical_key(a) for a in mins_f} \
-            == {canonical_key(a) for a in mins_d}
-        assert {canonical_key(a) for a in maxs_f} \
-            == {canonical_key(a) for a in maxs_d}
+
+        def keys(poset, indices):
+            return {canonical_key(poset.members[i]) for i in indices}
+
+        assert keys(poset_42, poset_42.minimal_indices()) \
+            == keys(dag, dag.minimal_indices())
+        assert keys(poset_42, poset_42.maximal_indices()) \
+            == keys(dag, dag.maximal_indices())
 
 
 class TestFullPosetOnly:
@@ -339,24 +342,6 @@ class TestCountClass:
 
 
 class TestMembersView:
-    def test_index_of_every_member(self, poset_52):
-        for i, a in enumerate(poset_52.members):
-            assert poset_52.index_of(a) == i
-            # an equal matrix, not the stored object
-            assert poset_52.index_of(BinaryMatrix(a.m, a.n, a.bits)) == i
-
-    def test_index_of_refuses_non_members(self, poset_52):
-        with pytest.raises(KeyError):
-            poset_52.index_of(BinaryMatrix.from_rows(["10000"] * 5))
-        # another shape whose key is a member's key
-        key = int(poset_52.keys[7])
-        for m, n in ((1, 25), (25, 1), (4, 4)):
-            other = decode(key & ((1 << m * n) - 1), m, n)
-            with pytest.raises(KeyError):
-                poset_52.index_of(other)
-        with pytest.raises(KeyError):
-            poset_52.index_of(decode(key, 1, 25))
-
     def test_members_cannot_be_written(self, poset_221):
         with pytest.raises(TypeError):
             poset_221.members[0] = poset_221.members[1]

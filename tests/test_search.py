@@ -48,8 +48,8 @@ class TestLongestChain:
         assert verify_chain(witness).valid
 
     def test_between_221(self, poset_221):
-        a1 = poset_221.index_of(A221_A1)
-        a5 = poset_221.index_of(A221_A5)
+        a1 = poset_221.members.index(A221_A1)
+        a5 = poset_221.members.index(A221_A5)
         assert longest_chain_between(poset_221, a1, a5) == 3
         # the gap in inversion counts is larger than the chain
         assert inversion_count(A221_A5) - inversion_count(A221_A1) == 5
