@@ -45,71 +45,62 @@ class MonotonicityReport:
     violations: list[tuple[BinaryMatrix, BinaryMatrix]]
 
 
-# The members of one distance level whose arcs the witness walk indexes
-# at once.  A whole level of A(7,2) holds up to 4.66M arcs, 37 MB per int64
-# index array: the walk would peak above the DP and the arcs it reads.
-_WALK_MEMBERS = 4096
-
-
-def _longest_paths(poset: ClassPoset, sources: Iterable[int] | None = None
+def _longest_paths(poset: ClassPoset, sinks: Iterable[int] | None = None
                    ) -> np.ndarray:
-    """Longest path length (edge count) to every member, from any member or
-    only from the given sources, with -1 where no path arrives.
+    """Longest path length (edge count) from every member, to any member or
+    only to the given sinks, with -1 where no path leads to one.
 
     Members are sorted by inversion count, which every order arc raises, so
-    the DP pushes along the arcs of one inversion-count layer at a time.
-    Every arc of a layer is checked to raise the count; one that does not
-    raises ValueError naming it."""
+    the DP pulls along the CSR rows of one inversion-count layer at a time,
+    last layer first.  Every arc of a layer is checked to raise the count;
+    one that does not raises ValueError naming it."""
     nu, indptr, targets = poset.nu, poset.indptr, poset.targets
     if (np.diff(nu) < 0).any():
         raise ValueError("members are not sorted by inversion count")
-    if sources is None:
+    if sinks is None:
         dist = np.zeros(len(nu), dtype=np.int32)
     else:
-        # unreached members stay negative however far they are pushed
+        # members that reach no sink stay negative however far they pull
         dist = np.full(len(nu), -len(nu) - 1, dtype=np.int32)
-        dist[list(sources)] = 0
-    bounds = np.flatnonzero(np.diff(nu)) + 1
-    for lo, hi in zip([0, *bounds.tolist()], [*bounds.tolist(), len(nu)]):
+        dist[list(sinks)] = 0
+    edges = [0, *(np.flatnonzero(np.diff(nu)) + 1).tolist(), len(nu)]
+    for lo, hi in reversed(list(zip(edges, edges[1:]))):
         first, last = indptr[lo], indptr[hi]
         ahead = targets[first:last]
-        behind = nu[ahead] <= nu[lo]
+        # members are sorted by nu, so an arc raises it iff its target
+        # lies past this layer
+        behind = ahead < hi
         if behind.any():
             arc = first + int(np.argmax(behind))
             v = int(np.searchsorted(indptr, arc, side="right")) - 1
             w = int(targets[arc])
             raise ValueError(f"arc {v} -> {w} does not raise the inversion "
                              f"count (nu {nu[v]} -> {nu[w]})")
-        pushed = np.repeat(dist[lo:hi] + 1, np.diff(indptr[lo:hi + 1]))
-        np.maximum.at(dist, ahead, pushed)
+        # reduceat gives an empty segment its next element, not nothing, so
+        # it takes only the members with arcs.  Indexing casts the int32
+        # targets a buffer at a time, where take would cast a whole
+        # layer's at once, for a peak 34 MB higher on A(7,2)
+        rows = lo + np.flatnonzero(np.diff(indptr[lo:hi + 1]))
+        if len(rows):
+            pulled = np.maximum.reduceat(dist[ahead], indptr[rows] - first)
+            dist[rows] = np.maximum(dist[rows], pulled + 1)
     dist[dist < 0] = -1
     return dist
 
 
 def longest_chain(poset: ClassPoset) -> tuple[int, Chain]:
     """Longest path over the poset's arc DAG, with the witness returned as
-    a jump-step chain.  The witness ends at the first member of greatest
-    length and steps back to the smallest-index predecessor one shorter."""
+    a jump-step chain.  The witness starts at the first member of greatest
+    length and steps along the first arc whose target is one shorter."""
     dist = _longest_paths(poset)
     indptr, targets = poset.indptr, poset.targets
     v = int(np.argmax(dist))
     length, path = int(dist[v]), [v]
     while dist[v] > 0:
-        # only members one shorter can precede v; scan their arcs alone,
-        # in member order, so the first hit has the smallest index
-        level = np.flatnonzero(dist == dist[v] - 1)
-        for part in np.split(level, range(_WALK_MEMBERS, len(level),
-                                          _WALK_MEMBERS)):
-            degree = indptr[part + 1] - indptr[part]
-            first = np.cumsum(degree) - degree  # each member's start
-            arcs = np.arange(degree.sum()) + np.repeat(indptr[part] - first,
-                                                       degree)
-            hits = arcs[targets[arcs] == v]
-            if len(hits):
-                break
-        v = int(np.searchsorted(indptr, hits[0], side="right")) - 1
+        row = targets[indptr[v]:indptr[v + 1]]
+        v = int(row[np.argmax(dist[row] == dist[v] - 1)])
         path.append(v)
-    mats = [poset.members[v] for v in reversed(path)]
+    mats = [poset.members[v] for v in path]
     chain = Chain(mats[0], tuple(BruhatStep(a) for a in mats[1:]))
     return length, chain
 
@@ -170,10 +161,11 @@ def certificate(a: BinaryMatrix, c: BinaryMatrix) -> dict:
 
 def maximal_chain_spectrum(poset: ClassPoset) -> set[int]:
     """For every comparable (minimal, maximal) pair, the maximum chain
-    length between them."""
-    maxima = poset.maximal_indices()
+    length between them: one pass to each maximal member, read at the
+    minimal ones."""
+    minima = poset.minimal_indices()
     spectrum = set()
-    for p in poset.minimal_indices():
-        dist = _longest_paths(poset, [p])[maxima]
+    for q in poset.maximal_indices():
+        dist = _longest_paths(poset, [q])[minima]
         spectrum.update(dist[dist >= 0].tolist())
     return spectrum

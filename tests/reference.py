@@ -236,8 +236,8 @@ def longest_chain_between(poset: ClassPoset, start_idx: int,
                           end_idx: int) -> int | None:
     """Maximum chain length from one member to another, or None when no
     path exists."""
-    dist = _longest_paths(poset, [start_idx])
-    return int(dist[end_idx]) if dist[end_idx] >= 0 else None
+    length = int(_longest_paths(poset, [end_idx])[start_idx])
+    return length if length >= 0 else None
 
 
 # The paper's two order-5 chains, one matrix per row of its tables: P_5 to

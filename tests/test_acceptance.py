@@ -238,15 +238,17 @@ def test_order_seven_class_longest_chain(monkeypatch):
     timed_at = time.monotonic()
     length = longest_chain(dag)[0]
     longest_s = time.monotonic() - timed_at
+    timed_at = time.monotonic()
     spectrum = sorted(maximal_chain_spectrum(dag))
+    spectrum_s = time.monotonic() - timed_at
     peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     # the spectrum is recorded, not asserted: nothing predicts it
     print(f"A(7,2): {len(dag)} members, {len(dag.targets)} arcs; reference "
           f"backtracking {reference_s:.1f}s; enumeration "
           f"{timers['enumeration']:.1f}s, nu {timers['nu']:.1f}s, arcs "
           f"{timers['arcs']:.1f}s, build {timers['build']:.1f}s; longest "
-          f"{length} in {longest_s:.1f}s; spectrum {spectrum}; peak RSS "
-          f"{peak_mb:.0f} MB")
+          f"{length} in {longest_s:.1f}s; spectrum {spectrum} in "
+          f"{spectrum_s:.1f}s; peak RSS {peak_mb:.0f} MB")
     ok &= len(dag) == 3_110_940 and length == 69 == delta(7)
     _report("A(7,2): OEIS A001499 size, keys equal to the reference "
             "backtracking, and longest chain delta(7)", ok, started)

@@ -59,20 +59,30 @@ def object_dag(margins):
     return members, nu, succ
 
 
-def reference_longest_paths(poset, sources=None):
-    """Member-order DP in plain Python: longest path length to each member
-    (-1 where none arrives) and its smallest-index predecessor."""
+def reference_longest_paths(poset, ends=None, pull=False):
+    """Member-order DP in plain Python.  Pushing: the longest path length to
+    each member from ends (any member when None), -1 where none arrives,
+    and its smallest-index predecessor.  Pulling: the longest path length
+    from each member to ends, -1 where none leads, and its first arc
+    target one shorter."""
     size = len(poset.members)
-    dist = [0 if sources is None else -1] * size
-    for v in sources or ():
+    dist = [0 if ends is None else -1] * size
+    for v in ends or ():
         dist[v] = 0
-    pred = [-1] * size
+    step = [-1] * size
+    if pull:
+        for v in reversed(range(size)):
+            for w in poset.succ[v].tolist():
+                if dist[w] >= 0 and dist[w] + 1 > dist[v]:
+                    dist[v] = dist[w] + 1
+                    step[v] = w
+        return dist, step
     for v in range(size):
         for w in sorted(poset.succ[v].tolist()):
             if dist[v] >= 0 and dist[v] + 1 > dist[w]:
                 dist[w] = dist[v] + 1
-                pred[w] = v
-    return dist, pred
+                step[w] = v
+    return dist, step
 
 
 @pytest.mark.parametrize("margins", CLASSES, ids=str)
@@ -117,33 +127,23 @@ def test_extremes_are_the_block_structure_members(n):
 
 @pytest.mark.parametrize("margins", CLASSES, ids=str)
 def test_dp_matches_reference(margins):
+    # the witness follows the pulling reference; lengths and the spectrum
+    # are checked against the pushing one, so the directions cross-check
     dag = build_interchange_dag(margins)
-    dist, pred = reference_longest_paths(dag)
+    dist, step = reference_longest_paths(dag, pull=True)
+    assert search._longest_paths(dag).tolist() == dist
     length, witness = longest_chain(dag)
-    end = dist.index(max(dist))
-    path = [end]
-    while pred[path[-1]] != -1:
-        path.append(pred[path[-1]])
-    assert length == dist[end]
-    assert witness.matrices() == [dag.members[v] for v in reversed(path)]
+    start = dist.index(max(dist))
+    path = [start]
+    while step[path[-1]] != -1:
+        path.append(step[path[-1]])
+    assert length == dist[start] == max(reference_longest_paths(dag)[0])
+    assert witness.matrices() == [dag.members[v] for v in path]
     want = set()
     for p in dag.minimal_indices():
         reach, _ = reference_longest_paths(dag, [p])
         want.update(reach[q] for q in dag.maximal_indices() if reach[q] >= 0)
     assert maximal_chain_spectrum(dag) == want
-
-
-@pytest.mark.parametrize("margins", CLASSES, ids=str)
-def test_witness_walk_in_parts_finds_the_same_chain(monkeypatch, margins):
-    # the walk takes a level's members a few at a time and stops at the
-    # first part with a hit, which must hold the smallest-index one
-    dag = build_interchange_dag(margins)
-    length, witness = longest_chain(dag)
-    for walk in (1, 3):
-        monkeypatch.setattr(search, "_WALK_MEMBERS", walk)
-        got_length, got = longest_chain(dag)
-        assert got_length == length
-        assert got.matrices() == witness.matrices()
 
 
 def test_infeasible_margins():

@@ -23,6 +23,7 @@ from bruhatchains import (
     verify_chain,
 )
 from bruhatchains.matrices import pack
+from bruhatchains.search import _longest_paths
 from reference import longest_chain_between, strict_pairs
 
 A221_A1 = BinaryMatrix.from_rows(["110", "110", "001"])
@@ -84,6 +85,42 @@ class TestLongestChain:
             longest_chain(poset)
         with pytest.raises(ValueError, match="arc 1 -> 0"):
             maximal_chain_spectrum(poset)
+
+    def test_pulls_to_sinks_on_a_hand_built_poset(self):
+        # 0 -> 2, 3 -> 5 is a diamond, with the shortcut 0 -> 5 listed
+        # first in 0's row; 4 has no arcs, and 1 reaches only 6
+        keys = build_interchange_dag(MarginPair.uniform(4, 1)).keys[:7]
+        poset = ClassPoset(MarginPair.uniform(4, 1), keys,
+                           [0, 0, 1, 1, 1, 2, 2], [0, 3, 4, 5, 6, 6, 6, 6],
+                           [5, 2, 3, 6, 5, 5])
+        for sinks, want in (
+                (None, [2, 1, 1, 1, 0, 0, 0]),
+                ([5], [2, -1, 1, 1, -1, 0, -1]),
+                ([5, 6], [2, 1, 1, 1, -1, 0, 0]),
+                ([2], [1, -1, 0, -1, -1, -1, -1]),
+                ([4], [-1, -1, -1, -1, 0, -1, -1])):
+            assert _longest_paths(poset, sinks).tolist() == want
+        length, witness = longest_chain(poset)
+        # the shortcut's target is not one shorter, so the walk skips it
+        assert length == 2
+        assert witness.matrices() == [poset.members[v] for v in (0, 2, 5)]
+        assert maximal_chain_spectrum(poset) == {0, 1, 2}
+
+    def test_witness_runs_from_a_minimal_to_a_maximal_member(
+            self, poset_221, poset_42, poset_52, dag_62):
+        posets = [poset_221, poset_42, poset_52, dag_62,
+                  build_poset(MarginPair((2, 2, 2), (2, 1, 2, 1))),
+                  *(build_interchange_dag(MarginPair.uniform(n, 2))
+                    for n in range(2, 6))]
+        for poset in posets:
+            length, witness = longest_chain(poset)
+            rep = verify_chain(witness)
+            assert rep.valid
+            assert rep.length == length == _longest_paths(poset).max()
+            mats = witness.matrices()
+            members = poset.members
+            assert mats[0] in [members[v] for v in poset.minimal_indices()]
+            assert mats[-1] in [members[v] for v in poset.maximal_indices()]
 
     def test_witness_respects_nu_gap(self, poset_42):
         length, witness = longest_chain(poset_42)
