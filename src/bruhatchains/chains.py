@@ -69,33 +69,38 @@ class Chain:
         return BinaryMatrix(self.start.m, self.start.n, tuple(rows))
 
     def matrices(self) -> list[BinaryMatrix]:
-        """Replay the chain; raises PatternMismatch on an invalid step."""
+        """Replay the chain (``_replay``); raises PatternMismatch on an
+        invalid step."""
         rows = list(self.start.bits)
+        cols = _columns(rows, self.start.n)
         return [self.start] + [self._state(rows)
-                               for _ in _replay(rows, self.start.n, self.steps)]
+                               for _ in _replay(rows, cols, self.steps)]
 
     @property
     def end(self) -> BinaryMatrix:
         rows = list(self.start.bits)
-        for _ in _replay(rows, self.start.n, self.steps):
+        for _ in _replay(rows, _columns(rows, self.start.n), self.steps):
             pass
         return self._state(rows)
 
 
-def _replay(rows: list[int], width: int, steps: Sequence[Step],
-            cols: list[int] | None = None) -> Iterator[Step]:
-    """Apply the steps in order to rows, in place, yielding each step once
-    it is applied.  This is the only code that applies chain steps.  Given
-    the column view of the rows (``matrices._columns``), it keeps that in
-    step too.  A jump is yielded as an equal step to the copy of its
-    target that the ascent check ordered, whose order table holds the
-    target's inversion count; the step given keeps no table.
+def _replay(rows: list[int], cols: list[int],
+            steps: Sequence[Step]) -> Iterator[int]:
+    """Apply the steps in order to rows and to their column view cols
+    (``matrices._columns``; the width is ``len(cols)``), in place, and
+    yield each step's inversion gain once it is applied.  This is the only
+    code that checks chain steps.  An interchange's gain is ``_increment``
+    over the shorter span; a jump's is the inversion count of its target
+    less that of the state before it, read off the tables its ascent check
+    built for fresh copies of the two, so a target kept in a chain holds
+    no table.
 
     An interchange step must match its ItoL pattern; a jump step must be
     a strict Bruhat ascent.  An invalid step raises PatternMismatch
-    (MarginMismatch for a jump into another class) and leaves rows at the
-    state before it; malformed step data raises MalformedChain."""
-    m = len(rows)
+    (MarginMismatch for a jump into another class) and leaves rows and
+    cols at the state before it; malformed step data raises
+    MalformedChain."""
+    m, width = len(rows), len(cols)
     for k, step in enumerate(steps):
         if isinstance(step, Interchange):
             i, i2, j, j2 = step
@@ -111,27 +116,24 @@ def _replay(rows: list[int], width: int, steps: Sequence[Step],
                     f"step {k}: no ItoL pattern at {(i, i2, j, j2)}")
             rows[i] ^= flip
             rows[i2] ^= flip
-            if cols is not None:
-                down = (1 << i) | (1 << i2)
-                cols[j] ^= down
-                cols[j2] ^= down
+            down = (1 << i) | (1 << i2)
+            cols[j] ^= down
+            cols[j2] ^= down
+            yield _increment(rows, i, i2, j, j2, cols)
         elif isinstance(step, BruhatStep):
             target = step.target
             if target.m != m or target.n != width:
                 raise MalformedChain(f"step {k}: dimension change")
-            # fresh copies, so the order tables the check fills die with
-            # them and a target kept in a chain holds none
-            step = BruhatStep(BinaryMatrix(m, width, target.bits))
-            if not bruhat_less(BinaryMatrix(m, width, tuple(rows)),
-                               step.target):
+            before = BinaryMatrix(m, width, tuple(rows))
+            after = BinaryMatrix(m, width, target.bits)
+            if not bruhat_less(before, after):
                 raise PatternMismatch(
                     f"step {k}: jump is not a strict Bruhat ascent")
             rows[:] = target.bits
-            if cols is not None:
-                cols[:] = _columns(rows, width)
+            cols[:] = _columns(rows, width)
+            yield inversion_count(after) - inversion_count(before)
         else:
             raise MalformedChain(f"step {k}: unknown step type")
-        yield step
 
 
 @dataclass(frozen=True)
@@ -153,17 +155,16 @@ class ChainReport:
 def verify_chain(chain: Chain,
                  expected_start: BinaryMatrix | None = None,
                  expected_end: BinaryMatrix | None = None) -> ChainReport:
-    """Replay a chain, validating every step by its kind.
+    """Replay a chain, validating every step by its kind (``_replay``).
 
     Interchange steps must address a valid ItoL pattern; jump steps must be
     a strict Bruhat ascent.  An invalid step is reported by index and
     reason rather than raised; only structurally malformed data raises.
-    The inversion count advances by the increment formula on interchange
-    steps, counted over the shorter span with the column view, is read
-    off the table the ascent check built for a jump target, and is
-    recounted in full on the final state.  When the final rows equal
-    expected_end, that matrix is the final state, and the recount reads
-    its order table, built once for it and kept (``_order_table``)."""
+    The inversion count advances by the gain ``_replay`` yields for each
+    step, and is recounted in full on the final state.  When the final
+    rows equal expected_end, that matrix is the final state, and the
+    recount reads its order table, built once for it and kept
+    (``_order_table``)."""
     m, n = chain.start.m, chain.start.n
     rows = list(chain.start.bits)
     cols = _columns(rows, n)
@@ -172,14 +173,7 @@ def verify_chain(chain: Chain,
     tight = True
     failing = reason = None
     try:
-        for step in _replay(rows, n, chain.steps, cols):
-            if isinstance(step, Interchange):
-                # unpacked first: a call with *step builds an argument
-                # tuple at every step
-                i, i2, j, j2 = step
-                rise = _increment(rows, i, i2, j, j2, cols)
-            else:
-                rise = inversion_count(step.target) - nu
+        for rise in _replay(rows, cols, chain.steps):
             if rise != 1:
                 tight = False
             nu += rise
@@ -318,28 +312,28 @@ def _place(state: list[int], width: int, steps: Sequence[Step],
            rows: Sequence[int], cols: Sequence[int], out: list[Step],
            made: dict[tuple[int, int, int, int], Interchange]) -> None:
     """Reindex sub-chain steps into the rows x cols window of the running
-    state, then apply them to it once (``_replay``) and append them to out.
+    state, write each into the state and append it to out.  The sub-chains
+    are frozen and their steps valid (the tests replay them), so a placed
+    step is written unchecked; ``verify_chain`` replays a built chain.
     made holds one interchange per step of the build, so equal steps share
-    one object; every sub-chain step is ItoL.  A jump target's rows fill
-    the window of a copy of the state the window starts from: nothing
-    outside the window moves, so this is the full state after the jump."""
-    mapped = []
+    one object; every sub-chain step is ItoL, so it is two XORs.  A jump
+    target's rows fill the window of the state: nothing outside the window
+    moves, so the state after the write is the jump's full target."""
     for s in steps:
         if isinstance(s, Interchange):
-            key = rows[s.i], rows[s.i2], cols[s.j], cols[s.j2]
+            i, i2, j, j2 = key = rows[s.i], rows[s.i2], cols[s.j], cols[s.j2]
             step = made.get(key)
             if step is None:
                 step = made[key] = Interchange(*key)
+            flip = (1 << j) | (1 << j2)
+            state[i] ^= flip
+            state[i2] ^= flip
         else:
-            bits = list(state)
             for i, sub in zip(rows, s.target.bits):
                 for jj, j in enumerate(cols):
-                    bits[i] = bits[i] & ~(1 << j) | (sub >> jj & 1) << j
-            step = BruhatStep(BinaryMatrix(len(state), width, tuple(bits)))
-        mapped.append(step)
-    for _ in _replay(state, width, mapped):
-        pass
-    out.extend(mapped)
+                    state[i] = state[i] & ~(1 << j) | (sub >> jj & 1) << j
+            step = BruhatStep(BinaryMatrix(len(state), width, tuple(state)))
+        out.append(step)
 
 
 def _even_rounds(state: list[int], width: int, n: int, shift: int,

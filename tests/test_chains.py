@@ -17,6 +17,8 @@ from bruhatchains import (
     ClassTooLarge,
     Interchange,
     MalformedChain,
+    MarginMismatch,
+    PatternMismatch,
     UnsupportedOrder,
     base_chain_4,
     build_chain,
@@ -255,22 +257,30 @@ class TestOnePassBuild:
         text = chain_to_json(build_chain(n))
         assert hashlib.sha256(text.encode()).hexdigest() == _CHAIN_DIGESTS[n]
 
-    @pytest.mark.parametrize("n", [10, 11])
-    def test_each_step_applied_once(self, monkeypatch, n):
-        applied = []
-        replay = chains_module._replay
+    @pytest.mark.parametrize("n", [10, 11, 61])
+    def test_the_build_replays_and_orders_nothing(self, monkeypatch, n):
+        # the build writes the frozen sub-chains' steps unchecked: no
+        # replay and no order table (the odd orders' jumps included);
+        # verify_chain and the pinned digests check what it wrote
+        replays, tables = [], []
+        replay, table = chains_module._replay, matrices._OrderTable
 
-        def counting(rows, width, steps):
-            for step in replay(rows, width, steps):
-                applied.append(step)
-                yield step
+        def counting_replay(*args):
+            replays.append(args)
+            return replay(*args)
 
-        monkeypatch.setattr(chains_module, "_replay", counting)
+        def counting_table(*fields):
+            tables.append(fields)
+            return table(*fields)
+
+        monkeypatch.setattr(chains_module, "_replay", counting_replay)
+        monkeypatch.setattr(matrices, "_OrderTable", counting_table)
         chain_even.cache_clear()
         chain_odd.cache_clear()
         chain = build_chain(n)
-        assert len(applied) == chain.length == delta(n)
-        assert tuple(applied) == chain.steps
+        assert replays == [] and tables == []
+        text = chain_to_json(chain)
+        assert hashlib.sha256(text.encode()).hexdigest() == _CHAIN_DIGESTS[n]
 
     def test_caches_hold_one_chain(self):
         # a repeated build is served from the cache, but a process that
@@ -309,6 +319,26 @@ class TestClosedForms:
     def test_known_values(self):
         assert extremal_inversions(4) == (2, 18)
         assert extremal_inversions(5) == (3, 32)
+
+
+def _failing_y_to_q5() -> list:
+    """chain_y_to_q5 made to fail three ways, with the failing step and
+    reason verify_chain reports: an interchange after the jump that
+    repeats the one before it, which left L2 where it needs I2; a jump
+    from Q_5 back down to Z, after all 24 steps; and a jump into the
+    class of the identity, after the first jump and two interchanges."""
+    chain = chain_y_to_q5()
+    start, steps = chain.start, chain.steps
+    other = BinaryMatrix.from_rows(
+        ["10000", "01000", "00100", "00010", "00001"])
+    return [
+        (Chain(start, steps[:5] + steps[4:5] + steps[6:]), 5,
+         "pattern_mismatch"),
+        (Chain(start, steps + (BruhatStep(z_matrix()),)), 24,
+         "not_strict_ascent"),
+        (Chain(start, steps[:3] + (BruhatStep(other),) + steps[3:]), 3,
+         "other_class"),
+    ]
 
 
 class TestVerifyChain:
@@ -359,14 +389,31 @@ class TestVerifyChain:
         assert rep.failing_reason is None
 
     @pytest.mark.parametrize(
-        "chain", [build_chain(n) for n in range(4, 42)] + [chain_y_to_q5()],
-        ids=[f"n{n}" for n in range(4, 42)] + ["y_to_q5"])
-    def test_nu_profile_matches_full_recount(self, chain):
-        # the odd orders jump, and the column view is rebuilt after each
+        "chain, failing, reason",
+        [(build_chain(n), None, None) for n in range(4, 42)]
+        + [(chain_y_to_q5(), None, None)] + _failing_y_to_q5(),
+        ids=[f"n{n}" for n in range(4, 42)] + ["y_to_q5"]
+        + ["corrupt_interchange", "jump_down", "jump_to_other_class"])
+    def test_nu_profile_matches_full_recount(self, chain, failing, reason):
+        # the odd orders jump, and the column view is rebuilt after each;
+        # a failing chain's profile stops before its failing step, and
+        # the replay leaves the rows and their column view at that state
         rep = verify_chain(chain)
-        assert rep.valid
-        assert rep.nu_profile == tuple(
-            inversion_count(a) for a in chain.matrices())
+        assert rep.valid is (failing is None)
+        assert (rep.failing_step, rep.failing_reason) == (failing, reason)
+        states = Chain(chain.start, chain.steps[:failing]).matrices()
+        assert rep.nu_profile == tuple(inversion_count(a) for a in states)
+        rows = list(chain.start.bits)
+        cols = matrices._columns(rows, chain.start.n)
+        replay = chains_module._replay(rows, cols, chain.steps)
+        if failing is None:
+            assert len(list(replay)) == chain.length
+        else:
+            with pytest.raises((PatternMismatch, MarginMismatch)):
+                for _ in replay:
+                    pass
+        assert tuple(rows) == states[-1].bits
+        assert cols == matrices._columns(rows, chain.start.n)
 
     def test_jump_targets_keep_no_order_table(self):
         # the jump checks and the nu recounts read fresh copies, so the
