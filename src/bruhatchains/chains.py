@@ -65,23 +65,13 @@ class Chain:
             return "interchange"
         return "bruhat"
 
-    def _state(self, rows: list[int]) -> BinaryMatrix:
-        return BinaryMatrix(self.start.m, self.start.n, tuple(rows))
-
     def matrices(self) -> list[BinaryMatrix]:
         """Replay the chain (``_replay``); raises PatternMismatch on an
         invalid step."""
-        rows = list(self.start.bits)
-        cols = _columns(rows, self.start.n)
-        return [self.start] + [self._state(rows)
+        m, n, rows = self.start.m, self.start.n, list(self.start.bits)
+        cols = _columns(rows, n)
+        return [self.start] + [BinaryMatrix(m, n, tuple(rows))
                                for _ in _replay(rows, cols, self.steps)]
-
-    @property
-    def end(self) -> BinaryMatrix:
-        rows = list(self.start.bits)
-        for _ in _replay(rows, _columns(rows, self.start.n), self.steps):
-            pass
-        return self._state(rows)
 
 
 def _replay(rows: list[int], cols: list[int],

@@ -74,6 +74,8 @@ def _read_matrix(path: str) -> BinaryMatrix:
 
 def _parse_margins(spec: str) -> MarginPair:
     try:
+        if spec.count("/") != 1:
+            raise ValueError("the form is R/S, row sums then column sums")
         rows, cols = (tuple(map(_ascii_int, side.split(",")))
                       for side in spec.split("/"))
         return MarginPair(rows, cols)

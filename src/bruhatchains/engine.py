@@ -5,13 +5,15 @@ Cell (i, j) of an m x n member sits at bit m*n - 1 - (i*n + j) of its key,
 so integer order of keys is ``canonical_key`` order.  An ItoL interchange
 at rows i < i2 and columns j < j2 is a four-bit mask M with source pattern
 V: it applies to X where ``X & M == V`` and yields ``X ^ M`` (the bitboard
-idiom; Knuth, TAOCP 4A, section 7.1.3).  ``matrices.pack`` and
-``matrices.decode`` convert between a key and a ``BinaryMatrix``.
+idiom; Knuth, TAOCP 4A, section 7.1.3).  Every per-member count is that
+section's sideways addition: a popcount of the keys under a cell mask
+from ``_mask``.  ``matrices.pack`` and ``matrices.decode`` convert
+between a key and a ``BinaryMatrix``.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, product
 from math import comb
 from typing import TYPE_CHECKING
 
@@ -22,10 +24,11 @@ from .errors import ClassTooLarge, InfeasibleMargins
 if TYPE_CHECKING:
     from .matrices import MarginPair
 
-# The largest array the engine allocates: a row's frontier (a key and n
-# column caps per state) or the arc targets.  A(7,2) needs 47 MB for its
-# last frontier and 396 MB for its 98,894,250 arcs; A(8,2) would need
-# 790 MB for the frontier after six rows, and is refused there.
+# The largest array the engine allocates: a row's frontier (a key per
+# state, and a byte a column for its caps while the next row is placed)
+# or the arc targets.  A(7,2) needs 47 MB for its last frontier and 396 MB
+# for its 98,894,250 arcs; A(8,2) would need 790 MB for the frontier
+# after six rows, and is refused there.
 MAX_ARRAY_BYTES = 1 << 29
 
 # The most row splits count_class walks, each a way to spread a row's ones
@@ -37,16 +40,15 @@ MAX_COUNT_SPLITS = 1 << 22
 # The most cells a packed key holds: one uint64 bit each.
 MAX_CELLS = 64
 
-_ONE = np.uint64(1)
-
 
 def _bit(m: int, n: int, i: int, j: int) -> int:
     """The key bit of cell (i, j)."""
     return m * n - 1 - (i * n + j)
 
 
-def _cell(keys: np.ndarray, m: int, n: int, i: int, j: int) -> np.ndarray:
-    return (keys >> np.uint64(_bit(m, n, i, j))) & _ONE
+def _mask(m: int, n: int, cells) -> int:
+    """The OR of the key bits of the distinct cells (i, j)."""
+    return sum(1 << _bit(m, n, i, j) for i, j in cells)
 
 
 def _check_budget(count: int, per_item: int, what: str) -> None:
@@ -72,23 +74,27 @@ def check_margins(margins: MarginPair) -> None:
 
 def enumerate_keys(margins: MarginPair) -> np.ndarray:
     """Every member's key, ascending.  Rows are placed one at a time over a
-    frontier of (key, column caps) states; a row choice must use only open
+    frontier of keys; a state's cap in column j is ``col_sums[j]`` less the
+    popcount under column j's mask.  A row choice must use only open
     columns and every column whose cap exceeds the rows left after it."""
     check_cells(margins)
     check_margins(margins)
     m, n = margins.m, margins.n
+    columns = [np.uint64(_mask(m, n, product(range(m), [j])))
+               for j in range(n)]
     keys = np.zeros(1, np.uint64)
-    caps = np.array([margins.col_sums], np.int8)
     col_set = np.min_scalar_type((1 << n) - 1)  # n bits, column j at bit j
     for i, r in enumerate(margins.row_sums):
         open_cols = np.zeros(len(keys), col_set)
         must = np.zeros(len(keys), col_set)
-        for j in range(n):
+        live = []  # only a column still open in some state can take a one
+        for j, (total, column) in enumerate(zip(margins.col_sums, columns)):
+            cap = total - np.bitwise_count(keys & column)
             bit = col_set.type(1 << j)
-            open_cols[caps[:, j] > 0] |= bit
-            must[caps[:, j] > m - i - 1] |= bit
-        # only a column still open in some state can take a one
-        live = [j for j in range(n) if caps[:, j].any()]
+            open_cols[cap > 0] |= bit
+            must[cap > m - i - 1] |= bit
+            if cap.any():
+                live.append(j)
         # a choice holds a tuple of r columns, its mask and the pair of
         # them: under 128 + 8r bytes (tracemalloc)
         _check_budget(comb(len(live), r), 128 + 8 * r,
@@ -102,16 +108,13 @@ def enumerate_keys(margins: MarginPair) -> np.ndarray:
         size = sum(int(np.count_nonzero(fits(c))) for _, c in choices)
         _check_budget(size, 8 + n, f"row {i + 1} of the class enumeration")
         new_keys = np.empty(size, np.uint64)
-        new_caps = np.empty((size, n), np.int8)
         at = 0
         for cols, c in choices:
             idx = np.flatnonzero(fits(c))
-            word = np.uint64(sum(1 << _bit(m, n, i, j) for j in cols))
+            word = np.uint64(_mask(m, n, product([i], cols)))
             new_keys[at:at + len(idx)] = keys[idx] | word
-            new_caps[at:at + len(idx)] = caps[idx]
-            new_caps[at:at + len(idx), list(cols)] -= 1
             at += len(idx)
-        keys, caps = new_keys, new_caps
+        keys = new_keys
     if not len(keys):
         raise InfeasibleMargins("no matrix realizes these margins")
     keys.sort()
@@ -119,19 +122,13 @@ def enumerate_keys(margins: MarginPair) -> np.ndarray:
 
 
 def inversion_counts(keys: np.ndarray, m: int, n: int) -> np.ndarray:
-    """Inversion count of every key, one cell at a time: a one gains the
-    ones in earlier rows at columns to its right."""
+    """Inversion count of every key: each cell (i, j) that holds a one
+    adds the popcount under the mask of rows < i and columns > j."""
     nu = np.zeros(len(keys), np.int16)
-    above = [np.zeros(len(keys), np.int16) for _ in range(n)]
-    for i in range(m):
-        right = np.zeros(len(keys), np.int16)
-        row = [None] * n
-        for j in reversed(range(n)):
-            row[j] = _cell(keys, m, n, i, j).astype(np.int16)
-            nu += row[j] * right
-            right += above[j]
-        for j in range(n):
-            above[j] += row[j]
+    for i, j in product(range(1, m), range(n - 1)):
+        one = np.bitwise_count(keys & np.uint64(_mask(m, n, [(i, j)])))
+        above = _mask(m, n, product(range(i), range(j + 1, n)))
+        nu += one * np.bitwise_count(keys & np.uint64(above))
     return nu
 
 
@@ -140,8 +137,8 @@ def move_masks(m: int, n: int
     """Every ItoL move of an m x n key in (i, i2, j, j2) order: its quad,
     and its source and target patterns, whose OR is the move's mask."""
     return [((i, i2, j, j2),
-             1 << _bit(m, n, i, j) | 1 << _bit(m, n, i2, j2),
-             1 << _bit(m, n, i, j2) | 1 << _bit(m, n, i2, j))
+             _mask(m, n, [(i, j), (i2, j2)]),
+             _mask(m, n, [(i, j2), (i2, j)]))
             for i, i2 in combinations(range(m), 2)
             for j, j2 in combinations(range(n), 2)]
 
@@ -187,11 +184,13 @@ def interchange_arcs(keys: np.ndarray, rank: np.ndarray, m: int, n: int
 def sigma_table(keys: np.ndarray, m: int, n: int) -> np.ndarray:
     """Every key's partial-sum table, one row each, entry k*n + l counting
     the ones in rows 0..k and columns 0..l as the recount ``sigma`` of
-    ``tests/reference.py`` does: the cells, summed down and then across."""
-    shifts = np.arange(m * n - 1, -1, -1, dtype=np.uint64)
-    cells = ((keys[:, None] >> shifts) & _ONE).astype(np.int8)
-    cells = cells.reshape(len(keys), m, n).cumsum(axis=1, dtype=np.int8)
-    return cells.cumsum(axis=2, dtype=np.int8).reshape(len(keys), m * n)
+    ``tests/reference.py`` does: the popcount under that block's mask.
+    It is the transpose of an entry-major array."""
+    table = np.empty((m * n, len(keys)), np.int8)
+    for e, (k, l) in enumerate(product(range(m), range(n))):
+        block = _mask(m, n, product(range(k + 1), range(l + 1)))
+        np.bitwise_count(keys & np.uint64(block), out=table[e])
+    return table.T
 
 
 def ranked_class(margins: MarginPair) -> tuple[

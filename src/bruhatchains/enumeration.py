@@ -122,7 +122,7 @@ class _Members(Sequence):
         return list(self) == list(other)
 
 
-@dataclass
+@dataclass(eq=False)
 class ClassPoset:
     """All members of one class, sorted by inversion count, with order arcs
     over them.
@@ -143,6 +143,8 @@ class ClassPoset:
     interchanges, and on all-two square classes the Bruhat order is their
     transitive closure, which is all the longest-path and spectrum
     machinery needs.  Comparability queries and the exports refuse a DAG.
+
+    Equality is identity, so a poset is hashable.
     """
 
     margins: MarginPair

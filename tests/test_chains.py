@@ -95,8 +95,8 @@ class TestTabulatedChains:
         p5, q5 = build_extremes(5)
         assert first.length == 6
         assert second.length == 23
-        assert first.start == p5 and first.end == z_matrix()
-        assert second.start == z_matrix() and second.end == q5
+        assert first.start == p5 and first.matrices()[-1] == z_matrix()
+        assert second.start == z_matrix() and second.matrices()[-1] == q5
 
     def test_tightness(self):
         first, second = tabulated_chains_5()

@@ -498,14 +498,17 @@ def test_oversize_class_refused(runner, args):
 
 @pytest.mark.parametrize("spec", [
     " 2 ,  2/ 2,2", "１_0/1_0", "1_0/1_0", "+2,2/2,2", "2,-0/2,0",
-    "２,2/2,2",
+    "２,2/2,2", "1/1/1", "2,2",
 ])
 def test_margin_entries_are_ascii_digits(runner, spec):
-    # int() took blanks, signs, underscores and fullwidth digits
+    # int() took blanks, signs, underscores and fullwidth digits; a spec
+    # without exactly one slash is named by its R/S form, not by Python's
+    # unpacking message
     result = runner.invoke(main, ["enumerate", "--margins", spec, "--count"])
     assert result.exit_code == 2
     assert "Traceback" not in result.output
     assert result.output.count("Error: bad margins") == 1
+    assert "unpack" not in result.output
 
 
 @pytest.mark.parametrize("command, text", [

@@ -31,7 +31,7 @@ from bruhatchains import (
 )
 from bruhatchains import canonical_key, engine, enumeration, search
 from bruhatchains.matrices import decode, pack
-from reference import backtrack_class, searchsorted_arcs
+from reference import backtrack_class, searchsorted_arcs, sigma
 
 CLASSES = [
     MarginPair((2, 2, 1), (2, 2, 1)),
@@ -105,6 +105,27 @@ def test_engine_uses_all_64_bits():
     assert len(dag) == 40320
     assert dag.members == members
     assert dag.nu.tolist() == [inversion_count(a) for a in members]
+    keys = random.Random(64).sample(dag.keys.tolist(), 2000)
+    table = engine.sigma_table(np.array(keys, np.uint64), 8, 8)
+    assert table.tolist() == [sigma(decode(key, 8, 8).bits, 8)
+                              for key in keys]
+
+
+@pytest.mark.parametrize("margins", [
+    MarginPair((2, 2), (1, 1) + (0,) * 28 + (1, 1)),
+    MarginPair((1, 1) + (0,) * 28 + (1, 1), (2, 2)),
+], ids=["2x32", "32x2"])
+def test_engine_reaches_bits_0_and_63(margins):
+    # ones in the first and last cells sit at the key's top and low bits
+    m, n = margins.m, margins.n
+    keys = engine.enumerate_keys(margins)
+    members = [decode(key, m, n) for key in keys.tolist()]
+    assert members == sorted(backtrack_class(margins), key=canonical_key)
+    assert any(key >> 63 and key & 1 for key in keys.tolist())
+    assert engine.inversion_counts(keys, m, n).tolist() == [
+        inversion_count(a) for a in members]
+    assert engine.sigma_table(keys, m, n).tolist() == [
+        sigma(a.bits, n) for a in members]
 
 
 def test_engine_nu_equals_inversion_count_on_a52():

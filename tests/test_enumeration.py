@@ -181,6 +181,14 @@ class TestBuildPoset:
         monkeypatch.setattr(engine, "MAX_ARRAY_BYTES", 2 * 90 * 90)
         assert len(build_poset(MarginPair.uniform(4, 2))) == 90
 
+    def test_equality_is_identity(self):
+        # a field-by-field == would ask numpy arrays for one truth value
+        p = build_poset(MarginPair.uniform(4, 2))
+        q = build_poset(MarginPair.uniform(4, 2))
+        assert p == p
+        assert p != q
+        assert len({p, q}) == 2
+
     def test_refused_before_any_square_array(self, monkeypatch):
         # A(5,2) has 2040 members; a refusal must come before any
         # 2040 x 2040 array exists, so numpy never holds that many bytes
