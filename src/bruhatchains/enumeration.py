@@ -314,3 +314,39 @@ def build_interchange_dag(margins: MarginPair) -> ClassPoset:
     keys, nu, rank = engine.ranked_class(margins)
     indptr, targets = engine.interchange_arcs(keys, rank, margins.m, margins.n)
     return ClassPoset(margins, keys, nu, indptr, targets)
+
+
+def _pull(poset: ClassPoset, values: np.ndarray, ufunc: np.ufunc,
+          step: int) -> np.ndarray:
+    """Pull values along every arc, in place: each member's value takes
+    ufunc of it and of its targets' values plus step.
+
+    Members are sorted by inversion count, which every arc raises, so the
+    pull runs along the CSR rows of one inversion-count layer at a time,
+    last layer first.  Every arc of a layer is checked to raise the count;
+    one that does not raises ValueError naming it."""
+    nu, indptr, targets = poset.nu, poset.indptr, poset.targets
+    if (np.diff(nu) < 0).any():
+        raise ValueError("members are not sorted by inversion count")
+    edges = [0, *(np.flatnonzero(np.diff(nu)) + 1).tolist(), len(nu)]
+    for lo, hi in reversed(list(zip(edges, edges[1:]))):
+        first, last = indptr[lo], indptr[hi]
+        ahead = targets[first:last]
+        # members are sorted by nu, so an arc raises it iff its target
+        # lies past this layer
+        behind = ahead < hi
+        if behind.any():
+            arc = first + int(np.argmax(behind))
+            v = int(np.searchsorted(indptr, arc, side="right")) - 1
+            w = int(targets[arc])
+            raise ValueError(f"arc {v} -> {w} does not raise the inversion "
+                             f"count (nu {nu[v]} -> {nu[w]})")
+        # reduceat gives an empty segment its next element, not nothing, so
+        # it takes only the members with arcs.  Indexing casts the int32
+        # targets a buffer at a time, where take would cast a whole
+        # layer's at once, for a peak 34 MB higher on A(7,2)
+        rows = lo + np.flatnonzero(np.diff(indptr[lo:hi + 1]))
+        if len(rows):
+            pulled = ufunc.reduceat(values[ahead], indptr[rows] - first)
+            values[rows] = ufunc(values[rows], pulled + step)
+    return values

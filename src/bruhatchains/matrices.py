@@ -256,17 +256,19 @@ def _moves(rows: Sequence[int]) -> Iterator[tuple[int, int, int, int]]:
 def _tight_moves(rows: Sequence[int]) -> Iterator[tuple[int, int, int, int]]:
     """The moves of ``_moves(rows)`` whose increment is 1, in the same
     order.  The increment counts the ones of rows i and i2 strictly
-    between columns j and j2, and the ones of the rows strictly between
-    i and i2 in columns j..j2, so it is 1 iff j2 is the next one of
-    rows[i] | rows[i2] after j, that one is in row i2 only, and a running
-    OR of the rows between holds no one in columns j..j2."""
+    between columns j and j2 and of the rows between in columns j..j2, so
+    it is 1 iff j2 is the next one of rows[i] | rows[i2] after j, in row
+    i2 only, and a running OR of the rows between holds none in j..j2.
+    A one of row i at j stays ``alive`` until row i or a row between has
+    a one at j + 1, or a row between one at j; row i stops once none is."""
     m = len(rows)
     for i in range(m - 1):
         bi = rows[i]
+        alive = bi & ~(bi >> 1)
         between = 0
         for i2 in range(i + 1, m):
             bi2 = rows[i2]
-            left = bi & ~bi2      # columns with a one in row i only
+            left = alive & ~bi2   # columns with a one in row i only
             bot = bi2 & ~bi       # columns with a one in row i2 only
             both = bi | bi2
             while left:
@@ -277,8 +279,9 @@ def _tight_moves(rows: Sequence[int]) -> Iterator[tuple[int, int, int, int]]:
                 if high & bot and not between & ((high << 1) - low):
                     yield i, i2, low.bit_length() - 1, high.bit_length() - 1
             between |= bi2
-            if not bi & ~between:
-                break   # every one of row i has a one below it: no later i2
+            alive &= ~(bi2 | bi2 >> 1)
+            if not alive:
+                break
 
 
 # What find_interchanges holds per move, from tracemalloc: an Interchange
@@ -308,28 +311,31 @@ def _flip(rows: tuple[int, ...], i: int, i2: int, j: int, j2: int
 
 
 @lru_cache(maxsize=8)
-def _guards(m: int, n: int, w: int) -> tuple[int, int]:
-    """The masks of an m x n table in lanes of w/8 bytes, little-endian,
-    entry k*n + l in bits (k*n + l)*w and up: the guard bit, the top bit,
-    of every lane; and every bit of the last row's and the last column's
-    lanes.  Each is a byte pattern repeated over the table, the size of
-    one table."""
-    size = w // 8
-    high = bytes(size - 1) + b"\x80"
-    last = b"\xff" * size
-    edge = (bytes((n - 1) * size) + last) * (m - 1) + last * n
-    return (int.from_bytes(high * (m * n), "little"),
-            int.from_bytes(edge, "little"))
+def _guards(m: int, n: int, w: int) -> int:
+    """The top bit of every lane of an m x n table in lanes of w/8 bytes,
+    little-endian, entry k*n + l in bits (k*n + l)*w and up."""
+    high = bytes(w // 8 - 1) + b"\x80"
+    return int.from_bytes(high * (m * n), "little")
+
+
+@lru_cache(maxsize=8)
+def _class_key(*key: int | tuple[int, ...]) -> tuple:
+    """The key itself: the tables of one of the last 8 classes share it."""
+    return key
 
 
 class _OrderTable(NamedTuple):
     """What every order query reads of a matrix: its partial-sum table
     packed into w-bit lanes as ``_guards`` lays them out, with each guard
-    bit clear; w, a multiple of 8; and the inversion count."""
+    bit clear; w, a multiple of 8; the inversion count; the class key
+    (n, the row sums, the packed last row of sigma), equal iff two
+    matrices share a shape and margins; and the guard bits."""
 
     sigma: int
     width: int
     nu: int
+    cls: tuple[int, tuple[int, ...], int]
+    high: int
 
 
 def _order_table(a: BinaryMatrix) -> _OrderTable:
@@ -364,7 +370,8 @@ def _order_table(a: BinaryMatrix) -> _OrderTable:
             row += ones >> j * w << j * w
         above += count
         sigma += row.to_bytes(n * size, "little")
-    table = _OrderTable(int.from_bytes(sigma, "little"), w, nu)
+    table = _OrderTable(int.from_bytes(sigma, "little"), w, nu,
+                        _class_key(n, a.row_sums(), row), _guards(a.m, n, w))
     object.__setattr__(a, "_table", table)
     return table
 

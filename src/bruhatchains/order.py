@@ -3,16 +3,14 @@ minimal/maximal tests for classes where every row and column sums to 2."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import reduce
+from dataclasses import dataclass, replace
 from math import comb
-from operator import or_
 from typing import Iterator, NamedTuple
 
 import numpy as np
 
 from . import engine
-from .enumeration import build_interchange_dag, count_class
+from .enumeration import ClassPoset, _pull, build_interchange_dag, count_class
 from .errors import (
     ClassTooLarge,
     MarginMismatch,
@@ -29,7 +27,6 @@ from .matrices import (
     _dominates,
     _entries,
     _flip,
-    _guards,
     _moves,
     _order_table,
     _OrderTable,
@@ -49,26 +46,19 @@ class OrderVerdict:
 
 
 def _require_same_class(a: BinaryMatrix, c: BinaryMatrix
-                        ) -> tuple[_OrderTable, _OrderTable, int, int]:
-    """The order tables of a and c, their guard bits and the mask of their
-    edge lanes, once a and c are known to share a class: equal dimensions,
-    equal lane widths (else the lanes do not line up), and equal lanes
-    along the last row (cumulative column sums) and the last column
-    (cumulative row sums)."""
-    if a.m == c.m and a.n == c.n:
-        ta, tc = _order_table(a), _order_table(c)
-        if ta.width == tc.width:
-            high, edge = _guards(a.m, a.n, ta.width)
-            if not (ta.sigma ^ tc.sigma) & edge:
-                return ta, tc, high, edge
-    raise MarginMismatch("matrices are not in the same class")
+                        ) -> tuple[_OrderTable, _OrderTable]:
+    """The order tables of a and c, once their class keys match."""
+    ta, tc = _order_table(a), _order_table(c)
+    if ta.cls != tc.cls:
+        raise MarginMismatch("matrices are not in the same class")
+    return ta, tc
 
 
 def bruhat_leq(a: BinaryMatrix, c: BinaryMatrix) -> bool:
     """a precedes c iff the partial-sum table of a dominates that of c
     entrywise."""
-    ta, tc, high, _ = _require_same_class(a, c)
-    return _dominates(ta.sigma, tc.sigma, high)
+    ta, tc = _require_same_class(a, c)
+    return _dominates(ta.sigma, tc.sigma, ta.high)
 
 
 # The four verdicts, by (leq, geq); frozen, so every query shares them.
@@ -77,9 +67,9 @@ _VERDICTS = {(leq, geq): OrderVerdict(leq, geq)
 
 
 def bruhat_verdict(a: BinaryMatrix, c: BinaryMatrix) -> OrderVerdict:
-    ta, tc, high, _ = _require_same_class(a, c)
-    return _VERDICTS[_dominates(ta.sigma, tc.sigma, high),
-                     _dominates(tc.sigma, ta.sigma, high)]
+    ta, tc = _require_same_class(a, c)
+    return _VERDICTS[_dominates(ta.sigma, tc.sigma, ta.high),
+                     _dominates(tc.sigma, ta.sigma, ta.high)]
 
 
 def bruhat_less(a: BinaryMatrix, c: BinaryMatrix) -> bool:
@@ -94,7 +84,7 @@ def bruhat_less(a: BinaryMatrix, c: BinaryMatrix) -> bool:
 # expanded, and never given back: its level of the path (the generator
 # frame of its moves, its stack entry and move, the Interchange of the chain
 # found), and what the dead set may keep: its rows tuple and a set slot;
-# and eight ints of n bits, its two new rows and the masks in the frame.
+# and nine ints of n bits, its two new rows and the masks in the frame.
 _LEVEL_BYTES = 750
 _STATE_BYTES = 150
 
@@ -119,7 +109,7 @@ def _search(a: BinaryMatrix, c: BinaryMatrix, tables, generate,
     rows and move iterator, so a chain may be longer than the recursion
     limit.  Before a state is expanded, the bytes of the array and of the
     states expanded so far are checked against engine.MAX_ARRAY_BYTES."""
-    ta, tc, _, _ = tables
+    ta, tc = tables
     m, n = a.m, a.n
     excess = _entries(ta, m, n)
     excess -= _entries(tc, m, n)
@@ -129,7 +119,7 @@ def _search(a: BinaryMatrix, c: BinaryMatrix, tables, generate,
     dead: set[tuple[int, ...]] = set()
     limit = engine.MAX_ARRAY_BYTES
     held = m * n * (8 + ta.width // 8)
-    level = 8 * m + n * 16 // 15 + _LEVEL_BYTES + _STATE_BYTES
+    level = 8 * m + n * 18 // 15 + _LEVEL_BYTES + _STATE_BYTES
 
     explored = 0
     path: list[tuple[int, int, int, int]] = []
@@ -218,17 +208,10 @@ class _ClassTable(NamedTuple):
         return path, len(path)
 
 
-def _reach(indptr: np.ndarray, targets: np.ndarray
-           ) -> tuple[list[int], list[list[int]]]:
-    """The bitsets of the CSR arcs' reachability, bit w of entry v set iff
-    w is reachable from v, and the arcs as lists.  Every arc raises the
-    inversion count, so one reverse pass fills the bitsets."""
-    bounds, targets = indptr.tolist(), targets.tolist()
-    arcs = [targets[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
-    bits = [0] * len(arcs)
-    for v in reversed(range(len(arcs))):
-        bits[v] = reduce(or_, map(bits.__getitem__, arcs[v]), 1 << v)
-    return bits, arcs
+def _reach(poset: ClassPoset) -> list[int]:
+    """Bit w of entry v set iff w is reachable from v: bits OR-pulled."""
+    bits = np.array([1 << v for v in range(len(poset))], dtype=object)
+    return _pull(poset, bits, np.bitwise_or, 0).tolist()
 
 
 def _build_table(margins: MarginPair) -> _ClassTable | None:
@@ -250,9 +233,11 @@ def _build_table(margins: MarginPair) -> _ClassTable | None:
     rise = nu[targets] == np.repeat(nu, np.diff(indptr)) + 1
     if _table_charge(m, n, size, np.count_nonzero(rise)) > MAX_TABLE_BYTES:
         return None
-    up = _reach(indptr, targets)[0]   # its arc lists die here
-    tight, arcs = _reach(np.concatenate(([0], rise.cumsum()))[indptr],
-                         targets[rise])
+    up = _reach(dag)
+    rises = replace(dag, indptr=np.concatenate(([0], rise.cumsum()))[indptr],
+                    targets=targets[rise])
+    tight = _reach(rises)
+    arcs = [row.tolist() for row in rises.succ]
     keys = dag.keys.tolist()
     index = {decode(key, m, n).bits: v for v, key in enumerate(keys)}
     moves = {src | dst: Interchange(*quad)
@@ -260,18 +245,17 @@ def _build_table(margins: MarginPair) -> _ClassTable | None:
     return _ClassTable(index, keys, up, tight, arcs, moves)
 
 
-# The last class queried, by shape and edge lanes (margins): table or None.
-_SLOT: dict[tuple[int, int, int], _ClassTable | None] = {}
+# The last class queried, by class key (``_OrderTable.cls``): table or None.
+_SLOT: dict[tuple, _ClassTable | None] = {}
 
 
 def _class_table(a: BinaryMatrix, tables) -> _ClassTable | None:
     """The table of a's class, or None past ``engine.MAX_CELLS`` cells;
-    tables are _require_same_class(a, c), whose edge lanes key the class.
+    tables are _require_same_class(a, c), whose class key keys the slot.
     _SLOT holds the last class queried, and another class replaces it."""
     if a.m * a.n > engine.MAX_CELLS:
         return None
-    ta, _, _, edge = tables
-    key = (a.m, a.n, ta.sigma & edge)
+    key = tables[0].cls
     if key not in _SLOT:
         _SLOT.clear()
         _SLOT[key] = _build_table(a.margins())

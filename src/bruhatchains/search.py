@@ -10,7 +10,7 @@ from typing import Iterable
 import numpy as np
 
 from .chains import BruhatStep, Chain
-from .enumeration import ClassPoset
+from .enumeration import ClassPoset, _pull
 from .errors import StartAboveTarget
 from .matrices import (
     BinaryMatrix,
@@ -48,42 +48,15 @@ class MonotonicityReport:
 def _longest_paths(poset: ClassPoset, sinks: Iterable[int] | None = None
                    ) -> np.ndarray:
     """Longest path length (edge count) from every member, to any member or
-    only to the given sinks, with -1 where no path leads to one.
-
-    Members are sorted by inversion count, which every order arc raises, so
-    the DP pulls along the CSR rows of one inversion-count layer at a time,
-    last layer first.  Every arc of a layer is checked to raise the count;
-    one that does not raises ValueError naming it."""
-    nu, indptr, targets = poset.nu, poset.indptr, poset.targets
-    if (np.diff(nu) < 0).any():
-        raise ValueError("members are not sorted by inversion count")
+    only to the given sinks, with -1 where no path leads to one: a max-plus
+    ``_pull``, so an arc that does not raise nu raises ValueError."""
     if sinks is None:
-        dist = np.zeros(len(nu), dtype=np.int32)
+        dist = np.zeros(len(poset), dtype=np.int32)
     else:
         # members that reach no sink stay negative however far they pull
-        dist = np.full(len(nu), -len(nu) - 1, dtype=np.int32)
+        dist = np.full(len(poset), -len(poset) - 1, dtype=np.int32)
         dist[list(sinks)] = 0
-    edges = [0, *(np.flatnonzero(np.diff(nu)) + 1).tolist(), len(nu)]
-    for lo, hi in reversed(list(zip(edges, edges[1:]))):
-        first, last = indptr[lo], indptr[hi]
-        ahead = targets[first:last]
-        # members are sorted by nu, so an arc raises it iff its target
-        # lies past this layer
-        behind = ahead < hi
-        if behind.any():
-            arc = first + int(np.argmax(behind))
-            v = int(np.searchsorted(indptr, arc, side="right")) - 1
-            w = int(targets[arc])
-            raise ValueError(f"arc {v} -> {w} does not raise the inversion "
-                             f"count (nu {nu[v]} -> {nu[w]})")
-        # reduceat gives an empty segment its next element, not nothing, so
-        # it takes only the members with arcs.  Indexing casts the int32
-        # targets a buffer at a time, where take would cast a whole
-        # layer's at once, for a peak 34 MB higher on A(7,2)
-        rows = lo + np.flatnonzero(np.diff(indptr[lo:hi + 1]))
-        if len(rows):
-            pulled = np.maximum.reduceat(dist[ahead], indptr[rows] - first)
-            dist[rows] = np.maximum(dist[rows], pulled + 1)
+    dist = _pull(poset, dist, np.maximum, 1)
     dist[dist < 0] = -1
     return dist
 
@@ -114,8 +87,7 @@ def tight_chain_search(a: BinaryMatrix, c: BinaryMatrix,
     Else ``order._search`` runs over the increment-one moves (every step
     of a tight chain has one), ``explored`` counts its expansions, and
     past budget it gives up, with budget_hit set."""
-    tables = _require_same_class(a, c)
-    ta, tc, _, _ = tables
+    ta, tc = tables = _require_same_class(a, c)
     if ta.nu > tc.nu:
         raise StartAboveTarget(
             f"start has more inversions than the target ({ta.nu} > {tc.nu})")

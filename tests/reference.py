@@ -2,11 +2,14 @@
 BinaryMatrix values, independent of the packed engine, an interchange arc
 builder that finds each target by binary search, a partial-sum recount
 independent of the order tables, a pair-by-pair poset built on that
-recount, the paper's order-5 chain tables, and helpers only the tests
-call, a submatrix writer and LtoI moves among them: an LtoI move at
-(i, i2, j, j2) turns L2 back into I2, the undo of the ItoL move there."""
+recount, a reachability pass over lists of arcs, the paper's order-5
+chain tables, and helpers only the tests call, a submatrix writer and
+LtoI moves among them: an LtoI move at (i, i2, j, j2) turns L2 back into
+I2, the undo of the ItoL move there."""
 
+from functools import reduce
 from itertools import accumulate, combinations
+from operator import or_
 
 import numpy as np
 
@@ -128,6 +131,19 @@ def poset_by_pairs(members) -> tuple[list[list[bool]], list[int], list[int]]:
                     if above[a] >> c & 1 and not above[a] & below[c]]
         indptr.append(len(targets))
     return leq, indptr, targets
+
+
+def reach(indptr, targets) -> tuple[list[int], list[list[int]]]:
+    """The bitsets of the CSR arcs' reachability, bit w of entry v set iff
+    w is reachable from v, and the arcs as lists.  Every arc raises the
+    inversion count, so one reverse pass over the members fills the
+    bitsets."""
+    bounds, targets = indptr.tolist(), targets.tolist()
+    arcs = [targets[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    bits = [0] * len(arcs)
+    for v in reversed(range(len(arcs))):
+        bits[v] = reduce(or_, map(bits.__getitem__, arcs[v]), 1 << v)
+    return bits, arcs
 
 
 # Helpers only the tests call.

@@ -16,13 +16,17 @@ import numpy as np
 import pytest
 
 from bruhatchains import (
+    I2,
+    L2,
     BinaryMatrix,
     Chain,
+    ClassPoset,
     ClassTooLarge,
     Interchange,
     MarginPair,
     SearchBudgetExceeded,
     build_extremes,
+    build_interchange_dag,
     bruhat_less,
     engine,
     inversion_count,
@@ -32,7 +36,8 @@ from bruhatchains import (
 from bruhatchains import matrices, order
 from bruhatchains.matrices import _flip, _moves, _tight_moves
 from bruhatchains.order import _class_table, _require_same_class, _search
-from reference import sigma
+from bruhatchains.search import _longest_paths
+from reference import reach, sigma
 from test_oracles import reference_secondary, reference_tight
 
 
@@ -122,6 +127,37 @@ def assert_table_is_the_old_construction(margins):
 def test_table_arcs_are_the_tight_moves(poset_42, poset_52, small_posets):
     for poset in (poset_42, poset_52, *small_posets):
         assert_table_is_the_old_construction(poset.margins)
+
+
+def test_pulled_reach_is_the_reference(poset_42, poset_52, small_posets):
+    # the OR pull's bitsets on the interchange DAG and its tight arcs, and
+    # the table built from them, against a reverse pass over arc lists
+    for poset in (poset_42, poset_52, *small_posets):
+        dag = build_interchange_dag(poset.margins)
+        nu, indptr, targets = dag.nu, dag.indptr, dag.targets
+        rise = nu[targets] == np.repeat(nu, np.diff(indptr)) + 1
+        tight = ClassPoset(dag.margins, dag.keys, nu,
+                           np.concatenate(([0], rise.cumsum()))[indptr],
+                           targets[rise])
+        up, _ = reach(indptr, targets)
+        rises, arcs = reach(tight.indptr, tight.targets)
+        assert order._reach(dag) == up
+        assert order._reach(tight) == rises
+        table = order._build_table(poset.margins)
+        assert (table.up, table.tight, table.arcs) == (up, rises, arcs)
+
+
+def test_reach_refuses_a_backward_arc():
+    # the arc 1 -> 0 lowers the inversion count: the OR pull names it as
+    # the max-plus pull does
+    margins = MarginPair.uniform(2, 1)
+    poset = ClassPoset(margins, [matrices.pack(I2), matrices.pack(L2)],
+                       [0, 1], [0, 0, 1], [0])
+    message = r"arc 1 -> 0 does not raise the inversion count \(nu 1 -> 0\)"
+    with pytest.raises(ValueError, match=message):
+        order._reach(poset)
+    with pytest.raises(ValueError, match=message):
+        _longest_paths(poset)
 
 
 def test_first_query_builds_the_class_table(slot):
