@@ -26,7 +26,7 @@ from .matrices import (
     _BLANKS,
     _ascii_int,
     _columns,
-    _increment,
+    _take,
     _text_lines,
     direct_sum,
     inversion_count,
@@ -79,11 +79,11 @@ def _replay(rows: list[int], cols: list[int],
     """Apply the steps in order to rows and to their column view cols
     (``matrices._columns``; the width is ``len(cols)``), in place, and
     yield each step's inversion gain once it is applied.  This is the only
-    code that checks chain steps.  An interchange's gain is ``_increment``
-    over the shorter span; a jump's is the inversion count of its target
-    less that of the state before it, read off the tables its ascent check
-    built for fresh copies of the two, so a target kept in a chain holds
-    no table.
+    code that checks chain steps.  An interchange is checked, applied and
+    counted by ``matrices._take``, its gain over the shorter span; a
+    jump's gain is the inversion count of its target less that of the
+    state before it, read off the tables its ascent check built for fresh
+    copies of the two, so a target kept in a chain holds no table.
 
     An interchange step must match its ItoL pattern; a jump step must be
     a strict Bruhat ascent.  An invalid step raises PatternMismatch
@@ -94,22 +94,11 @@ def _replay(rows: list[int], cols: list[int],
     for k, step in enumerate(steps):
         if isinstance(step, Interchange):
             i, i2, j, j2 = step
-            # the bounds come first, so no row outside the matrix is read
-            # and a column past the width is never shifted by
-            ok = 0 <= i < i2 < m and 0 <= j < j2 < width
-            if ok:
-                left, right = 1 << j, 1 << j2
-                flip = left | right
-                ok = rows[i] & flip == left and rows[i2] & flip == right
-            if not ok:
+            gain = _take(rows, i, i2, j, j2, cols)
+            if gain is None:
                 raise PatternMismatch(
                     f"step {k}: no ItoL pattern at {(i, i2, j, j2)}")
-            rows[i] ^= flip
-            rows[i2] ^= flip
-            down = (1 << i) | (1 << i2)
-            cols[j] ^= down
-            cols[j2] ^= down
-            yield _increment(rows, i, i2, j, j2, cols)
+            yield gain
         elif isinstance(step, BruhatStep):
             target = step.target
             if target.m != m or target.n != width:

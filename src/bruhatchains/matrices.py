@@ -396,24 +396,12 @@ def _dominates(x: int, y: int, high: int) -> bool:
     return ((x | high) - y) & high == high
 
 
-def _matches_pattern(rows: Sequence[int], t: Interchange) -> bool:
-    """Whether the rows hold I2 at t's 2x2 position.  The indices are
-    tested first, so no row outside the matrix is read, and no column past
-    the highest one of the two rows, where I2 never matches, is shifted by."""
-    i, i2, j, j2 = t
-    if not (0 <= i < i2 < len(rows)
-            and 0 <= j < j2 < (rows[i] | rows[i2]).bit_length()):
-        return False
-    left, right = 1 << j, 1 << j2
-    both = left | right
-    return rows[i] & both == left and rows[i2] & both == right
-
-
 def apply_interchange(a: BinaryMatrix, t: Interchange) -> BinaryMatrix:
     """Replace the I2 at t's 2x2 submatrix by L2."""
-    if not _matches_pattern(a.bits, t):
+    rows = list(a.bits)
+    if _take(rows, *t) is None:
         raise PatternMismatch(f"submatrix at {tuple(t)} is not I2")
-    return BinaryMatrix(a.m, a.n, _flip(a.bits, *t))
+    return BinaryMatrix(a.m, a.n, tuple(rows))
 
 
 def _columns(rows: Sequence[int], width: int) -> list[int]:
@@ -427,26 +415,43 @@ def _columns(rows: Sequence[int], width: int) -> list[int]:
     return cols
 
 
-def _increment(rows: Sequence[int], i: int, i2: int, j: int, j2: int,
-               cols: Sequence[int] | None = None) -> int:
-    """The inversion gain of the ItoL interchange at (i, i2, j, j2) on these
-    rows.  It reads no cell the interchange flips, so it holds before and
-    after the flip.
+def _take(rows: list[int], i: int, i2: int, j: int, j2: int,
+          cols: list[int] | None = None) -> int | None:
+    """Apply the ItoL interchange at (i, i2, j, j2) to rows, and to their
+    column view cols (``_columns``) when given, in place, and return its
+    inversion gain; or return None, changing nothing, unless the rows hold
+    I2 there.  The row indices are tested before any row is read, and j2
+    against the highest one of the two rows, where I2 never matches,
+    before any bit is shifted by it.
 
     The ones strictly inside the move's rectangle count twice and those
-    beside it, in its rows or its columns, once.  Given the column view
-    of the rows (``_columns``), the inside is counted over whichever span
-    is shorter, the rows between i and i2 or the columns between j and j2;
+    beside it, in its rows or its columns, once; the flipped cells are not
+    read.  Given cols, the inside is counted over whichever span is
+    shorter, the rows between i and i2 or the columns between j and j2;
     the value is the same either way."""
-    mid = (1 << j2) - (2 << j)      # columns strictly between j and j2
-    gain = 1 + (rows[i] & mid).bit_count() + (rows[i2] & mid).bit_count()
-    if cols is not None and j2 - j < i2 - i:
-        inner = (1 << i2) - (2 << i)    # rows strictly between i and i2
-        gain += (cols[j] & inner).bit_count() + (cols[j2] & inner).bit_count()
-        for c in cols[j + 1:j2]:
-            gain += 2 * (c & inner).bit_count()
-        return gain
-    ends = (1 << j) | (1 << j2)
+    if not 0 <= i < i2 < len(rows):
+        return None
+    top, bottom = rows[i], rows[i2]
+    if not 0 <= j < j2 < (top | bottom).bit_length():
+        return None
+    left, right = 1 << j, 1 << j2
+    ends = left | right
+    if top & ends != left or bottom & ends != right:
+        return None
+    rows[i], rows[i2] = top ^ ends, bottom ^ ends
+    mid = right - (left << 1)       # columns strictly between j and j2
+    gain = 1 + (top & mid).bit_count() + (bottom & mid).bit_count()
+    if cols is not None:
+        down = (1 << i) | (1 << i2)
+        cols[j] ^= down
+        cols[j2] ^= down
+        if j2 - j < i2 - i:
+            inner = (1 << i2) - (2 << i)    # rows strictly between i and i2
+            gain += ((cols[j] & inner).bit_count()
+                     + (cols[j2] & inner).bit_count())
+            for c in cols[j + 1:j2]:
+                gain += 2 * (c & inner).bit_count()
+            return gain
     for b in rows[i + 1:i2]:
         gain += 2 * (b & mid).bit_count() + (b & ends).bit_count()
     return gain
@@ -456,9 +461,10 @@ def interchange_increment(a: BinaryMatrix, t: Interchange) -> int:
     """Exact inversion gain of applying a valid ItoL interchange: one plus
     a weighted count of ones in the five blocks strictly between the two
     rows and two columns of the move."""
-    if not _matches_pattern(a.bits, t):
+    gain = _take(list(a.bits), *t)
+    if gain is None:
         raise PatternMismatch(f"no ItoL pattern at {tuple(t)}")
-    return _increment(a.bits, *t)
+    return gain
 
 
 def direct_sum(blocks: Sequence[BinaryMatrix]) -> BinaryMatrix:

@@ -45,17 +45,13 @@ class MonotonicityReport:
     violations: list[tuple[BinaryMatrix, BinaryMatrix]]
 
 
-def _longest_paths(poset: ClassPoset, sinks: Iterable[int] | None = None
-                   ) -> np.ndarray:
-    """Longest path length (edge count) from every member, to any member or
-    only to the given sinks, with -1 where no path leads to one: a max-plus
-    ``_pull``, so an arc that does not raise nu raises ValueError."""
-    if sinks is None:
-        dist = np.zeros(len(poset), dtype=np.int32)
-    else:
-        # members that reach no sink stay negative however far they pull
-        dist = np.full(len(poset), -len(poset) - 1, dtype=np.int32)
-        dist[list(sinks)] = 0
+def _longest_paths(poset: ClassPoset, sinks: Iterable[int]) -> np.ndarray:
+    """Longest path length (edge count) from every member to any of the
+    sinks, with -1 where no path leads to one: a max-plus ``_pull``, so an
+    arc that does not raise nu raises ValueError."""
+    # members that reach no sink stay negative however far they pull
+    dist = np.full(len(poset), -len(poset) - 1, dtype=np.int32)
+    dist[list(sinks)] = 0
     dist = _pull(poset, dist, np.maximum, 1)
     dist[dist < 0] = -1
     return dist
@@ -64,8 +60,10 @@ def _longest_paths(poset: ClassPoset, sinks: Iterable[int] | None = None
 def longest_chain(poset: ClassPoset) -> tuple[int, Chain]:
     """Longest path over the poset's arc DAG, with the witness returned as
     a jump-step chain.  The witness starts at the first member of greatest
-    length and steps along the first arc whose target is one shorter."""
-    dist = _longest_paths(poset)
+    length and steps along the first arc whose target is one shorter.
+    Every longest path ends at a maximal member, so the lengths are pulled
+    to those."""
+    dist = _longest_paths(poset, poset.maximal_indices())
     indptr, targets = poset.indptr, poset.targets
     v = int(np.argmax(dist))
     length, path = int(dist[v]), [v]

@@ -298,6 +298,15 @@ class TestOnePassBuild:
             build_chain(838)
 
 
+@pytest.mark.parametrize("build, n", [
+    (chain_even, 2), (chain_even, 7), (chain_odd, 3), (chain_odd, 6),
+    (extremal_inversions, 3),
+])
+def test_orders_outside_a_construction_refused(build, n):
+    with pytest.raises(UnsupportedOrder):
+        build(n)
+
+
 class TestClosedForms:
     def test_delta_small(self):
         assert delta(2) == 0
@@ -454,9 +463,9 @@ class TestVerifyChain:
         bare = BinaryMatrix(4, 4, q4.bits)
         assert q4._table is not None and bare._table is None
         expected = {"tabled": q4, "bare": bare, "none": None}[end]
-        increment = chains_module._increment
-        monkeypatch.setattr(chains_module, "_increment",
-                            lambda *args: increment(*args) + 1)
+        take = chains_module._take
+        monkeypatch.setattr(chains_module, "_take",
+                            lambda *args: take(*args) + 1)
         with pytest.raises(RuntimeError, match="full recount"):
             verify_chain(base_chain_4(), None, expected)
 
@@ -516,10 +525,17 @@ class TestVerifyChain:
         with pytest.raises(MalformedChain):
             verify_chain(Chain(p4, (BruhatStep(p5),)))
 
+    def test_a_plain_tuple_step_is_malformed(self):
+        # a quad is a step only as an Interchange
+        p4, _ = build_extremes(4)
+        chain = Chain(p4, (tuple(base_chain_4().steps[0]),))
+        with pytest.raises(MalformedChain, match="step 0: unknown step type"):
+            verify_chain(chain)
+
     @pytest.mark.parametrize("kernel, chain", [
         ("bruhat_less", chain_y_to_q5()),
-        ("_increment", base_chain_4()),
-    ], ids=["bruhat_less", "_increment"])
+        ("_take", base_chain_4()),
+    ], ids=["bruhat_less", "_take"])
     def test_kernel_bug_propagates(self, monkeypatch, kernel, chain):
         # a fault in a kernel is not an invalid step
         def broken(*args):

@@ -409,6 +409,17 @@ def test_monotone(runner):
     assert "no violations" in result.output
 
 
+def test_monotone_prints_a_violation_as_its_certificate(runner, monkeypatch):
+    # no class checked has a violation, so a report of one is patched in:
+    # the plain output is its certificate, and the command exits 0
+    p, q = build_extremes(4)
+    report = cli.search.MonotonicityReport(1, [(q, p)])
+    monkeypatch.setattr(cli.search, "monotonicity_check", lambda poset: report)
+    result = runner.invoke(main, ["monotone", "--n", "4"])
+    assert result.exit_code == 0
+    assert json.loads(result.output) == [cli.search.certificate(q, p)]
+
+
 def test_domain_error_exit_code(runner):
     result = runner.invoke(main, ["delta", "--n", "1"])
     assert result.exit_code == 1
@@ -482,6 +493,15 @@ def test_closed_stdin_exit_code():
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert proc.stderr == "error: cannot read -: stdin is closed\n"
+
+
+def test_closed_stdin_refused_in_process(monkeypatch, capsys):
+    # the same refusal, with sys.stdin None as Python leaves it
+    monkeypatch.setattr(sys, "stdin", None)
+    with pytest.raises(SystemExit) as exc:
+        main(["inv", "-"])
+    assert exc.value.code == 1
+    assert capsys.readouterr().err == "error: cannot read -: stdin is closed\n"
 
 
 @pytest.mark.parametrize("args", [["longest", "--n", "9"],

@@ -137,13 +137,24 @@ def test_engine_nu_equals_inversion_count_on_a52():
     assert nu.tolist() == [inversion_count(a) for a in members]
 
 
-@pytest.mark.parametrize("n", [4, 5, 6])
-def test_extremes_are_the_block_structure_members(n):
+@pytest.mark.parametrize("n, pairs, gaps", [
+    (4, 1, {16}), (5, 4, {29}), (6, 4, {46, 47, 48})], ids=["4", "5", "6"])
+def test_extremes_are_the_block_structure_members(n, pairs, gaps):
+    # and every (minimal, maximal) pair's longest chain is its nu gap, so
+    # a tight chain joins it, and the spectrum is the set of the gaps
     dag = build_interchange_dag(MarginPair.uniform(n, 2))
-    assert dag.minimal_indices() == [
+    minima, maxima = dag.minimal_indices(), dag.maximal_indices()
+    assert minima == [
         i for i, a in enumerate(dag.members) if is_minimal_An2(a)]
-    assert dag.maximal_indices() == [
+    assert maxima == [
         i for i, a in enumerate(dag.members) if is_maximal_An2(a)]
+    assert len(minima) * len(maxima) == pairs
+    nu = dag.nu.tolist()
+    for q in maxima:
+        dist = search._longest_paths(dag, [q]).tolist()
+        assert [dist[p] for p in minima] == [nu[q] - nu[p] for p in minima]
+    assert {nu[q] - nu[p] for p in minima for q in maxima} == gaps
+    assert maximal_chain_spectrum(dag) == gaps
 
 
 @pytest.mark.parametrize("margins", CLASSES, ids=str)
@@ -152,7 +163,8 @@ def test_dp_matches_reference(margins):
     # are checked against the pushing one, so the directions cross-check
     dag = build_interchange_dag(margins)
     dist, step = reference_longest_paths(dag, pull=True)
-    assert search._longest_paths(dag).tolist() == dist
+    assert search._longest_paths(
+        dag, dag.maximal_indices()).tolist() == dist
     length, witness = longest_chain(dag)
     start = dist.index(max(dist))
     path = [start]

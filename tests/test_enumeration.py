@@ -376,6 +376,11 @@ class TestMembersView:
                     slice(None, None, -7), slice(200, None)):
             assert dag.members[cut] == every[cut]
 
+    def test_members_equal_only_sequences(self, poset_221):
+        members = poset_221.members
+        assert members == list(members) and members == tuple(members)
+        assert members != set(members) and members != len(members)
+
     def test_members_decode_the_keys(self, poset_42):
         assert [pack(a) for a in poset_42.members] \
             == poset_42.keys.tolist()

@@ -18,6 +18,7 @@ from bruhatchains import (
     BinaryMatrix,
     ClassTooLarge,
     Interchange,
+    MarginPair,
     PatternMismatch,
     apply_interchange,
     build_chain,
@@ -313,6 +314,8 @@ class TestDirectSumAndReversal:
             ["11000", "11000", "00110", "00101", "00011"])
         one = BinaryMatrix.from_rows(["1"])
         assert direct_sum([one]) == one
+        with pytest.raises(ValueError, match="at least one block"):
+            direct_sum([])
 
     def test_nu_additive(self):
         rng = random.Random(2)
@@ -391,6 +394,7 @@ class TestWireFormats:
     def test_text_roundtrip(self):
         for a in (J2, F3, ILLUSTRATED):
             assert BinaryMatrix.from_text(a.to_text()) == a
+        assert str(F3) == "110\n101\n011"
 
     def test_blank_line_terminates(self):
         parsed = BinaryMatrix.from_text("10\n01\n\n11\n11\n")
@@ -410,6 +414,24 @@ class TestWireFormats:
     def test_json_dimension_check(self):
         with pytest.raises(ValueError):
             BinaryMatrix.from_json('{"m": 3, "n": 2, "rows": ["11", "11"]}')
+
+
+@pytest.mark.parametrize("m, n, bits, message", [
+    (0, 1, (), "at least 1x1"), (1, 0, (0,), "at least 1x1"),
+    (2, 2, (1,), "one int per row"), (1, 2, (4,), "exceed the declared"),
+    (1, 2, (-1,), "exceed the declared"),
+])
+def test_fields_outside_a_matrix_refused(m, n, bits, message):
+    with pytest.raises(ValueError, match=message):
+        BinaryMatrix(m, n, bits)
+
+
+@pytest.mark.parametrize("rows, cols", [((-1, 1), (0, 0)),
+                                        ((1, 1), (3, -1))])
+def test_negative_margins_refused(rows, cols):
+    # the totals agree, so only the sign refuses them
+    with pytest.raises(ValueError, match="nonnegative"):
+        MarginPair(rows, cols)
 
 
 class TestStrictRowCodec:

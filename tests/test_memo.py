@@ -157,7 +157,7 @@ def test_reach_refuses_a_backward_arc():
     with pytest.raises(ValueError, match=message):
         order._reach(poset)
     with pytest.raises(ValueError, match=message):
-        _longest_paths(poset)
+        _longest_paths(poset, poset.maximal_indices())
 
 
 def test_first_query_builds_the_class_table(slot):
@@ -231,6 +231,16 @@ def test_a_class_whose_arcs_pass_the_bound_gets_no_table(slot,
                         order._table_charge(4, 4, 90, 0))
     p, q = build_extremes(4)
     assert table_of(p) is None
+    assert secondary_bruhat_leq(p, q)
+    with pytest.raises(SearchBudgetExceeded):
+        secondary_bruhat_leq(p, q, node_budget=1)
+
+
+def test_a_class_too_large_to_count_gets_no_table(slot, monkeypatch):
+    # count_class refuses A(4,2) past one split: its queries then search
+    monkeypatch.setattr(engine, "MAX_COUNT_SPLITS", 1)
+    p, q = build_extremes(4)
+    assert table_of(p) is None and list(slot.values()) == [None]
     assert secondary_bruhat_leq(p, q)
     with pytest.raises(SearchBudgetExceeded):
         secondary_bruhat_leq(p, q, node_budget=1)
@@ -314,28 +324,46 @@ def test_a_query_that_makes_no_move_tries_none(monkeypatch):
     assert out.found and out.witness.length == 0 and out.explored == 0
 
 
+def search_under_its_peak(monkeypatch, n, generate, budget):
+    """The search from P_n to Q_n, run under tracemalloc.  A limit one
+    byte under its peak refuses it before it gets there, and one half
+    over it admits it: the charge is neither under what the search holds
+    nor far over it."""
+    p, q = build_extremes(n)
+    tables = _require_same_class(p, q)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        found = _search(p, q, tables, generate, budget)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    with monkeypatch.context() as patch:
+        patch.setattr(engine, "MAX_ARRAY_BYTES", peak - 1)
+        with pytest.raises(ClassTooLarge, match="over the"):
+            _search(p, q, tables, generate, budget)
+        patch.setattr(engine, "MAX_ARRAY_BYTES", peak + peak // 2)
+        assert _search(p, q, tables, generate, budget) == found
+    return found
+
+
 @pytest.mark.parametrize("generate", [_moves, _tight_moves],
                          ids=["secondary", "tight"])
 def test_the_search_charge_covers_what_it_holds(monkeypatch, generate):
-    # a limit one byte under the tracemalloc peak refuses the search
-    # before it gets there, and one half over it admits the search: the
-    # charge is neither under what the search holds nor far over it
     for n in (30, 40):
-        p, q = build_extremes(n)
-        tables = _require_same_class(p, q)
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            assert _search(p, q, tables, generate, 10**6)[0] is not None
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
-        with monkeypatch.context() as patch:
-            patch.setattr(engine, "MAX_ARRAY_BYTES", peak - 1)
-            with pytest.raises(ClassTooLarge, match="over the"):
-                _search(p, q, tables, generate, 10**6)
-            patch.setattr(engine, "MAX_ARRAY_BYTES", peak + peak // 2)
-            assert _search(p, q, tables, generate, 10**6)[0] is not None
+        assert search_under_its_peak(monkeypatch, n, generate,
+                                     10**6)[0] is not None
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("generate", [_moves, _tight_moves],
+                         ids=["secondary", "tight"])
+def test_the_search_charge_covers_budgeted_searches(monkeypatch, generate):
+    # from P_100 and P_200 the n-bit ints of a state weigh more than at
+    # P_30 and P_40; 1,000 expansions take each search far short of Q_n
+    for n in (100, 200):
+        assert search_under_its_peak(monkeypatch, n, generate,
+                                     1000) == (None, 1001)
 
 
 def test_the_search_holds_one_excess_table(monkeypatch):

@@ -44,10 +44,10 @@ from bruhatchains.matrices import (
     _entries,
     _flip,
     _guards,
-    _increment,
     _moves,
     _order_table,
     _OrderTable,
+    _take,
     _tight_moves,
 )
 from bruhatchains.order import (
@@ -384,7 +384,7 @@ def test_incremental_state_equals_recount(walk):
     assert _order_table(start).width == byte_lane_width(end[-1])
     nu = inversion_count(start)
     for rows, (i, i2, j, j2) in zip(states, quads):
-        nu += _increment(rows, i, i2, j, j2)
+        nu += _take(list(rows), i, i2, j, j2)
         block = excess[i:i2, j:j2]
         assert block.all()
         block -= 1
@@ -594,7 +594,7 @@ def test_order_table_slot_is_invisible():
 def test_tight_moves_are_the_increment_one_moves(rows):
     rows = tuple(rows)
     assert list(_tight_moves(rows)) == [
-        mv for mv in _moves(rows) if _increment(rows, *mv) == 1]
+        mv for mv in _moves(rows) if _take(list(rows), *mv) == 1]
 
 
 @given(st.integers(1, 9).flatmap(lambda n: st.tuples(st.just(n), st.lists(
@@ -609,14 +609,18 @@ def test_column_view_increment_equals_the_row_walk(case):
                     for c in range(n)]
     nu = inversion_count(BinaryMatrix(m, n, tuple(rows)))
     for mv in _moves(rows):
-        gain = inversion_count(BinaryMatrix(m, n, _flip(rows, *mv))) - nu
-        assert _increment(rows, *mv, cols) == _increment(rows, *mv) == gain
+        after = _flip(rows, *mv)
+        gain = inversion_count(BinaryMatrix(m, n, after)) - nu
+        by_rows, by_cols, view = list(rows), list(rows), list(cols)
+        assert _take(by_cols, *mv, view) == _take(by_rows, *mv) == gain
+        assert tuple(by_rows) == tuple(by_cols) == after
+        assert view == _columns(after, n)
 
 
 def test_tight_moves_on_every_a52_member(poset_52):
     for a in poset_52.members:
         assert list(_tight_moves(a.bits)) == [
-            mv for mv in _moves(a.bits) if _increment(a.bits, *mv) == 1]
+            mv for mv in _moves(a.bits) if _take(list(a.bits), *mv) == 1]
 
 
 def test_tight_moves_on_every_state_of_a_maximum_chain():
@@ -624,7 +628,7 @@ def test_tight_moves_on_every_state_of_a_maximum_chain():
     # once the rows below it cover its ones
     for a in build_chain(30).matrices():
         assert list(_tight_moves(a.bits)) == [
-            mv for mv in _moves(a.bits) if _increment(a.bits, *mv) == 1]
+            mv for mv in _moves(a.bits) if _take(list(a.bits), *mv) == 1]
 
 
 def test_lanes_wider_than_a_byte():
