@@ -7,9 +7,10 @@ import json
 from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import product
-from math import comb, prod
+from math import comb, isqrt, prod
+from operator import and_
 from typing import Iterator
 
 import numpy as np
@@ -229,30 +230,40 @@ class ClassPoset:
         return "\n".join(lines) + "\n"
 
 
-# build_poset's scratch: the bytes of a block of comparability rows in the
-# sweep (larger blocks made the A(5,2) build no faster), and the strict
-# rows OR-ed at once in the cover reduction (8, 16 and 32 took about the
-# same time on A(5,2)).
-_BLOCK_BYTES = 1 << 16
-_CHUNK_ROWS = 32
+def _bitset(members: np.ndarray) -> int:
+    """The bool array as one int: bit v set iff ``members[v]``."""
+    return int.from_bytes(np.packbits(members, bitorder="little"), "little")
+
+
+def _bits(bitset: int) -> list[int]:
+    """The set bits of an int, ascending: the members of a ``_bitset``."""
+    out = []
+    while bitset:
+        low = bitset & -bitset
+        out.append(low.bit_length() - 1)
+        bitset ^= low
+    return out
 
 
 def build_poset(margins: MarginPair) -> ClassPoset:
-    """Full poset: comparability by all-pairs domination of partial-sum
+    """Full poset: comparability by entry-wise domination of partial-sum
     tables, covers by removing from each up-set what lies above another
     of its members.
 
-    ``leq`` is swept in blocks of rows, one partial-sum entry at a time,
-    by plain ``>=`` on ``engine.sigma_table``: every ordered pair is
-    tested, with no inversion-count shortcut, so the comparability
-    relation stays an independent oracle for the monotonicity sweeps.
-    A member's covers are its strict up-set less the OR of the strict
-    ``leq`` rows of that up-set, reduced a fixed number of rows at a time
-    and written into one int32 buffer, each member's targets ascending.
-    A row whose member is already in the OR is skipped, since that
-    member's up-set is inside the OR too.  Beside ``leq`` the build holds
-    the partial-sum table and one block during the sweep, then the OR,
-    one chunk and the covers.
+    Each member's strict up-set is one int, bit c set iff the member lies
+    strictly below member c.  For each partial-sum entry of
+    ``engine.sigma_table`` and each value t, one bitset holds the members
+    whose entry is at most t, and a member's up-set is the AND of those
+    bitsets at its own entries: every ordered pair is tested, with no
+    inversion-count shortcut, so the comparability relation stays an
+    independent oracle for the monotonicity sweeps.  A member's covers
+    are its strict up-set less the OR of the strict up-sets of its
+    members, taken lowest first; a member already in the OR is skipped,
+    since its up-set is inside the OR too, so the covers are exact in any
+    member order, each member's targets ascending.  ``leq`` is written
+    last, from the ints, a block of about sqrt(size) rows at a time, each
+    block's ints dropped once written: beside ``leq`` the build holds the
+    up-sets and the covers.
 
     Members and their tables come from the engine's keys
     (``engine.ranked_class``), so a class over 64 cells is refused at
@@ -266,44 +277,35 @@ def build_poset(margins: MarginPair) -> ClassPoset:
     engine._check_budget(size * size, 2, f"the comparability matrix "
                          f"({size * size} bytes) and its working arrays")
     keys, nu, _ = engine.ranked_class(margins)
-    # one partial-sum entry per row, over every member
-    sig = np.ascontiguousarray(
-        engine.sigma_table(keys, margins.m, margins.n).T)
-    leq = np.ones((size, size), dtype=bool)
-    block = max(1, _BLOCK_BYTES // size)
-    ge = np.empty((block, size), dtype=bool)
-    for lo in range(0, size, block):
-        rows, out = leq[lo:lo + block], ge[:size - lo]
-        for entry in sig:
-            np.greater_equal(entry[lo:lo + block, None], entry, out=out)
-            rows &= out
-    del sig, ge, rows, out  # the views too, so the block is freed
-    # the covers need strict comparability: clear the diagonal in place of
-    # a copy, and set it again after, since every member is below itself
-    np.fill_diagonal(leq, False)
+    sig = engine.sigma_table(keys, margins.m, margins.n)
+    # at_most[e][t]: the members whose entry e is at most t
+    at_most = [[_bitset(entry <= t) for t in range(int(entry.max()) + 1)]
+               for entry in sig.T]
+    ups = [reduce(and_, map(list.__getitem__, at_most, row.tolist()))
+           ^ (1 << a) for a, row in enumerate(sig)]
+    del sig, at_most
     indptr = np.zeros(size + 1, dtype=np.int32)
-    targets = np.empty(size, dtype=np.int32)
-    through = np.empty(size, dtype=bool)
-    for a in range(size):
-        up = rest = np.flatnonzero(leq[a])
-        through[:] = False
-        while len(rest):
-            through |= np.logical_or.reduce(leq[rest[:_CHUNK_ROWS]], axis=0)
-            # a member already in the OR is above one taken: its row adds
-            # nothing, so it is dropped unread
-            rest = rest[_CHUNK_ROWS:]
-            rest = rest[~through[rest]]
-        covers = up[~through[up]]
-        start = indptr[a]
-        indptr[a + 1] = end = start + len(covers)
-        if end > len(targets):
-            grown = np.empty(2 * end, dtype=np.int32)
-            grown[:start] = targets[:start]
-            targets = grown
-        targets[start:end] = covers
+    covers = []
+    for a, up in enumerate(ups):
+        through, rest = 0, up
+        while rest:
+            low = rest & -rest
+            through |= ups[low.bit_length() - 1]
+            rest &= ~(through | low)
+        covers += _bits(up & ~through)
+        indptr[a + 1] = len(covers)
+    targets = np.array(covers, dtype=np.int32)
+    del covers
+    leq = np.empty((size, size), dtype=bool)
+    width, block = (size + 7) // 8, isqrt(size)
+    for lo in reversed(range(0, size, block)):
+        rows = b"".join(up.to_bytes(width, "little") for up in ups[lo:])
+        del ups[lo:]
+        leq[lo:lo + block] = np.unpackbits(
+            np.frombuffer(rows, dtype=np.uint8).reshape(-1, width),
+            axis=1, count=size, bitorder="little")
     np.fill_diagonal(leq, True)
-    return ClassPoset(margins, keys, nu, indptr,
-                      targets[:indptr[-1]].copy(), leq)
+    return ClassPoset(margins, keys, nu, indptr, targets, leq)
 
 
 def build_interchange_dag(margins: MarginPair) -> ClassPoset:

@@ -5,12 +5,13 @@ chain lengths."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isqrt
 from typing import Iterable
 
 import numpy as np
 
 from .chains import BruhatStep, Chain
-from .enumeration import ClassPoset, _pull
+from .enumeration import ClassPoset, _bits, _bitset, _pull
 from .errors import StartAboveTarget
 from .matrices import (
     BinaryMatrix,
@@ -101,17 +102,27 @@ def monotonicity_check(poset: ClassPoset) -> MonotonicityReport:
     """Scan every strict comparability arc for an inversion-count
     non-increase.  A non-empty violation list is a re-verifiable
     counterexample certificate, not a failure.  Violations come in
-    row-major (first, second) index order.  ``leq`` is read one row at a
-    time, so nothing of its size is allocated beside it."""
+    row-major (first, second) index order.  ``leq`` is packed a block of
+    about sqrt(size) rows at a time, each row read as one int and ANDed
+    with the bitset of the members whose inversion count is at most its
+    member's, one bitset per distinct count (``nu`` need not be sorted),
+    so beside ``leq`` only those bitsets and one block are held."""
     if poset.leq is None:
         raise ValueError("comparability needs the full poset")
     leq, nu = poset.leq, poset.nu
     checked = int(np.count_nonzero(leq) - np.count_nonzero(leq.diagonal()))
+    nus, size = nu.tolist(), len(nu)
+    at_most = {v: _bitset(nu <= v) for v in set(nus)}
+    width, block = (size + 7) // 8, max(1, isqrt(size))
     violations = []
-    for a in range(len(nu)):
-        for c in np.flatnonzero(leq[a] & (nu <= nu[a])).tolist():
-            if c != a:
-                violations.append((poset.members[a], poset.members[c]))
+    for lo in range(0, size, block):
+        rows = np.packbits(leq[lo:lo + block], axis=1,
+                           bitorder="little").tobytes()
+        for at, a in zip(range(0, len(rows), width), range(lo, size)):
+            bad = (int.from_bytes(rows[at:at + width], "little")
+                   & at_most[nus[a]] & ~(1 << a))
+            violations += [(poset.members[a], poset.members[c])
+                           for c in _bits(bad)]
     return MonotonicityReport(checked, violations)
 
 

@@ -2,7 +2,8 @@
 BinaryMatrix values, independent of the packed engine, an interchange arc
 builder that finds each target by binary search, a partial-sum recount
 independent of the order tables, a pair-by-pair poset built on that
-recount, a reachability pass over lists of arcs, the paper's order-5
+recount, the numpy sweep ``build_poset``'s bitsets replaced, a
+reachability pass over lists of arcs, the paper's order-5
 chain tables, and helpers only the tests call, a submatrix writer and
 LtoI moves among them: an LtoI move at (i, i2, j, j2) turns L2 back into
 I2, the undo of the ItoL move there."""
@@ -25,6 +26,7 @@ from bruhatchains import (
     find_interchanges,
     reverse_columns,
 )
+from bruhatchains import engine
 from bruhatchains.search import _longest_paths
 
 
@@ -131,6 +133,41 @@ def poset_by_pairs(members) -> tuple[list[list[bool]], list[int], list[int]]:
                     if above[a] >> c & 1 and not above[a] & below[c]]
         indptr.append(len(targets))
     return leq, indptr, targets
+
+
+def swept_poset(margins: MarginPair):
+    """Comparability and covers of the class in ``build_poset``'s member
+    order, by numpy sweeps in place of its bitsets: ``leq`` swept in
+    blocks of rows of about 64 KiB, one partial-sum entry of
+    ``engine.sigma_table`` at a time by plain ``>=``; a member's covers
+    its strict up-set less the OR of the strict rows of that up-set, 32
+    rows at a time, a row whose member is already in the OR skipped.
+    Returns ``leq`` and the covers as CSR arrays (bool, int32, int32),
+    each member's targets ascending."""
+    keys, _, _ = engine.ranked_class(margins)
+    size = len(keys)
+    sig = np.ascontiguousarray(
+        engine.sigma_table(keys, margins.m, margins.n).T)
+    leq = np.ones((size, size), dtype=bool)
+    block = max(1, (1 << 16) // size)
+    for lo in range(0, size, block):
+        rows = leq[lo:lo + block]
+        for entry in sig:
+            rows &= entry[lo:lo + block, None] >= entry
+    strict = leq.copy()
+    np.fill_diagonal(strict, False)
+    indptr, targets = [0], []
+    for a in range(size):
+        up = rest = np.flatnonzero(strict[a])
+        through = np.zeros(size, dtype=bool)
+        while len(rest):
+            through |= np.logical_or.reduce(strict[rest[:32]], axis=0)
+            rest = rest[32:]
+            rest = rest[~through[rest]]
+        targets += up[~through[up]].tolist()
+        indptr.append(len(targets))
+    return (leq, np.array(indptr, dtype=np.int32),
+            np.array(targets, dtype=np.int32))
 
 
 def reach(indptr, targets) -> tuple[list[int], list[list[int]]]:

@@ -24,9 +24,15 @@ from bruhatchains import (
     inversion_count,
     monotonicity_check,
 )
-from bruhatchains import engine, enumeration
+from bruhatchains import engine
 from bruhatchains.matrices import decode, pack
-from reference import backtrack_class, poset_by_pairs, strict, strict_pairs
+from reference import (
+    backtrack_class,
+    poset_by_pairs,
+    strict,
+    strict_pairs,
+    swept_poset,
+)
 
 A221_MEMBERS = [
     BinaryMatrix.from_rows(rows)
@@ -118,18 +124,29 @@ class TestBuildPoset:
         for poset in small_posets:
             assert_same_as_pairwise_reference(poset)
 
-    # in these classes the first 32 members of an up-set hold all its
-    # covers, so only a smaller chunk tests which rows the build skips
-    @pytest.mark.parametrize("chunk_rows", [1, 2, 32])
     @pytest.mark.parametrize("margins", [
         MarginPair((2, 2, 1, 1, 1), (2, 2, 2, 1)),  # 117 members
         MarginPair((2, 2, 2, 2), (2, 2, 2, 1, 1)),  # 204 members
         MarginPair((3, 3, 2, 2), (2, 2, 2, 2, 2)),  # 310 members
     ], ids=lambda pair: f"{pair.row_sums}/{pair.col_sums}")
-    def test_pairwise_reference_on_larger_classes(self, margins, chunk_rows,
-                                                  monkeypatch):
-        monkeypatch.setattr(enumeration, "_CHUNK_ROWS", chunk_rows)
+    def test_pairwise_reference_on_larger_classes(self, margins):
         assert_same_as_pairwise_reference(build_poset(margins))
+
+    # too large for the pairwise reference: A(4,2) pads the last byte of
+    # each row's bitset (90 members), A(5,2) fills it (2,040), and the
+    # 1,860-member class is not square
+    @pytest.mark.parametrize("margins", [
+        MarginPair.uniform(4, 2),
+        MarginPair.uniform(5, 2),
+        MarginPair((3, 3, 3, 3), (2, 2, 2, 2, 2, 2)),
+        MarginPair((2, 2), (2, 2)),  # one member
+    ], ids=lambda pair: f"{pair.row_sums}/{pair.col_sums}")
+    def test_swept_reference(self, margins):
+        poset = build_poset(margins)
+        for got, want in zip((poset.leq, poset.indptr, poset.targets),
+                             swept_poset(margins)):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
 
     def test_singleton_no_arcs(self):
         poset = build_poset(MarginPair((2, 2), (2, 2)))
@@ -419,8 +436,8 @@ def test_peaks_stay_under_the_checked_bytes():
 
 
 def test_build_holds_little_beside_leq():
-    # what the A(5,2) build holds beside leq: the partial-sum table and a
-    # block of rows, then one row of OR, a chunk of rows and the covers
+    # what the A(5,2) build holds beside leq: the up-set ints, dropped a
+    # block at a time as leq is written from them, and the covers
     tracemalloc.start()
     try:
         poset = build_poset(MarginPair.uniform(5, 2))
@@ -428,6 +445,18 @@ def test_build_holds_little_beside_leq():
     finally:
         tracemalloc.stop()
     assert peak - poset.leq.nbytes < poset.leq.nbytes // 4
+
+
+def test_monotonicity_check_holds_little_beside_leq(poset_52):
+    # the bitsets of the inversion counts and one packed block of rows
+    tracemalloc.start()
+    try:
+        report = monotonicity_check(poset_52)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.violations == []
+    assert peak < poset_52.leq.nbytes // 4
 
 
 def test_strict_pairs_stream_one_row_at_a_time(poset_52):

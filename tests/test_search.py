@@ -226,6 +226,27 @@ class TestMonotonicity:
         assert report.violations == [(members[a], members[c])
                                      for a, c in sorted(planted)]
 
+    def test_matches_reference_at_the_first_and_last_bits(self, poset_42):
+        # swapping the ends' inversion counts puts violations in row 0,
+        # the lowest bits, and in column 89, the highest bit of a row;
+        # the diagonal bits (0, 0) and (89, 89) are no pair
+        nu = np.array(poset_42.nu)
+        nu[[0, -1]] = nu[[-1, 0]]
+        poset = ClassPoset(poset_42.margins, poset_42.keys, nu,
+                           poset_42.indptr, poset_42.targets, poset_42.leq)
+        report = monotonicity_check(poset)
+        assert report == reference_monotonicity(poset)
+        index = {id(a): v for v, a in enumerate(poset.members)}
+        pairs = [(index[id(a)], index[id(c)]) for a, c in report.violations]
+        assert pairs == sorted(pairs)
+        assert {(0, 1), (0, 89), (88, 89)} <= set(pairs)
+        assert not {(0, 0), (89, 89)} & set(pairs)
+
+    def test_no_members_no_pairs(self):
+        empty = np.zeros((0, 0), dtype=bool)
+        poset = ClassPoset(MarginPair((), ()), [], [], [0], [], empty)
+        assert monotonicity_check(poset) == MonotonicityReport(0, [])
+
     def test_refuses_an_interchange_dag(self):
         dag = build_interchange_dag(MarginPair.uniform(4, 2))
         with pytest.raises(ValueError, match="full poset"):
