@@ -26,7 +26,6 @@ from collections.abc import Iterator
 from itertools import islice
 
 import click
-import numpy as np
 
 from . import chains, enumeration, matrices, order, search
 from .errors import BruhatError, SearchBudgetExceeded
@@ -230,7 +229,7 @@ def poset(pair, dot_path, jsonl_path, as_json) -> None:
     summary = {
         "members": len(built),
         # every member is below itself: strict arcs are leq less its diagonal
-        "strict_arcs": int(np.count_nonzero(built.leq)) - len(built),
+        "strict_arcs": sum(map(int.bit_count, built.leq.rows)) - len(built),
         "cover_arcs": len(built.targets),
         "minimal": len(built.minimal_indices()),
         "maximal": len(built.maximal_indices()),

@@ -9,7 +9,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import product
-from math import comb, isqrt, prod
+from math import comb, prod
 from operator import and_
 from typing import Iterator
 
@@ -123,6 +123,35 @@ class _Members(Sequence):
         return list(self) == list(other)
 
 
+class _BitMatrix:
+    """A read-only size x size bool matrix held as one int per row: entry
+    (a, c) is bit c of ``rows[a]``.  ``m[a, c]`` is a bit test (numpy's
+    index rules for two ints), ``np.asarray(m)`` unpacks the whole
+    matrix, and nothing can be assigned."""
+
+    __slots__ = ("rows", "shape", "_cols")
+
+    def __init__(self, rows: Sequence[int]) -> None:
+        self.rows = tuple(rows)
+        self.shape = (len(self.rows), len(self.rows))
+        # a range index wraps negatives, refuses what is out of range or
+        # not an integer, and gives a Python int to shift by
+        self._cols = range(len(self.rows))
+
+    def __getitem__(self, index: tuple[int, int]) -> bool:
+        a, c = index
+        return bool(self.rows[a] >> self._cols[c] & 1)
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        size = len(self.rows)
+        width = (size + 7) // 8
+        packed = b"".join(row.to_bytes(width, "little") for row in self.rows)
+        # numpy casts the result when another dtype was asked for
+        return np.unpackbits(
+            np.frombuffer(packed, dtype=np.uint8).reshape(size, width),
+            axis=1, count=size, bitorder="little").view(bool)
+
+
 @dataclass(eq=False)
 class ClassPoset:
     """All members of one class, sorted by inversion count, with order arcs
@@ -139,11 +168,14 @@ class ClassPoset:
 
     With ``leq`` present this is the full poset: ``leq`` holds the
     complete comparability relation (including equality on the diagonal)
-    and the arcs are the covers, in increasing order per member.  With
-    ``leq`` None it is an interchange DAG: the arcs are single ItoL
-    interchanges, and on all-two square classes the Bruhat order is their
-    transitive closure, which is all the longest-path and spectrum
-    machinery needs.  Comparability queries and the exports refuse a DAG.
+    as one int per member, bit c of ``leq.rows[a]`` set iff a <= c, read
+    through a read-only bit view (``_BitMatrix``), and the arcs are the
+    covers, in increasing order per member.  A bool array passed as
+    ``leq`` is packed into rows and not kept.  With ``leq`` None it is an
+    interchange DAG: the arcs are single ItoL interchanges, and on
+    all-two square classes the Bruhat order is their transitive closure,
+    which is all the longest-path and spectrum machinery needs.
+    Comparability queries and the exports refuse a DAG.
 
     Equality is identity, so a poset is hashable.
     """
@@ -153,7 +185,7 @@ class ClassPoset:
     nu: np.ndarray
     indptr: np.ndarray
     targets: np.ndarray
-    leq: np.ndarray | None = None
+    leq: _BitMatrix | np.ndarray | None = None
 
     def __post_init__(self) -> None:
         self.keys = np.asarray(self.keys, dtype=np.uint64)
@@ -173,6 +205,9 @@ class ClassPoset:
         if self.leq is not None and np.shape(self.leq) != (size, size):
             raise ValueError(f"leq is {np.shape(self.leq)}, not {size} x "
                              f"{size}")
+        if self.leq is not None and not isinstance(self.leq, _BitMatrix):
+            self.leq = _BitMatrix([_bitset(row) for row in
+                                   np.asarray(self.leq, dtype=bool)])
         for store in (self.keys, self.nu, self.indptr, self.targets):
             store.flags.writeable = False
 
@@ -250,62 +285,54 @@ def build_poset(margins: MarginPair) -> ClassPoset:
     tables, covers by removing from each up-set what lies above another
     of its members.
 
-    Each member's strict up-set is one int, bit c set iff the member lies
-    strictly below member c.  For each partial-sum entry of
-    ``engine.sigma_table`` and each value t, one bitset holds the members
-    whose entry is at most t, and a member's up-set is the AND of those
-    bitsets at its own entries: every ordered pair is tested, with no
-    inversion-count shortcut, so the comparability relation stays an
-    independent oracle for the monotonicity sweeps.  A member's covers
-    are its strict up-set less the OR of the strict up-sets of its
-    members, taken lowest first; a member already in the OR is skipped,
-    since its up-set is inside the OR too, so the covers are exact in any
-    member order, each member's targets ascending.  ``leq`` is written
-    last, from the ints, a block of about sqrt(size) rows at a time, each
-    block's ints dropped once written: beside ``leq`` the build holds the
-    up-sets and the covers.
+    Each member's up-set is one int, bit c set iff the member lies below
+    member c, its own bit included; these ints are the rows of ``leq``.
+    For each partial-sum entry of ``engine.sigma_table`` and each value
+    t, one bitset holds the members whose entry is at most t, and a
+    member's up-set is the AND of those bitsets at its own entries: every
+    ordered pair is tested, with no inversion-count shortcut, so the
+    comparability relation stays an independent oracle for the
+    monotonicity sweeps.  A member's covers are its strict up-set less
+    the OR of the strict up-sets of its members, taken lowest first; a
+    member already in the OR is skipped, since its up-set is inside the
+    OR too, so the covers are exact in any member order, each member's
+    targets ascending.  Beside the rows the build holds the covers and,
+    until the rows are done, the domination bitsets.
 
     Members and their tables come from the engine's keys
     (``engine.ranked_class``), so a class over 64 cells is refused at
     once.  The class is counted next and, before anything is enumerated,
-    refused with ClassTooLarge when two size x size matrices would pass
-    ``engine.MAX_ARRAY_BYTES``: ``leq``, and as much again for what this
-    build and ``monotonicity_check`` hold beside it.
+    refused with ClassTooLarge when size * size / 2 bytes would pass
+    ``engine.MAX_ARRAY_BYTES``: four times the rows' size * size / 8
+    bytes of bits, for the ints' headers, the covers and what
+    ``monotonicity_check`` holds beside the rows.  The largest class
+    admitted has 32,768 members.
     """
     engine.check_cells(margins)
     size = count_class(margins)
-    engine._check_budget(size * size, 2, f"the comparability matrix "
-                         f"({size * size} bytes) and its working arrays")
+    engine._check_budget(size * size // 2, 1, f"the comparability rows "
+                         f"({size} x {size} bits) and their working ints")
     keys, nu, _ = engine.ranked_class(margins)
     sig = engine.sigma_table(keys, margins.m, margins.n)
     # at_most[e][t]: the members whose entry e is at most t
     at_most = [[_bitset(entry <= t) for t in range(int(entry.max()) + 1)]
                for entry in sig.T]
-    ups = [reduce(and_, map(list.__getitem__, at_most, row.tolist()))
-           ^ (1 << a) for a, row in enumerate(sig)]
+    # every member dominates itself, so each row holds its own bit
+    rows = [reduce(and_, map(list.__getitem__, at_most, row.tolist()))
+            for row in sig]
     del sig, at_most
     indptr = np.zeros(size + 1, dtype=np.int32)
     covers = []
-    for a, up in enumerate(ups):
-        through, rest = 0, up
+    for a, up in enumerate(rows):
+        through, rest = 1 << a, up ^ 1 << a
         while rest:
             low = rest & -rest
-            through |= ups[low.bit_length() - 1]
+            through |= rows[low.bit_length() - 1] ^ low
             rest &= ~(through | low)
         covers += _bits(up & ~through)
         indptr[a + 1] = len(covers)
-    targets = np.array(covers, dtype=np.int32)
-    del covers
-    leq = np.empty((size, size), dtype=bool)
-    width, block = (size + 7) // 8, isqrt(size)
-    for lo in reversed(range(0, size, block)):
-        rows = b"".join(up.to_bytes(width, "little") for up in ups[lo:])
-        del ups[lo:]
-        leq[lo:lo + block] = np.unpackbits(
-            np.frombuffer(rows, dtype=np.uint8).reshape(-1, width),
-            axis=1, count=size, bitorder="little")
-    np.fill_diagonal(leq, True)
-    return ClassPoset(margins, keys, nu, indptr, targets, leq)
+    return ClassPoset(margins, keys, nu, indptr,
+                      np.array(covers, dtype=np.int32), _BitMatrix(rows))
 
 
 def build_interchange_dag(margins: MarginPair) -> ClassPoset:

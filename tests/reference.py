@@ -269,20 +269,23 @@ def strict(poset: ClassPoset) -> np.ndarray:
     cleared."""
     if poset.leq is None:
         raise ValueError("comparability needs the full poset")
-    out = poset.leq.copy()
+    out = np.asarray(poset.leq)
     np.fill_diagonal(out, False)
     return out
 
 
 def strict_pairs(poset: ClassPoset):
-    """All ordered pairs (a, c) with a strictly below c, read from
-    ``leq`` one row at a time."""
+    """All ordered pairs (a, c) with a strictly below c, read from the
+    rows of ``leq`` (one int each) one row at a time."""
     if poset.leq is None:
         raise ValueError("comparability needs the full poset")
-    for a, row in enumerate(poset.leq):
-        for c in np.flatnonzero(row).tolist():
-            if c != a:
-                yield a, c
+    for a, row in enumerate(poset.leq.rows):
+        # bit c of the row is character c of its reversed binary digits
+        bits = format(row & ~(1 << a), f"0{len(poset)}b")[::-1]
+        c = bits.find("1")
+        while c >= 0:
+            yield a, c
+            c = bits.find("1", c + 1)
 
 
 def longest_chain_between(poset: ClassPoset, start_idx: int,

@@ -355,12 +355,13 @@ def test_longest_and_spectrum_small_orders(runner, n, length):
 
 @pytest.mark.parametrize("command", ["poset", "monotone"])
 def test_full_poset_over_byte_limit_refused(runner, command):
-    # A(6,2) has 67,950 members: each 67,950^2 matrix would take 4.6 GB
+    # A(6,2) has 67,950 members: its 67,950^2 comparability bits are
+    # charged half a byte each, 2.3 GB
     started = time.monotonic()
     result = runner.invoke(main, [command, "--n", "6"])
     assert time.monotonic() - started < 30
     _one_error_line(result)
-    assert f"{67_950 ** 2} bytes" in result.output
+    assert f"{67_950 ** 2 // 2} bytes" in result.output
     assert f"{engine.MAX_ARRAY_BYTES}-byte limit" in result.output
 
 

@@ -12,6 +12,7 @@ import pytest
 from bruhatchains import (
     J2,
     BinaryMatrix,
+    ClassPoset,
     ClassTooLarge,
     InfeasibleMargins,
     MarginPair,
@@ -113,7 +114,8 @@ class TestEnumerateClass:
 
 def assert_same_as_pairwise_reference(poset):
     leq, indptr, targets = poset_by_pairs(poset.members)
-    assert poset.leq.dtype == bool and poset.leq.tolist() == leq
+    full = np.asarray(poset.leq)
+    assert full.dtype == bool and full.tolist() == leq
     assert poset.indptr.dtype == np.int32 and poset.indptr.tolist() == indptr
     assert poset.targets.dtype == np.int32 \
         and poset.targets.tolist() == targets
@@ -143,8 +145,8 @@ class TestBuildPoset:
     ], ids=lambda pair: f"{pair.row_sums}/{pair.col_sums}")
     def test_swept_reference(self, margins):
         poset = build_poset(margins)
-        for got, want in zip((poset.leq, poset.indptr, poset.targets),
-                             swept_poset(margins)):
+        for got, want in zip((np.asarray(poset.leq), poset.indptr,
+                              poset.targets), swept_poset(margins)):
             assert got.dtype == want.dtype
             assert np.array_equal(got, want)
 
@@ -178,9 +180,7 @@ class TestBuildPoset:
             if (new == reach).all():
                 break
             reach = new
-        strict = poset_42.leq.copy()
-        np.fill_diagonal(strict, False)
-        assert (reach == strict).all()
+        assert (reach == strict(poset_42)).all()
 
     def test_no_transitive_shortcut_in_covers(self, poset_221):
         covers = set(poset_221.cover_pairs())
@@ -189,13 +189,14 @@ class TestBuildPoset:
                 assert not ((a, b) in covers and (b, c) in covers)
 
     def test_cap(self, monkeypatch):
-        # A(4,2) has 90 members: its comparability matrix is 90^2 bytes,
-        # and the check counts it twice, for the working arrays beside it
-        monkeypatch.setattr(engine, "MAX_ARRAY_BYTES", 2 * 90 * 90 - 1)
-        with pytest.raises(ClassTooLarge, match="16200 bytes, over the "
-                                                "16199-byte limit"):
+        # A(4,2) has 90 members: the check counts 90^2 / 2 bytes, four
+        # times the 90^2 bits of its comparability rows
+        monkeypatch.setattr(engine, "MAX_ARRAY_BYTES", 90 * 90 // 2 - 1)
+        with pytest.raises(ClassTooLarge, match="comparability rows .* "
+                                                "4050 bytes, over the "
+                                                "4049-byte limit"):
             build_poset(MarginPair.uniform(4, 2))
-        monkeypatch.setattr(engine, "MAX_ARRAY_BYTES", 2 * 90 * 90)
+        monkeypatch.setattr(engine, "MAX_ARRAY_BYTES", 90 * 90 // 2)
         assert len(build_poset(MarginPair.uniform(4, 2))) == 90
 
     def test_equality_is_identity(self):
@@ -207,17 +208,17 @@ class TestBuildPoset:
         assert len({p, q}) == 2
 
     def test_refused_before_any_square_array(self, monkeypatch):
-        # A(5,2) has 2040 members; a refusal must come before any
-        # 2040 x 2040 array exists, so numpy never holds that many bytes
-        monkeypatch.setattr(engine, "MAX_ARRAY_BYTES", 2040 * 2040 - 1)
+        # A(5,2) has 2040 members; a refusal must come before its
+        # comparability rows exist, so nothing holds their 2040^2 bits
+        monkeypatch.setattr(engine, "MAX_ARRAY_BYTES", 2040 * 2040 // 2 - 1)
         tracemalloc.start()
         try:
-            with pytest.raises(ClassTooLarge, match="comparability matrix"):
+            with pytest.raises(ClassTooLarge, match="comparability rows"):
                 build_poset(MarginPair.uniform(5, 2))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 2040 * 2040
+        assert peak < 2040 * 2040 // 8
 
 
 class TestExtremes:
@@ -264,7 +265,7 @@ class TestInterchangeDag:
 
 
 class TestFullPosetOnly:
-    """An interchange DAG has no comparability matrix: the queries and
+    """An interchange DAG has no comparability relation: the queries and
     exports that need one refuse it."""
 
     @pytest.fixture(scope="class")
@@ -288,13 +289,58 @@ class TestFullPosetOnly:
         below = strict(poset_42)
         assert not below.diagonal().any()
         assert (below | np.eye(len(poset_42), dtype=bool)
-                == poset_42.leq).all()
-        assert poset_42.leq.diagonal().all()
+                == np.asarray(poset_42.leq)).all()
+        assert np.asarray(poset_42.leq).diagonal().all()
 
     def test_strict_pairs_are_strict_in_row_major_order(self, poset_42):
         rows, cols = np.nonzero(strict(poset_42))
         assert list(strict_pairs(poset_42)) == list(zip(rows.tolist(),
                                                          cols.tolist()))
+
+
+class TestBitView:
+    """``leq`` holds one int per member; the view reads bits of them."""
+
+    def test_every_entry_is_a_bit_of_the_unpacked_matrix(self, poset_42):
+        full = np.asarray(poset_42.leq)
+        size = len(poset_42)
+        assert poset_42.leq.shape == full.shape == (size, size)
+        assert full.dtype == bool
+        for a in range(size):
+            for c in range(size):
+                assert poset_42.leq[a, c] is bool(full[a, c])
+        assert full.tolist() == [[bool(row >> c & 1) for c in range(size)]
+                                 for row in poset_42.leq.rows]
+
+    def test_index_rules_follow_numpy(self, poset_42):
+        full = np.asarray(poset_42.leq)
+        for a, c in [(-1, -1), (0, -90), (np.int32(5), np.int64(89)),
+                     (np.int64(-3), 40)]:
+            assert poset_42.leq[a, c] == full[a, c]
+        for a, c in [(90, 0), (0, 90), (-91, 0), (0, -91)]:
+            with pytest.raises(IndexError):
+                poset_42.leq[a, c]
+        with pytest.raises(TypeError):
+            poset_42.leq[0, 1.0]
+
+    def test_assignment_is_refused(self, poset_42):
+        before = poset_42.leq[0, 89]
+        with pytest.raises(TypeError):
+            poset_42.leq[0, 89] = not before
+        assert poset_42.leq[0, 89] == before
+
+    def test_asarray_is_a_fresh_bool_matrix(self, poset_42):
+        full = np.asarray(poset_42.leq)
+        full[:] = False
+        assert np.asarray(poset_42.leq).any()
+        assert np.asarray(poset_42.leq, dtype=np.uint8).dtype == np.uint8
+
+    def test_bool_array_is_packed_into_rows(self, poset_42):
+        full = np.asarray(poset_42.leq)
+        poset = ClassPoset(poset_42.margins, poset_42.keys, poset_42.nu,
+                           poset_42.indptr, poset_42.targets, full)
+        assert poset.leq.rows == poset_42.leq.rows
+        assert all(isinstance(row, int) for row in poset.leq.rows)
 
 
 class TestExports:
@@ -418,9 +464,9 @@ class TestOversizeClass:
 
 
 def test_peaks_stay_under_the_checked_bytes():
-    # build_poset admits A(5,2) by counting two 2040 x 2040 bool arrays;
-    # neither it nor monotonicity_check, with leq still held, may go past
-    checked = 2 * 2040 * 2040
+    # build_poset admits A(5,2) by counting 2040^2 / 2 bytes; neither it
+    # nor monotonicity_check, with the rows still held, may go past
+    checked = 2040 * 2040 // 2
     tracemalloc.start()
     try:
         poset = build_poset(MarginPair.uniform(5, 2))
@@ -436,31 +482,38 @@ def test_peaks_stay_under_the_checked_bytes():
 
 
 def test_build_holds_little_beside_leq():
-    # what the A(5,2) build holds beside leq: the up-set ints, dropped a
-    # block at a time as leq is written from them, and the covers
+    # the A(5,2) build keeps its up-set ints as the rows of leq, 2040^2
+    # bits, and writes no matrix from them: it holds 0.165 x 2040^2
+    # bytes once built and peaks at 0.243 x 2040^2 (0.69 and 1.01 MB),
+    # against 1 and 1.19 x 2040^2 with a bool matrix
     tracemalloc.start()
     try:
         poset = build_poset(MarginPair.uniform(5, 2))
-        _, peak = tracemalloc.get_traced_memory()
+        held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak - poset.leq.nbytes < poset.leq.nbytes // 4
+    size = len(poset)
+    assert held < size * size // 4
+    assert peak < size * size * 3 // 8
 
 
 def test_monotonicity_check_holds_little_beside_leq(poset_52):
-    # the bitsets of the inversion counts and one packed block of rows
+    # the bitsets of the inversion counts and one strict row at a time,
+    # 32 KB on A(5,2): no row of leq is copied or packed
     tracemalloc.start()
     try:
         report = monotonicity_check(poset_52)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    size = len(poset_52)
     assert report.violations == []
-    assert peak < poset_52.leq.nbytes // 4
+    assert peak < size * size // 32
 
 
 def test_strict_pairs_stream_one_row_at_a_time(poset_52):
-    # the pairs come from leq row by row: no copy of leq, no list of pairs
+    # the pairs come from the rows of leq one at a time: no matrix, no
+    # list of pairs (7.5 KB on A(5,2))
     pairs = 0
     tracemalloc.start()
     try:
@@ -469,5 +522,6 @@ def test_strict_pairs_stream_one_row_at_a_time(poset_52):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert pairs == int(poset_52.leq.sum()) - len(poset_52)
-    assert peak < poset_52.leq.nbytes // 16
+    size = len(poset_52)
+    assert pairs == int(np.asarray(poset_52.leq).sum()) - size
+    assert peak < size * size // 128

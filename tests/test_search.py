@@ -210,7 +210,7 @@ class TestMonotonicity:
     def test_matches_reference_on_planted_violations(self, poset_42):
         # claim a few pairs comparable whose inversion count falls or stays
         nu = np.asarray(poset_42.nu)
-        leq = poset_42.leq.copy()
+        leq = np.asarray(poset_42.leq)
         planted = [(89, 0), (40, 3), (5, 2)]
         assert nu[89] > nu[0] and nu[40] > nu[3] and nu[5] == nu[2]
         assert not any(leq[a, c] for a, c in planted)
@@ -218,6 +218,7 @@ class TestMonotonicity:
             leq[a, c] = True
         poset = ClassPoset(poset_42.margins, poset_42.keys, poset_42.nu,
                            poset_42.indptr, poset_42.targets, leq)
+        assert np.array_equal(np.asarray(poset.leq), leq)
         report = monotonicity_check(poset)
         assert report == reference_monotonicity(poset)
         assert report.pairs_checked \
