@@ -484,8 +484,7 @@ def test_peaks_stay_under_the_checked_bytes():
 def test_build_holds_little_beside_leq():
     # the A(5,2) build keeps its up-set ints as the rows of leq, 2040^2
     # bits, and writes no matrix from them: it holds 0.165 x 2040^2
-    # bytes once built and peaks at 0.243 x 2040^2 (0.69 and 1.01 MB),
-    # against 1 and 1.19 x 2040^2 with a bool matrix
+    # bytes once built and peaks at 0.243 x 2040^2 (0.69 and 1.01 MB)
     tracemalloc.start()
     try:
         poset = build_poset(MarginPair.uniform(5, 2))
