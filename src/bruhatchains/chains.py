@@ -10,12 +10,12 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Sequence, Union
 
-from . import engine
 from .errors import (
     MalformedChain,
     MarginMismatch,
     PatternMismatch,
     UnsupportedOrder,
+    _check_budget,
 )
 from .matrices import (
     F3,
@@ -191,12 +191,11 @@ _CELL_BYTES = 13
 def build_extremes(n: int) -> tuple[BinaryMatrix, BinaryMatrix]:
     """The block-diagonal minimal matrix P_n and its column reversal Q_n,
     the distinguished maximal matrix.  An order whose n x n cells would
-    pass ``engine.MAX_ARRAY_BYTES`` at ``_CELL_BYTES`` each is refused
+    pass ``errors.MAX_ARRAY_BYTES`` at ``_CELL_BYTES`` each is refused
     with ClassTooLarge before anything is built."""
     if n < 4:
         raise UnsupportedOrder("extremes are defined for n >= 4")
-    engine._check_budget(n * n, _CELL_BYTES,
-                         f"the two {n}x{n} extremes")
+    _check_budget(n * n, _CELL_BYTES, f"the two {n}x{n} extremes")
     if n % 2 == 0:
         p = direct_sum([J2] * (n // 2))
     else:
@@ -377,12 +376,12 @@ _STEP_BYTES = 384
 
 def build_chain(n: int) -> Chain:
     """Dispatch to the even or odd construction.  An order whose delta(n)
-    steps would pass ``engine.MAX_ARRAY_BYTES`` at ``_STEP_BYTES`` each is
+    steps would pass ``errors.MAX_ARRAY_BYTES`` at ``_STEP_BYTES`` each is
     refused with ClassTooLarge before anything is built."""
     if n < 4:
         raise UnsupportedOrder("chain construction needs n >= 4")
-    engine._check_budget(delta(n), _STEP_BYTES,
-                         f"the {delta(n)} steps of the order-{n} chain")
+    _check_budget(delta(n), _STEP_BYTES,
+                  f"the {delta(n)} steps of the order-{n} chain")
     return chain_even(n) if n % 2 == 0 else chain_odd(n)
 
 

@@ -9,7 +9,12 @@ supports ``--json`` for a machine-readable envelope.
 ``longest`` and ``spectrum`` build the interchange DAG for an all-two
 square class, however given, and the full poset for any other class.
 ``poset`` and ``monotone`` always build the full poset, which is refused
-when its size x size matrix passes ``engine.MAX_ARRAY_BYTES``.
+when its comparability rows, charged size * size / 2 bytes, would pass
+``errors.MAX_ARRAY_BYTES``.
+
+The commands that need the class engine, enumeration or search import
+them in their bodies, so ``chain build``, ``chain verify``, ``extremes``
+and ``delta`` run without loading numpy.
 
 Exit codes: 0 on success, 1 on domain errors (a class too large to
 build among them), malformed input and unreadable input files, 2 on
@@ -24,12 +29,16 @@ import sys
 import time
 from collections.abc import Iterator
 from itertools import islice
+from typing import TYPE_CHECKING
 
 import click
 
-from . import chains, enumeration, matrices, order, search
+from . import chains, matrices, order
 from .errors import BruhatError, SearchBudgetExceeded
 from .matrices import BinaryMatrix, MarginPair, _ascii_int
+
+if TYPE_CHECKING:
+    from .enumeration import ClassPoset
 
 
 def _read_text(path: str) -> str:
@@ -197,6 +206,8 @@ def enumerate_members(pair, count_only, as_json) -> None:
     Both lists, plain text and one JSON document, are printed in batches
     as they are decoded.  The class is enumerated before its first member
     is decoded, so a refusal comes before any output."""
+    from . import enumeration
+
     if count_only:
         _emit("enumerate", enumeration.count_class(pair), as_json)
         return
@@ -221,6 +232,8 @@ def enumerate_members(pair, count_only, as_json) -> None:
 @click.option("--json", "as_json", is_flag=True)
 def poset(pair, dot_path, jsonl_path, as_json) -> None:
     """Build the class poset and export it."""
+    from . import enumeration
+
     built = enumeration.build_poset(pair)
     if dot_path:
         _write_text(dot_path, built.to_dot())
@@ -296,9 +309,11 @@ def chain_verify(chain_file: str, as_json: bool) -> None:
     _emit("chain verify", result, as_json, plain)
 
 
-def _chain_poset(pair: MarginPair) -> enumeration.ClassPoset:
+def _chain_poset(pair: MarginPair) -> ClassPoset:
     """The interchange DAG for an all-two square class, whose Bruhat order
     is the closure of its arcs; the full poset for any other class."""
+    from . import enumeration
+
     if pair.is_all_two_square():
         return enumeration.build_interchange_dag(pair)
     return enumeration.build_poset(pair)
@@ -309,6 +324,8 @@ def _chain_poset(pair: MarginPair) -> enumeration.ClassPoset:
 @click.option("--json", "as_json", is_flag=True)
 def longest(pair, as_json) -> None:
     """Length of the longest chain in the Bruhat order of a class."""
+    from . import search
+
     built = _chain_poset(pair)
     length, _ = search.longest_chain(built)
     _emit("longest", length, as_json)
@@ -319,6 +336,8 @@ def longest(pair, as_json) -> None:
 @click.option("--json", "as_json", is_flag=True)
 def spectrum(n, as_json) -> None:
     """Maximum chain lengths over all (minimal, maximal) pairs."""
+    from . import search
+
     built = _chain_poset(MarginPair.uniform(n, 2))
     lengths = sorted(search.maximal_chain_spectrum(built))
     _emit("spectrum", lengths, as_json, " ".join(map(str, lengths)))
@@ -333,6 +352,8 @@ def spectrum(n, as_json) -> None:
 @click.option("--json", "as_json", is_flag=True)
 def tight(from_matrix, to_matrix, budget, as_json) -> None:
     """Search for a tight chain between two matrices."""
+    from . import search
+
     a, c = _read_matrix(from_matrix), _read_matrix(to_matrix)
     outcome = search.tight_chain_search(a, c, budget)
     result = {
@@ -358,6 +379,8 @@ def monotone(pair, as_json) -> None:
     """Check inversion monotonicity over all strict arcs of a class.
 
     A found violation is printed as a certificate and still exits 0."""
+    from . import enumeration, search
+
     built = enumeration.build_poset(pair)
     report = search.monotonicity_check(built)
     certs = [search.certificate(a, c) for a, c in report.violations]

@@ -19,26 +19,17 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import ClassTooLarge, InfeasibleMargins
+from . import errors
+from .errors import ClassTooLarge, InfeasibleMargins, _check_budget
 
 if TYPE_CHECKING:
     from .matrices import MarginPair
-
-# The largest array the engine allocates: a row's frontier (a key per
-# state, and a byte a column for its caps while the next row is placed)
-# or the arc targets.  A(7,2) needs 47 MB for its last frontier and 396 MB
-# for its 98,894,250 arcs; A(8,2) would need 790 MB for the frontier
-# after six rows, and is refused there.
-MAX_ARRAY_BYTES = 1 << 29
 
 # The most row splits count_class walks, each a way to spread a row's ones
 # over the columns at each cap.  A(14,7) walks 3,891,541 of them in about
 # 3 s on a 2-core machine; A(16,8), which would take about 45 s, is
 # refused at its row 8.
 MAX_COUNT_SPLITS = 1 << 22
-
-# The most cells a packed key holds: one uint64 bit each.
-MAX_CELLS = 64
 
 
 def _bit(m: int, n: int, i: int, j: int) -> int:
@@ -51,19 +42,12 @@ def _mask(m: int, n: int, cells) -> int:
     return sum(1 << _bit(m, n, i, j) for i, j in cells)
 
 
-def _check_budget(count: int, per_item: int, what: str) -> None:
-    if count * per_item > MAX_ARRAY_BYTES:
-        raise ClassTooLarge(
-            f"{what} would take {count * per_item} bytes, over the "
-            f"{MAX_ARRAY_BYTES}-byte limit")
-
-
 def check_cells(margins: MarginPair) -> None:
     m, n = margins.m, margins.n
-    if m * n > MAX_CELLS:
+    if m * n > errors.MAX_CELLS:
         raise ClassTooLarge(
             f"a {m}x{n} class has {m * n} cells; packed keys hold "
-            f"{MAX_CELLS}")
+            f"{errors.MAX_CELLS}")
 
 
 def check_margins(margins: MarginPair) -> None:

@@ -16,7 +16,7 @@ from typing import Iterator
 import numpy as np
 
 from . import engine
-from .errors import ClassTooLarge, InfeasibleMargins
+from .errors import ClassTooLarge, InfeasibleMargins, _check_budget
 from .matrices import BinaryMatrix, MarginPair, canonical_key, decode
 
 
@@ -24,7 +24,7 @@ def enumerate_class(margins: MarginPair) -> Iterator[BinaryMatrix]:
     """Yield every member of the class exactly once, sorted by canonical
     key: the packed engine's keys, decoded one at a time.  A class over 64
     cells raises ClassTooLarge, as does one whose enumeration frontier
-    would pass ``engine.MAX_ARRAY_BYTES``."""
+    would pass ``errors.MAX_ARRAY_BYTES``."""
     m, n = margins.m, margins.n
     for key in engine.enumerate_keys(margins):
         yield decode(int(key), m, n)
@@ -303,15 +303,15 @@ def build_poset(margins: MarginPair) -> ClassPoset:
     (``engine.ranked_class``), so a class over 64 cells is refused at
     once.  The class is counted next and, before anything is enumerated,
     refused with ClassTooLarge when size * size / 2 bytes would pass
-    ``engine.MAX_ARRAY_BYTES``: four times the rows' size * size / 8
+    ``errors.MAX_ARRAY_BYTES``: four times the rows' size * size / 8
     bytes of bits, for the ints' headers, the covers and what
     ``monotonicity_check`` holds beside the rows.  The largest class
     admitted has 32,768 members.
     """
     engine.check_cells(margins)
     size = count_class(margins)
-    engine._check_budget(size * size // 2, 1, f"the comparability rows "
-                         f"({size} x {size} bits) and their working ints")
+    _check_budget(size * size // 2, 1, f"the comparability rows "
+                  f"({size} x {size} bits) and their working ints")
     keys, nu, _ = engine.ranked_class(margins)
     sig = engine.sigma_table(keys, margins.m, margins.n)
     # at_most[e][t]: the members whose entry e is at most t

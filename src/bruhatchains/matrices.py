@@ -12,12 +12,12 @@ import json
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import comb
-from typing import Iterator, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
 
-import numpy as np
+from .errors import PatternMismatch, _check_budget
 
-from . import engine
-from .errors import PatternMismatch
+if TYPE_CHECKING:
+    import numpy as np
 
 # The two cell characters; a row's text holds no other.
 _CELLS = frozenset("01")
@@ -218,10 +218,10 @@ def cumulative_sums(a: BinaryMatrix) -> tuple[tuple[int, ...], ...]:
     """The rows of the table of leading-submatrix one-counts: entry
     (k, l) counts the ones in the leading (k+1) x (l+1) submatrix.  They
     are read off the order table (``_entries``).  A table whose entries
-    would pass ``engine.MAX_ARRAY_BYTES`` at ``_SIGMA_ENTRY_BYTES`` each
+    would pass ``errors.MAX_ARRAY_BYTES`` at ``_SIGMA_ENTRY_BYTES`` each
     raises ClassTooLarge before anything is built."""
-    engine._check_budget(a.m * a.n, _SIGMA_ENTRY_BYTES,
-                         f"the {a.m}x{a.n} partial-sum table")
+    _check_budget(a.m * a.n, _SIGMA_ENTRY_BYTES,
+                  f"the {a.m}x{a.n} partial-sum table")
     values = _entries(_order_table(a), a.m, a.n)
     return tuple(map(tuple, values.tolist()))
 
@@ -292,11 +292,10 @@ _MOVE_BYTES = 256
 def find_interchanges(a: BinaryMatrix) -> list[Interchange]:
     """All positions whose 2x2 submatrix holds the identity pattern I2,
     sorted lexicographically by (i, i2, j, j2).  A list that could pass
-    ``engine.MAX_ARRAY_BYTES`` raises ClassTooLarge before it is built:
+    ``errors.MAX_ARRAY_BYTES`` raises ClassTooLarge before it is built:
     each move takes two ones, so there are at most C(ones, 2)."""
-    engine._check_budget(min(comb(a.m, 2) * comb(a.n, 2),
-                             comb(a.count_ones(), 2)), _MOVE_BYTES,
-                         "the interchange list")
+    _check_budget(min(comb(a.m, 2) * comb(a.n, 2), comb(a.count_ones(), 2)),
+                  _MOVE_BYTES, "the interchange list")
     return [Interchange(*move) for move in _moves(a.bits)]
 
 
@@ -379,7 +378,10 @@ def _order_table(a: BinaryMatrix) -> _OrderTable:
 def _entries(table: _OrderTable, m: int, n: int) -> np.ndarray:
     """The entries of an m x n order table as a new m x n int32 array:
     lanes of 1, 2 or 4 bytes read as little-endian unsigned ints, and of
-    3 bytes padded to 4; each is under its guard bit, so under 2**31."""
+    3 bytes padded to 4; each is under its guard bit, so under 2**31.
+    It is the one numpy reader here, so numpy loads on its first call."""
+    import numpy as np
+
     size = table.width // 8
     raw = np.frombuffer(table.sigma.to_bytes(m * n * size, "little"), "u1")
     if size == 3:

@@ -5,12 +5,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from math import comb
-from typing import Iterator, NamedTuple
+from typing import TYPE_CHECKING, Iterator, NamedTuple
 
-import numpy as np
-
-from . import engine
-from .enumeration import ClassPoset, _pull, build_interchange_dag, count_class
+from . import errors
 from .errors import (
     ClassTooLarge,
     MarginMismatch,
@@ -33,6 +30,9 @@ from .matrices import (
     decode,
     reverse_columns,
 )
+
+if TYPE_CHECKING:
+    from .enumeration import ClassPoset
 
 DEFAULT_NODE_BUDGET = 10**6
 
@@ -77,7 +77,7 @@ def bruhat_less(a: BinaryMatrix, c: BinaryMatrix) -> bool:
     return a != c and bruhat_leq(a, c)
 
 
-# Charged against engine.MAX_ARRAY_BYTES before each state is expanded,
+# Charged against errors.MAX_ARRAY_BYTES before each state is expanded,
 # from tracemalloc (tests/test_memo.py checks it).  Ints take 30 bits per 4
 # bytes.  Once: the excess array, 4 bytes an entry, and beside it while the
 # second table is decoded, that table's bytes and its own array.  Per state
@@ -108,7 +108,7 @@ def _search(a: BinaryMatrix, c: BinaryMatrix, tables, generate,
     (i, i2, j, j2) order.  The path is an explicit stack of each level's
     rows and move iterator, so a chain may be longer than the recursion
     limit.  Before a state is expanded, the bytes of the array and of the
-    states expanded so far are checked against engine.MAX_ARRAY_BYTES."""
+    states expanded so far are checked against errors.MAX_ARRAY_BYTES."""
     ta, tc = tables
     m, n = a.m, a.n
     excess = _entries(ta, m, n)
@@ -117,7 +117,7 @@ def _search(a: BinaryMatrix, c: BinaryMatrix, tables, generate,
         return None, 0
     target = c.bits
     dead: set[tuple[int, ...]] = set()
-    limit = engine.MAX_ARRAY_BYTES
+    limit = errors.MAX_ARRAY_BYTES
     held = m * n * (8 + ta.width // 8)
     level = 8 * m + n * 18 // 15 + _LEVEL_BYTES + _STATE_BYTES
 
@@ -210,17 +210,27 @@ class _ClassTable(NamedTuple):
 
 def _reach(poset: ClassPoset) -> list[int]:
     """Bit w of entry v set iff w is reachable from v: bits OR-pulled."""
+    import numpy as np
+
+    from .enumeration import _pull
+
     bits = np.array([1 << v for v in range(len(poset))], dtype=object)
     return _pull(poset, bits, np.bitwise_or, 0).tolist()
 
 
 def _build_table(margins: MarginPair) -> _ClassTable | None:
-    """The table of a class of at most ``engine.MAX_CELLS`` cells, or None
+    """The table of a class of at most ``errors.MAX_CELLS`` cells, or None
     past MAX_TABLE_BYTES: ``count_class`` sizes members and bitsets before
     anything is built, and the tight arcs are charged before any list is.
     Both orders are read off the interchange DAG: an arc raises the
     inversion count by its move's increment, so it is tight iff it raises
-    it by one, and its move's mask is the XOR of its ends' keys."""
+    it by one, and its move's mask is the XOR of its ends' keys.  It is
+    where the order predicates first load numpy and the class engine."""
+    import numpy as np
+
+    from .engine import move_masks
+    from .enumeration import build_interchange_dag, count_class
+
     m, n = margins.m, margins.n
     try:
         size = count_class(margins)
@@ -241,7 +251,7 @@ def _build_table(margins: MarginPair) -> _ClassTable | None:
     keys = dag.keys.tolist()
     index = {decode(key, m, n).bits: v for v, key in enumerate(keys)}
     moves = {src | dst: Interchange(*quad)
-             for quad, src, dst in engine.move_masks(m, n)}
+             for quad, src, dst in move_masks(m, n)}
     return _ClassTable(index, keys, up, tight, arcs, moves)
 
 
@@ -250,10 +260,10 @@ _SLOT: dict[tuple, _ClassTable | None] = {}
 
 
 def _class_table(a: BinaryMatrix, tables) -> _ClassTable | None:
-    """The table of a's class, or None past ``engine.MAX_CELLS`` cells;
+    """The table of a's class, or None past ``errors.MAX_CELLS`` cells;
     tables are _require_same_class(a, c), whose class key keys the slot.
     _SLOT holds the last class queried, and another class replaces it."""
-    if a.m * a.n > engine.MAX_CELLS:
+    if a.m * a.n > errors.MAX_CELLS:
         return None
     key = tables[0].cls
     if key not in _SLOT:

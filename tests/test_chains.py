@@ -6,7 +6,7 @@ import hashlib
 import pytest
 
 from bruhatchains import chains as chains_module
-from bruhatchains import engine, matrices
+from bruhatchains import errors, matrices
 from bruhatchains import (
     F3,
     F3R,
@@ -293,7 +293,7 @@ class TestOnePassBuild:
     def test_order_past_the_byte_limit_refused(self):
         # 837 is the largest order whose steps fit the limit
         assert delta(837) * chains_module._STEP_BYTES \
-            <= engine.MAX_ARRAY_BYTES
+            <= errors.MAX_ARRAY_BYTES
         with pytest.raises(ClassTooLarge, match="order-838 chain"):
             build_chain(838)
 
@@ -608,6 +608,6 @@ class TestSerialization:
 class TestExtremesByteLimit:
     def test_order_past_the_byte_limit_refused(self):
         # 6426 is the largest order whose n x n cells fit the limit
-        assert 6426 ** 2 * chains_module._CELL_BYTES <= engine.MAX_ARRAY_BYTES
+        assert 6426 ** 2 * chains_module._CELL_BYTES <= errors.MAX_ARRAY_BYTES
         with pytest.raises(ClassTooLarge, match="6427x6427 extremes"):
             build_extremes(6427)

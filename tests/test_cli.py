@@ -21,7 +21,10 @@ from bruhatchains import (
     chains,
     cli,
     engine,
+    enumeration,
+    errors,
     matrices,
+    search,
 )
 from bruhatchains.cli import main
 
@@ -63,12 +66,12 @@ def test_sigma(runner):
 
 def test_sigma_past_the_byte_limit_refused(runner, monkeypatch):
     # a 4x4 table passes a limit that holds 15 entries
-    monkeypatch.setattr(engine, "MAX_ARRAY_BYTES",
+    monkeypatch.setattr(errors, "MAX_ARRAY_BYTES",
                         15 * matrices._SIGMA_ENTRY_BYTES)
     result = runner.invoke(main, ["sigma", "-", "--json"], input=P4_TEXT)
     _one_error_line(result)
     assert "4x4 partial-sum table" in result.output
-    monkeypatch.setattr(engine, "MAX_ARRAY_BYTES",
+    monkeypatch.setattr(errors, "MAX_ARRAY_BYTES",
                         16 * matrices._SIGMA_ENTRY_BYTES)
     result = runner.invoke(main, ["sigma", "-", "--json"], input=P4_TEXT)
     assert json.loads(result.output)["result"][-1] == [2, 4, 6, 8]
@@ -300,8 +303,8 @@ def _route_to_fake_dag(monkeypatch, dag):
     def full_poset(*args, **kwargs):
         raise AssertionError("the full A(6,2) poset needs about 9.7 GB")
 
-    monkeypatch.setattr(cli.enumeration, "build_interchange_dag", fake_dag)
-    monkeypatch.setattr(cli.enumeration, "build_poset", full_poset)
+    monkeypatch.setattr(enumeration, "build_interchange_dag", fake_dag)
+    monkeypatch.setattr(enumeration, "build_poset", full_poset)
     return calls
 
 
@@ -329,7 +332,7 @@ def test_other_classes_route_to_the_full_poset(runner, monkeypatch):
     def no_dag(margins):
         raise AssertionError("not an all-two square class")
 
-    monkeypatch.setattr(cli.enumeration, "build_interchange_dag", no_dag)
+    monkeypatch.setattr(enumeration, "build_interchange_dag", no_dag)
     for args, length in ((["--margins", "2,2,1/2,2,1"], "3"),
                          (["--n", "3", "--k", "1"], "3"),
                          (["--margins", "2,2,2/3,3"], "0")):
@@ -362,7 +365,7 @@ def test_full_poset_over_byte_limit_refused(runner, command):
     assert time.monotonic() - started < 30
     _one_error_line(result)
     assert f"{67_950 ** 2 // 2} bytes" in result.output
-    assert f"{engine.MAX_ARRAY_BYTES}-byte limit" in result.output
+    assert f"{errors.MAX_ARRAY_BYTES}-byte limit" in result.output
 
 
 def test_cap_option_removed(runner):
@@ -414,11 +417,11 @@ def test_monotone_prints_a_violation_as_its_certificate(runner, monkeypatch):
     # no class checked has a violation, so a report of one is patched in:
     # the plain output is its certificate, and the command exits 0
     p, q = build_extremes(4)
-    report = cli.search.MonotonicityReport(1, [(q, p)])
-    monkeypatch.setattr(cli.search, "monotonicity_check", lambda poset: report)
+    report = search.MonotonicityReport(1, [(q, p)])
+    monkeypatch.setattr(search, "monotonicity_check", lambda poset: report)
     result = runner.invoke(main, ["monotone", "--n", "4"])
     assert result.exit_code == 0
-    assert json.loads(result.output) == [cli.search.certificate(q, p)]
+    assert json.loads(result.output) == [search.certificate(q, p)]
 
 
 def test_domain_error_exit_code(runner):
@@ -453,7 +456,7 @@ def test_search_past_the_byte_limit_is_a_domain_error(runner, tmp_path,
     src, dst = tmp_path / "p30.txt", tmp_path / "q30.txt"
     src.write_text(p30.to_text())
     dst.write_text(q30.to_text())
-    monkeypatch.setattr(engine, "MAX_ARRAY_BYTES", 100_000)
+    monkeypatch.setattr(errors, "MAX_ARRAY_BYTES", 100_000)
     result = runner.invoke(main, [command, str(src), str(dst)])
     _one_error_line(result)
     assert "100000-byte limit" in result.output
@@ -687,13 +690,13 @@ def test_table_answers_ignore_the_budget(runner, p4_q4):
 def test_tight_default_budget_is_the_order_default(runner, p4_q4,
                                                    monkeypatch):
     budgets = []
-    real = cli.search.tight_chain_search
+    real = search.tight_chain_search
 
     def spy(a, c, budget):
         budgets.append(budget)
         return real(a, c, budget)
 
-    monkeypatch.setattr(cli.search, "tight_chain_search", spy)
+    monkeypatch.setattr(search, "tight_chain_search", spy)
     assert runner.invoke(main, ["tight", *p4_q4]).exit_code == 0
     assert budgets == [cli.order.DEFAULT_NODE_BUDGET]
 
@@ -759,7 +762,7 @@ def test_full_poset_refused_before_enumerating(runner):
     result = runner.invoke(main, ["poset", "--n", "7"])
     assert time.monotonic() - started < 5
     _one_error_line(result)
-    assert f"{engine.MAX_ARRAY_BYTES}-byte limit" in result.output
+    assert f"{errors.MAX_ARRAY_BYTES}-byte limit" in result.output
 
 
 def test_more_than_64_cells(runner):
@@ -813,7 +816,7 @@ def test_chain_too_large_refused_before_building(runner, memory_cap):
     assert time.monotonic() - started < 5
     _one_error_line(result)
     assert "49980000 steps" in result.output
-    assert f"{engine.MAX_ARRAY_BYTES}-byte limit" in result.output
+    assert f"{errors.MAX_ARRAY_BYTES}-byte limit" in result.output
 
 
 _START = {"m": 2, "n": 2, "rows": ["10", "01"]}
@@ -931,7 +934,7 @@ def test_extremes_too_large_refused_before_building(runner, memory_cap,
     assert time.monotonic() - started < 5
     _one_error_line(result)
     assert "100000x100000 extremes" in result.output
-    assert f"{engine.MAX_ARRAY_BYTES}-byte limit" in result.output
+    assert f"{errors.MAX_ARRAY_BYTES}-byte limit" in result.output
 
 
 @pytest.mark.parametrize("name", ["enumerate", "poset", "longest",

@@ -29,7 +29,7 @@ from bruhatchains import (
     longest_chain,
     maximal_chain_spectrum,
 )
-from bruhatchains import canonical_key, engine, enumeration, search
+from bruhatchains import canonical_key, engine, enumeration, errors, search
 from bruhatchains.matrices import decode, pack
 from reference import backtrack_class, searchsorted_arcs, sigma
 
@@ -195,14 +195,14 @@ def test_frontier_over_budget_refused(monkeypatch):
     # A(6,2) has 20,610 states after four rows and 67,950 after five, 14
     # bytes each: every partial state completes, so a limit of exactly the
     # fourth frontier passes rows 1-4 and refuses row 5
-    monkeypatch.setattr(engine, "MAX_ARRAY_BYTES", 20_610 * 14)
+    monkeypatch.setattr(errors, "MAX_ARRAY_BYTES", 20_610 * 14)
     with pytest.raises(ClassTooLarge, match=f"row 5 .* {67_950 * 14} bytes"):
         build_interchange_dag(MarginPair.uniform(6, 2))
 
 
 def test_arcs_over_budget_refused(monkeypatch):
     # A(5,2) has 26,100 arcs of 4 bytes; its frontier stays under 30 kB
-    monkeypatch.setattr(engine, "MAX_ARRAY_BYTES", 100_000)
+    monkeypatch.setattr(errors, "MAX_ARRAY_BYTES", 100_000)
     with pytest.raises(ClassTooLarge, match="interchange arcs"):
         build_interchange_dag(MarginPair.uniform(5, 2))
 

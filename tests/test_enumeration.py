@@ -25,7 +25,7 @@ from bruhatchains import (
     inversion_count,
     monotonicity_check,
 )
-from bruhatchains import engine
+from bruhatchains import engine, errors
 from bruhatchains.matrices import decode, pack
 from reference import (
     backtrack_class,
@@ -191,12 +191,12 @@ class TestBuildPoset:
     def test_cap(self, monkeypatch):
         # A(4,2) has 90 members: the check counts 90^2 / 2 bytes, four
         # times the 90^2 bits of its comparability rows
-        monkeypatch.setattr(engine, "MAX_ARRAY_BYTES", 90 * 90 // 2 - 1)
+        monkeypatch.setattr(errors, "MAX_ARRAY_BYTES", 90 * 90 // 2 - 1)
         with pytest.raises(ClassTooLarge, match="comparability rows .* "
                                                 "4050 bytes, over the "
                                                 "4049-byte limit"):
             build_poset(MarginPair.uniform(4, 2))
-        monkeypatch.setattr(engine, "MAX_ARRAY_BYTES", 90 * 90 // 2)
+        monkeypatch.setattr(errors, "MAX_ARRAY_BYTES", 90 * 90 // 2)
         assert len(build_poset(MarginPair.uniform(4, 2))) == 90
 
     def test_equality_is_identity(self):
@@ -210,7 +210,7 @@ class TestBuildPoset:
     def test_refused_before_any_square_array(self, monkeypatch):
         # A(5,2) has 2040 members; a refusal must come before its
         # comparability rows exist, so nothing holds their 2040^2 bits
-        monkeypatch.setattr(engine, "MAX_ARRAY_BYTES", 2040 * 2040 // 2 - 1)
+        monkeypatch.setattr(errors, "MAX_ARRAY_BYTES", 2040 * 2040 // 2 - 1)
         tracemalloc.start()
         try:
             with pytest.raises(ClassTooLarge, match="comparability rows"):

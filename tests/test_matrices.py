@@ -26,7 +26,7 @@ from bruhatchains import (
     canonical_key,
     cumulative_sums,
     direct_sum,
-    engine,
+    errors,
     find_interchanges,
     interchange_increment,
     inversion_count,
@@ -208,11 +208,11 @@ class TestFindInterchanges:
         # reversed, its LtoI moves
         want = [find_interchanges(a), ltoi_moves(a)]
         limit = most * matrices._MOVE_BYTES
-        monkeypatch.setattr(engine, "MAX_ARRAY_BYTES", limit - 1)
+        monkeypatch.setattr(errors, "MAX_ARRAY_BYTES", limit - 1)
         for moves in (find_interchanges, ltoi_moves):
             with pytest.raises(ClassTooLarge, match="interchange list"):
                 moves(a)
-        monkeypatch.setattr(engine, "MAX_ARRAY_BYTES", limit)
+        monkeypatch.setattr(errors, "MAX_ARRAY_BYTES", limit)
         assert [find_interchanges(a), ltoi_moves(a)] == want
 
     def test_sparse_wide_states_fit(self):

@@ -29,11 +29,12 @@ from bruhatchains import (
     build_interchange_dag,
     bruhat_less,
     engine,
+    errors,
     inversion_count,
     secondary_bruhat_leq,
     tight_chain_search,
 )
-from bruhatchains import matrices, order
+from bruhatchains import enumeration, matrices, order
 from bruhatchains.matrices import _flip, _moves, _tight_moves
 from bruhatchains.order import _class_table, _require_same_class, _search
 from bruhatchains.search import _longest_paths
@@ -196,7 +197,7 @@ def test_the_charge_covers_what_a_table_holds():
 
 def test_classes_past_the_gate_get_no_table(slot, monkeypatch):
     counted = []
-    count_class = order.count_class
+    count_class = enumeration.count_class
 
     def counting(margins):
         counted.append(margins)
@@ -205,8 +206,8 @@ def test_classes_past_the_gate_get_no_table(slot, monkeypatch):
     def no_build(margins):
         raise AssertionError("a refused class was enumerated")
 
-    monkeypatch.setattr(order, "count_class", counting)
-    monkeypatch.setattr(order, "build_interchange_dag", no_build)
+    monkeypatch.setattr(enumeration, "count_class", counting)
+    monkeypatch.setattr(enumeration, "build_interchange_dag", no_build)
     # A(6,2): 67,950 members, refused by its count alone
     p, q = build_extremes(6)
     for _ in range(2):
@@ -337,10 +338,10 @@ def search_under_its_peak(monkeypatch, n, generate, budget):
     finally:
         tracemalloc.stop()
     with monkeypatch.context() as patch:
-        patch.setattr(engine, "MAX_ARRAY_BYTES", peak - 1)
+        patch.setattr(errors, "MAX_ARRAY_BYTES", peak - 1)
         with pytest.raises(ClassTooLarge, match="over the"):
             _search(p, q, tables, generate, budget)
-        patch.setattr(engine, "MAX_ARRAY_BYTES", peak + peak // 2)
+        patch.setattr(errors, "MAX_ARRAY_BYTES", peak + peak // 2)
         assert _search(p, q, tables, generate, budget) == found
     return found
 
@@ -370,7 +371,7 @@ def test_the_search_holds_one_excess_table(monkeypatch):
     # the path beside the level's rows and frames, but room for the one
     # table the search keeps and the rows and frames of each state
     p, q = build_extremes(40)
-    monkeypatch.setattr(engine, "MAX_ARRAY_BYTES", 6_000_000)
+    monkeypatch.setattr(errors, "MAX_ARRAY_BYTES", 6_000_000)
     out = tight_chain_search(p, q, 5000)
     assert out.found and out.witness.length == 3040
     assert secondary_bruhat_leq(p, q)

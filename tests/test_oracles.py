@@ -30,7 +30,7 @@ from bruhatchains import (
     bruhat_verdict,
     build_extremes,
     cumulative_sums,
-    engine,
+    errors,
     extremal_inversions,
     find_interchanges,
     interchange_increment,
@@ -207,7 +207,7 @@ def test_searches_refuse_past_the_byte_limit(monkeypatch):
     # P_30 -> Q_30 charges about 1.2 KB a state it expands, and each
     # search expands over 400: far past a limit of 100,000 bytes
     p30, q30 = build_extremes(30)
-    monkeypatch.setattr(engine, "MAX_ARRAY_BYTES", 100_000)
+    monkeypatch.setattr(errors, "MAX_ARRAY_BYTES", 100_000)
     with pytest.raises(ClassTooLarge, match=r"hold \d+ bytes .* over the "
                                             r"100000-byte limit"):
         secondary_bruhat_leq(p30, q30)
